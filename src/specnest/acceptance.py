@@ -16,7 +16,12 @@ import numpy as np
 from . import serialize
 from .curve import HilbertCurveMap, curve_points_batch
 from .decompose import decompose, expectation_dyadic, pinch_commutant
-from .detbrown import brown_density_grid, fk_determinant
+from .detbrown import (
+    brown_density_grid,
+    brown_measure_exact,
+    fk_determinant,
+    regularized_log_det,
+)
 from .ensembles import EnsembleSpec, Ginibre, UpperTriangularRandom, generate
 from .hsnest import Ball, default_curve, hs_projection, power_limit_operator
 from .majorize import (
@@ -28,7 +33,7 @@ from .majorize import (
     submajorizes,
     weyl_check,
 )
-from .matrices import operator_norm, singular_values
+from .matrices import operator_norm
 
 
 @dataclasses.dataclass(frozen=True)
@@ -235,8 +240,6 @@ def criterion_curve_nest_bounds(seed: int) -> CriterionResult:
 
 def criterion_det_convergence(seed: int) -> CriterionResult:
     def run():
-        from .detbrown import brown_measure_exact, regularized_log_det
-
         eps = 0.1
         worst = 0.0
         for T in _ginibre(8, seed, 20):
@@ -263,8 +266,8 @@ def criterion_det_monotonicity(seed: int) -> CriterionResult:
             for m in (1, 10, 100):
                 seq = []
                 for n in range(0, 11):
-                    sv = singular_values(pinch_commutant(T, res.nest, n))
-                    seq.append(float(np.exp(np.mean(np.log(sv**2 + 1.0 / m)))))
+                    P = pinch_commutant(T, res.nest, n)
+                    seq.append(float(np.exp(regularized_log_det(P, 0.0, 1.0 / m))))
                 for a, b in zip(seq, seq[1:]):
                     if b > a + 1e-10 * max(1.0, abs(a)):
                         mono_fails += 1

@@ -157,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Normal + nilpotent matrix decomposition along curve-ordered "
                     "invariant nests, with determinant / measure / majorization checks.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on worker threads (BLAS may use its own pool)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a seeded matrix ensemble")

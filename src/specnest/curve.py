@@ -201,13 +201,6 @@ def curve_points_batch(curve: HilbertCurveMap, ts: np.ndarray) -> np.ndarray:
         y = y + s * ry
         t >>= 2
         s <<= 1
-    if curve.anchor == 0:
-        px, py = x, y
-    elif curve.anchor == 1:
-        px, py = side - 1 - y, x
-    elif curve.anchor == 2:
-        px, py = side - 1 - x, side - 1 - y
-    else:
-        px, py = y, side - 1 - x
+    px, py = _anchor_fwd(curve.anchor, side, x, y)
     h = curve.cell_side
     return (-curve.half_side + (px + 0.5) * h) + 1j * (-curve.half_side + (py + 0.5) * h)

@@ -15,49 +15,63 @@ import numpy as np
 from .curve import HilbertCurveMap
 from .detbrown import brown_measure_exact, regularized_log_det
 from .hsnest import build_nest, default_curve
-from .matrices import (
-    ProjectionNest,
-    as_operator,
-    operator_norm,
-    singular_values,
-    spectral_radius,
-)
+from .matrices import ProjectionNest, as_operator, operator_norm
 
 NEST_INVARIANCE_TOL = 1e-9
 
 
-def _flag_form(T: np.ndarray, nest: ProjectionNest, check: bool = True) -> np.ndarray:
-    """T in the flag basis; optionally verify the nest is T-invariant."""
+def _column_groups(nest: ProjectionNest, n: int | None = None) -> list:
+    """Contiguous (lo, hi) column ranges of the flag.
+
+    ``n = None`` gives one range per nest increment; otherwise increments are
+    merged by the level-n dyadic interval (k/2^n, (k+1)/2^n] of their jump time.
+    """
+    if n is None:
+        return [(lo, hi) for _, lo, hi in nest.increments()]
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    groups = []
+    prev = None
+    for t, lo, hi in nest.increments():
+        k = min(max(math.ceil(t * (1 << n)) - 1, 0), (1 << n) - 1)
+        if k == prev:
+            groups[-1] = (groups[-1][0], hi)
+        else:
+            groups.append((lo, hi))
+        prev = k
+    return groups
+
+
+def _block_means(B: np.ndarray, groups: list) -> np.ndarray:
+    """Diagonal of B with each column group replaced by its mean."""
+    diag = np.diag(B)
+    coeffs = np.empty_like(diag)
+    for lo, hi in groups:
+        coeffs[lo:hi] = np.mean(diag[lo:hi])
+    return coeffs
+
+
+def _flag_form(T: np.ndarray, nest: ProjectionNest) -> np.ndarray:
+    """T in the flag basis, after checking that the nest is T-invariant.
+
+    The Frobenius norm of the part below the diagonal blocks bounds the
+    2-norm of every block B[r:, :r] cut at a jump, so one norm checks them all.
+    """
     U = nest.basis
     B = U.conj().T @ T @ U
-    if check:
-        normT = max(operator_norm(T), 1e-300)
-        for _, r in nest.jumps[1:-1]:
-            block = B[r:, :r]
-            if np.linalg.norm(block, 2) > NEST_INVARIANCE_TOL * normT:
-                raise ValueError(
-                    f"nest is not invariant for T (leak {np.linalg.norm(block, 2):.3e} "
-                    f"at rank {r})"
-                )
+    sizes = [hi - lo for _, lo, hi in nest.increments()]
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    leak = float(np.linalg.norm(B[block[:, None] > block[None, :]]))
+    if leak > NEST_INVARIANCE_TOL * max(operator_norm(T), 1e-300):
+        raise ValueError(f"nest is not invariant for T (leak {leak:.3e})")
     return B
 
 
-def _dyadic_block_index(t: float, n: int) -> int:
-    """k with k/2^n < t <= (k+1)/2^n, clipped to [0, 2^n - 1]."""
-    k = math.ceil(t * (1 << n)) - 1
-    return min(max(k, 0), (1 << n) - 1)
-
-
-def _dyadic_groups(nest: ProjectionNest, n: int) -> list:
-    """Contiguous column ranges of the flag grouped by level-n dyadic interval."""
-    groups = []
-    for t, lo, hi in nest.increments():
-        k = _dyadic_block_index(t, n)
-        if groups and groups[-1][0] == k:
-            groups[-1] = (k, groups[-1][1], hi)
-        else:
-            groups.append((k, lo, hi))
-    return groups
+def _expectation(T, nest: ProjectionNest, n: int | None) -> np.ndarray:
+    B = _flag_form(as_operator(T), nest)
+    coeffs = _block_means(B, _column_groups(nest, n))
+    U = nest.basis
+    return U @ (coeffs[:, None] * U.conj().T)
 
 
 def expectation_dyadic(T, nest: ProjectionNest, n: int) -> np.ndarray:
@@ -67,15 +81,7 @@ def expectation_dyadic(T, nest: ProjectionNest, n: int) -> np.ndarray:
     trace(f T f) / trace(f); the result is a normal matrix, diagonal in the
     flag basis and constant on each dyadic group.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    T = as_operator(T)
-    B = _flag_form(T, nest)
-    coeffs = np.zeros(T.shape[0], dtype=np.complex128)
-    for _, lo, hi in _dyadic_groups(nest, n):
-        coeffs[lo:hi] = np.mean(np.diag(B)[lo:hi])
-    U = nest.basis
-    return U @ (coeffs[:, None] * U.conj().T)
+    return _expectation(T, nest, n)
 
 
 def expectation_full(T, nest: ProjectionNest) -> np.ndarray:
@@ -84,13 +90,7 @@ def expectation_full(T, nest: ProjectionNest) -> np.ndarray:
     In the matrix model the dyadic refinement saturates, so no limit is
     needed; the result is the normal part of T relative to this nest.
     """
-    T = as_operator(T)
-    B = _flag_form(T, nest)
-    coeffs = np.zeros(T.shape[0], dtype=np.complex128)
-    for _, lo, hi in nest.increments():
-        coeffs[lo:hi] = np.mean(np.diag(B)[lo:hi])
-    U = nest.basis
-    return U @ (coeffs[:, None] * U.conj().T)
+    return _expectation(T, nest, None)
 
 
 def pinch_commutant(T, nest: ProjectionNest, n: int | None = None) -> np.ndarray:
@@ -98,16 +98,9 @@ def pinch_commutant(T, nest: ProjectionNest, n: int | None = None) -> np.ndarray
 
     ``n = None`` means full refinement (one block per nest increment).
     """
-    T = as_operator(T)
-    B = _flag_form(T, nest)
-    if n is None:
-        groups = [(None, lo, hi) for _, lo, hi in nest.increments()]
-    else:
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        groups = _dyadic_groups(nest, n)
+    B = _flag_form(as_operator(T), nest)
     P = np.zeros_like(B)
-    for _, lo, hi in groups:
+    for lo, hi in _column_groups(nest, n):
         P[lo:hi, lo:hi] = B[lo:hi, lo:hi]
     U = nest.basis
     return U @ P @ U.conj().T
@@ -134,21 +127,23 @@ def decompose(T, curve: HilbertCurveMap | None = None) -> DecompositionResult:
     if curve is None:
         curve = default_curve(T)
     nest = build_nest(T, curve)
-    N = expectation_full(T, nest)
+    U = nest.basis
+    B = _flag_form(T, nest)
+    coeffs = _block_means(B, _column_groups(nest))
+    N = U @ (coeffs[:, None] * U.conj().T)
     Q = T - N
+    ordering = tuple((t, hi - lo, complex(coeffs[lo]))
+                     for t, lo, hi in nest.increments())
 
     normT = max(operator_norm(T), 1e-300)
-    B = nest.basis.conj().T @ Q @ nest.basis
-    strict_lower = np.linalg.norm(np.tril(B), "fro")
+    BQ = U.conj().T @ Q @ U
+    strict_lower = np.linalg.norm(np.tril(BQ), "fro")
     # Q is upper triangular in the flag basis, so its eigenvalues are the
     # diagonal there; a dense eigensolver on the defective Q is meaningless.
-    q_radius = float(np.max(np.abs(np.diag(B))))
+    q_radius = float(np.max(np.abs(np.diag(BQ))))
+    # N is diagonal in the flag basis: its spectrum is the block means.
     eigs_T = np.sort_complex(np.linalg.eigvals(T))
-    eigs_N = np.sort_complex(np.linalg.eigvals(N))
-    ordering = []
-    BT = nest.basis.conj().T @ T @ nest.basis
-    for t, lo, hi in nest.increments():
-        ordering.append((t, hi - lo, complex(np.mean(np.diag(BT)[lo:hi]))))
+    eigs_N = np.sort_complex(coeffs)
     diagnostics = {
         "reconstruction_error": float(np.linalg.norm(T - (N + Q), 2)),
         "normality_defect": float(
@@ -159,7 +154,7 @@ def decompose(T, curve: HilbertCurveMap | None = None) -> DecompositionResult:
         "q_spectral_radius": q_radius,
         "operator_norm": float(normT),
     }
-    return DecompositionResult(N=N, Q=Q, nest=nest, ordering=tuple(ordering),
+    return DecompositionResult(N=N, Q=Q, nest=nest, ordering=ordering,
                                diagnostics=diagnostics)
 
 
@@ -183,12 +178,6 @@ class ConvergenceReport:
 
     def failures(self) -> list:
         return [r for r in self.rows if not r.ok]
-
-
-def _reg_det_of(X: np.ndarray, shift: float) -> float:
-    """Delta(|X|^2 + shift), via singular values."""
-    sv = singular_values(X)
-    return float(np.exp(np.mean(np.log(sv**2 + shift))))
 
 
 def convergence_report(
@@ -248,7 +237,8 @@ def convergence_report(
                     )
                 )
     for m in m_list:
-        seq = [_reg_det_of(pinch_commutant(T, nest, n), 1.0 / m) for n in n_range]
+        seq = [np.exp(regularized_log_det(pinch_commutant(T, nest, n), 0.0, 1.0 / m))
+               for n in n_range]
         for i, n in enumerate(n_range):
             if i == 0:
                 continue

@@ -12,9 +12,8 @@ import math
 import numpy as np
 
 from .matrices import (
-    CLUSTER_TOL,
     as_operator,
-    cluster_eigenvalues,
+    eigenvalue_clusters,
     operator_norm,
     singular_values,
     spectral_radius,
@@ -89,10 +88,7 @@ def brown_measure_exact(T) -> SpectralMeasure:
     """Eigenvalue counting measure, weight multiplicity/n per cluster."""
     T = as_operator(T)
     n = T.shape[0]
-    eigs = np.linalg.eigvals(T)
-    tol = CLUSTER_TOL * max(1.0, operator_norm(T))
-    clusters = cluster_eigenvalues(eigs, tol)
-    atoms = [(complex(np.mean(eigs[ix])), len(ix) / n) for ix in clusters]
+    atoms = [(rep, mult / n) for rep, mult in eigenvalue_clusters(T)]
     atoms.sort(key=lambda a: (a[0].real, a[0].imag))
     return SpectralMeasure(tuple(atoms))
 

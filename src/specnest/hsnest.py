@@ -15,10 +15,9 @@ import numpy as np
 
 from .curve import DEEP_LEVEL, HilbertCurveMap, deep_hit_index, hit_index
 from .matrices import (
-    CLUSTER_TOL,
     ProjectionNest,
     as_operator,
-    cluster_eigenvalues,
+    eigenvalue_clusters,
     operator_norm,
     ordered_schur,
 )
@@ -198,20 +197,14 @@ class AtomAtCurveStartError(ValueError):
 
 
 def _try_build_nest(T: np.ndarray, curve: HilbertCurveMap) -> ProjectionNest:
-    n = T.shape[0]
-    eigs = np.linalg.eigvals(T)
-    tol = CLUSTER_TOL * max(1.0, operator_norm(T))
-    clusters = cluster_eigenvalues(eigs, tol)
-    reps = [complex(np.mean(eigs[ix])) for ix in clusters]
-
     info = []
-    for ix, rep in zip(clusters, reps):
+    for rep, mult in eigenvalue_clusters(T):
         deep = deep_hit_index(curve, rep)
         if deep >> (2 * (DEEP_LEVEL - curve.level)) == 0:
             raise AtomAtCurveStartError(
                 f"cluster at {rep} occupies the first curve cell"
             )
-        info.append((deep, rep.real, rep.imag, rep, len(ix)))
+        info.append((deep, rep.real, rep.imag, rep, mult))
     info.sort(key=lambda rec: rec[:3])
 
     # Schur key: position of the eigenvalue's cluster in curve order.

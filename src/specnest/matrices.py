@@ -7,8 +7,7 @@ caller-supplied ordering of the eigenvalues on the diagonal.
 from __future__ import annotations
 
 import dataclasses
-import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -221,23 +220,17 @@ def cluster_eigenvalues(eigs: np.ndarray, tol: float) -> list:
     return [np.array(ix) for ix in groups.values()]
 
 
-def _swap_adjacent(R: np.ndarray, U: np.ndarray, i: int) -> None:
-    """Exchange the diagonal entries i, i+1 of a triangular R by a unitary.
+def eigenvalue_clusters(T) -> list:
+    """Eigenvalues of T as (representative, multiplicity) pairs.
 
-    The 2x2 rotation maps the eigenvector of the trailing eigenvalue into the
-    leading position; the similarity is exact for any a, b, c.
+    Eigenvalues within CLUSTER_TOL * max(1, ||T||) of each other (chained)
+    form one cluster, represented by its mean.
     """
-    a, b, c = R[i, i], R[i, i + 1], R[i + 1, i + 1]
-    v = np.array([b, c - a])
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return  # diagonal block of a repeated eigenvalue; nothing to exchange
-    v /= nv
-    G = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
-    R[:, i : i + 2] = R[:, i : i + 2] @ G
-    R[i : i + 2, :] = G.conj().T @ R[i : i + 2, :]
-    R[i + 1, i] = 0.0
-    U[:, i : i + 2] = U[:, i : i + 2] @ G
+    T = as_operator(T)
+    eigs = np.linalg.eigvals(T)
+    tol = CLUSTER_TOL * max(1.0, operator_norm(T))
+    return [(complex(np.mean(eigs[ix])), len(ix))
+            for ix in cluster_eigenvalues(eigs, tol)]
 
 
 def ordered_schur(T, key: Callable[[complex], object]):
@@ -245,28 +238,31 @@ def ordered_schur(T, key: Callable[[complex], object]):
 
     Ties under the key are broken by (Re, Im) lexicographic order, then by the
     position in the unordered Schur form, which makes the flag deterministic.
-    Reordering is done by sequences of adjacent diagonal exchanges.
+    Reordering is done by LAPACK ``ztrexc``, which moves one eigenvalue at a
+    time by adjacent unitary exchanges and copies the diagonal entries
+    exactly, so the order is decided on the unordered Schur diagonal.
 
     Returns (U, R, perm) where perm[k] is the position, in the unordered Schur
     diagonal, of the eigenvalue now at slot k.
     """
     T = as_operator(T)
     R, U = scipy.linalg.schur(T, output="complex")
-    R = np.ascontiguousarray(R)
-    U = np.ascontiguousarray(U)
+    R = np.asfortranarray(R)
+    U = np.asfortranarray(U)
     n = T.shape[0]
-    diag = np.diag(R)
-    sort_keys = {
-        i: (key(complex(z)), float(z.real), float(z.imag), i)
-        for i, z in enumerate(diag)
-    }
-    target = sorted(range(n), key=lambda i: sort_keys[i])
+    sort_keys = [(key(complex(z)), float(z.real), float(z.imag), i)
+                 for i, z in enumerate(np.diag(R))]
+    target = sorted(range(n), key=sort_keys.__getitem__)
     labels = list(range(n))
     for k in range(n):
         j = labels.index(target[k])
-        for pos in range(j, k, -1):
-            _swap_adjacent(R, U, pos - 1)
-            labels[pos - 1], labels[pos] = labels[pos], labels[pos - 1]
+        if j == k:
+            continue
+        R, U, info = scipy.linalg.lapack.ztrexc(R, U, j + 1, k + 1,
+                                                overwrite_a=1, overwrite_q=1)
+        if info != 0:
+            raise ArithmeticError(f"ztrexc failed (info {info})")
+        labels.insert(k, labels.pop(j))
     resid = np.linalg.norm(T - U @ R @ U.conj().T, 2)
     if resid > 1e-9 * max(1.0, np.linalg.norm(T, 2)):
         raise ArithmeticError(

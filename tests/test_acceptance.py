@@ -1,11 +1,19 @@
 """Acceptance battery: every criterion at its stated tolerance.
 
-Each test runs one criterion from the battery behind ``specnest verify`` and
-prints a single pass/fail line (visible under ``pytest -s`` or on failure).
+The battery behind ``specnest verify`` runs once per module; each test asserts
+one criterion's result and prints a single pass/fail line (visible under
+``pytest -s`` or on failure).
 """
+import pytest
+
 from specnest import acceptance
 
 SEED = 7
+
+
+@pytest.fixture(scope="module")
+def battery():
+    return acceptance.run_all(seed=SEED)
 
 
 def _assert_criterion(result):
@@ -14,75 +22,74 @@ def _assert_criterion(result):
     assert result.passed, result.details
 
 
-def test_criterion_1_decomposition_soundness():
+def test_criterion_1_decomposition_soundness(battery):
     """200 Ginibre 16x16 (seed 42): reconstruction <= 1e-12 ||T||, normality
     defect <= 1e-10 ||N||^2, spectrum gap <= 1e-8, strict-upper and Q-diagonal
     defects <= 1e-8 ||T||, under 30 s."""
-    _assert_criterion(acceptance.criterion_decomposition(42))
+    _assert_criterion(battery[0])
 
 
-def test_criterion_2_weyl_inequality():
+def test_criterion_2_weyl_inequality(battery):
     """Those 200 plus 200 upper-triangular 16x16: gauge traces of |N| below
     those of |T| (slack 1e-10) and N log-submajorized by T; zero failures."""
-    _assert_criterion(acceptance.criterion_weyl(42))
+    _assert_criterion(battery[1])
 
 
-def test_criterion_3_projection_contract():
+def test_criterion_3_projection_contract(battery):
     """200 (matrix, ball) pairs 8x8: exact trace fraction, invariance leak
     <= 1e-9 ||T||, compression spectra split with 1e-8 boundary slack;
     monotonicity under ball inclusion on 100 nested pairs (<= 1e-8)."""
-    _assert_criterion(acceptance.criterion_hs_contract(SEED))
+    _assert_criterion(battery[2])
 
 
-def test_criterion_4_power_limit():
+def test_criterion_4_power_limit(battery):
     """50 Ginibre 8x8 with >10% eigenvalue modulus gaps: eigenvalues of
     ((T*)^64 T^64)^(1/128) within 10% relative of sorted eigenvalue moduli;
     spectral ranks at gap midpoints match the ball projections."""
-    _assert_criterion(acceptance.criterion_power_limit(SEED))
+    _assert_criterion(battery[3])
 
 
-def test_criterion_5_curve_and_nest_bounds():
+def test_criterion_5_curve_and_nest_bounds(battery):
     """50 Ginibre 8x8, n = 2..10: dyadic expectation gap and remainder radius
     both below 6R sqrt(2^-n); curve modulus verified on 1e5 sampled pairs."""
-    _assert_criterion(acceptance.criterion_curve_nest_bounds(SEED))
+    _assert_criterion(battery[4])
 
 
-def test_criterion_6_determinant_convergence():
+def test_criterion_6_determinant_convergence(battery):
     """20 Ginibre 8x8, eps = 0.1, lambda in {0, 1+i}: regularized
     log-determinant within 1e-3 of the exact-measure integral at n = 12."""
-    _assert_criterion(acceptance.criterion_det_convergence(SEED))
+    _assert_criterion(battery[5])
 
 
-def test_criterion_7_determinant_monotonicity():
+def test_criterion_7_determinant_monotonicity(battery):
     """Pinching determinants weakly decreasing in n (slack 1e-10) for
     m in {1, 10, 100}; full pinch matches Delta(T) within 1e-8 relative;
     500 pinch inequality trials with zero failures."""
-    _assert_criterion(acceptance.criterion_det_monotonicity(SEED))
+    _assert_criterion(battery[6])
 
 
-def test_criterion_8_brown_grid():
+def test_criterion_8_brown_grid(battery):
     """diag(1, -1, i, -i) on a 301^2 grid (eps 1e-8): total mass 1 +- 0.02,
     each 0.3-disk captures 0.25 +- 0.02; nilpotent J4: >= 0.95 of the mass
     within 0.2 of the origin. Under 60 s per grid."""
-    _assert_criterion(acceptance.criterion_brown_grid())
+    _assert_criterion(battery[7])
 
 
-def test_criterion_9_majorization_suite():
+def test_criterion_9_majorization_suite(battery):
     """200 classical-Weyl oracle pairs, 1000 log-plus equivalence pairs,
     500 hypothesis-filtered PSD shift pairs, scaling invariance at
     c in {0.01, 100}; zero failures."""
-    _assert_criterion(acceptance.criterion_majorization(SEED))
+    _assert_criterion(battery[8])
 
 
-def test_criterion_10_determinism_and_wall_clock(capsys):
+def test_criterion_10_determinism_and_wall_clock(battery, capsys):
     """Two consecutive runs of the decompose + density + report pipeline are
-    byte-identical; the whole battery stays under the 5 minute budget. Runs
-    the full verify entry point and prints its summary."""
-    results = acceptance.run_all(seed=SEED)
+    byte-identical; the whole battery stays under the 5 minute budget. Prints
+    the summary of the full verify entry point."""
     with capsys.disabled():
         print()
-        for r in results:
+        for r in battery:
             print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name} ({r.seconds:.1f}s)")
-    battery = sum(r.seconds for r in results[:-1])
-    assert battery < 300.0, f"battery took {battery:.1f}s"
-    assert all(r.passed for r in results), [r.name for r in results if not r.passed]
+    seconds = sum(r.seconds for r in battery[:-1])
+    assert seconds < 300.0, f"battery took {seconds:.1f}s"
+    assert all(r.passed for r in battery), [r.name for r in battery if not r.passed]

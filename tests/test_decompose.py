@@ -137,6 +137,14 @@ class TestDecomposeInvariants:
         assert d["spectrum_gap"] <= 1e-8
         assert d["strict_upper_defect"] <= 1e-8 * normT
         assert d["q_spectral_radius"] <= 1e-8 * normT
+        # N is the full expectation, and the ordering carries its block means.
+        E = expectation_full(T, res.nest)
+        assert np.array_equal(res.N, E)
+        U = res.nest.basis
+        diag = np.diag(U.conj().T @ E @ U)
+        for (t, mult, z), (t_inc, lo, hi) in zip(res.ordering, res.nest.increments()):
+            assert (t, mult) == (t_inc, hi - lo)
+            assert abs(z - np.mean(diag[lo:hi])) <= 1e-12 * normT
 
     def test_normal_input_has_zero_nilpotent_part(self):
         rng = np.random.default_rng(51)

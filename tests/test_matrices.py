@@ -1,6 +1,7 @@
 """Core matrix utilities: traces, step functions, nests, ordered Schur forms."""
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,12 @@ from specnest.matrices import (
 def random_matrix(seed: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+
+
+def jordan_with_corner(n: int, corner: float) -> np.ndarray:
+    J = np.diag(np.ones(n - 1), 1).astype(complex)
+    J[-1, 0] = corner
+    return J
 
 
 class TestAsOperator:
@@ -169,6 +176,22 @@ class TestOrderedSchur:
         keys = [z.real for z in np.diag(R)]
         assert keys == sorted(keys)
         assert sorted(perm) == list(range(n))
+
+    @pytest.mark.parametrize(
+        "T",
+        [jordan_with_corner(16, 1e-12),
+         np.diag([2.0, 1.0, 2.0, 0.0, 1.0, 2.0, 0.0, 1.0]).astype(complex)],
+        ids=["jordan16-corner", "repeated-diagonal"],
+    )
+    def test_reordering_permutes_schur_diagonal_exactly(self, T):
+        n = T.shape[0]
+        schur_diag = np.diag(scipy.linalg.schur(T, output="complex")[0])
+        U, R, perm = ordered_schur(T, key=lambda z: z.real)
+        keys = [z.real for z in np.diag(R)]
+        assert keys == sorted(keys)
+        assert np.array_equal(np.diag(R), schur_diag[perm])
+        assert np.linalg.norm(U.conj().T @ U - np.eye(n), 2) < 1e-10
+        assert np.linalg.norm(T - U @ R @ U.conj().T, 2) < 1e-9 * max(1, operator_norm(T))
 
     def test_ordering_by_custom_key(self):
         T = np.diag([3.0, 1.0, 2.0]).astype(complex)
