@@ -263,11 +263,10 @@ def criterion_det_monotonicity(seed: int) -> CriterionResult:
         full_pinch_worst = 0.0
         for T in _ginibre(8, seed, 20):
             res = decompose(T)
+            pinches = [pinch_commutant(T, res.nest, n) for n in range(0, 11)]
             for m in (1, 10, 100):
-                seq = []
-                for n in range(0, 11):
-                    P = pinch_commutant(T, res.nest, n)
-                    seq.append(float(np.exp(regularized_log_det(P, 0.0, 1.0 / m))))
+                seq = [float(np.exp(regularized_log_det(P, 0.0, 1.0 / m)))
+                       for P in pinches]
                 for a, b in zip(seq, seq[1:]):
                     if b > a + 1e-10 * max(1.0, abs(a)):
                         mono_fails += 1

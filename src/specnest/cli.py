@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 check failure, 2 usage or I/O error. Outputs are
-machine-readable JSON/CSV files plus a human summary on stdout; failure paths
-emit a JSON error record on stderr and never leave partial files.
+Exit codes: 0 success, 1 check failure, 2 usage, I/O or numerical error.
+Outputs are machine-readable JSON/CSV files plus a human summary on stdout;
+failure paths emit a JSON error record on stderr and never leave partial files.
 """
 from __future__ import annotations
 
@@ -219,7 +219,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, KeyError, ArithmeticError) as err:
         record = {"error": type(err).__name__, "message": str(err)}
         print(json.dumps(record), file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ import dataclasses
 import math
 
 import numpy as np
+import scipy.linalg
 
 from .curve import HilbertCurveMap
 from .detbrown import brown_measure_exact, regularized_log_det
@@ -51,24 +52,26 @@ def _block_means(B: np.ndarray, groups: list) -> np.ndarray:
     return coeffs
 
 
-def _flag_form(T: np.ndarray, nest: ProjectionNest) -> np.ndarray:
+def _flag_form(T: np.ndarray, nest: ProjectionNest, norm: float) -> np.ndarray:
     """T in the flag basis, after checking that the nest is T-invariant.
 
     The Frobenius norm of the part below the diagonal blocks bounds the
-    2-norm of every block B[r:, :r] cut at a jump, so one norm checks them all.
+    2-norm of every block B[r:, :r] cut at a jump, so one norm checks them all;
+    BLAS ``nrm2`` scales, so it stays finite for huge T. ``norm`` is ||T||_2.
     """
     U = nest.basis
     B = U.conj().T @ T @ U
     sizes = [hi - lo for _, lo, hi in nest.increments()]
     block = np.repeat(np.arange(len(sizes)), sizes)
-    leak = float(np.linalg.norm(B[block[:, None] > block[None, :]]))
-    if leak > NEST_INVARIANCE_TOL * max(operator_norm(T), 1e-300):
+    leak = float(scipy.linalg.norm(B[block[:, None] > block[None, :]]))
+    if leak > NEST_INVARIANCE_TOL * max(norm, 1e-300):
         raise ValueError(f"nest is not invariant for T (leak {leak:.3e})")
     return B
 
 
 def _expectation(T, nest: ProjectionNest, n: int | None) -> np.ndarray:
-    B = _flag_form(as_operator(T), nest)
+    T = as_operator(T)
+    B = _flag_form(T, nest, operator_norm(T))
     coeffs = _block_means(B, _column_groups(nest, n))
     U = nest.basis
     return U @ (coeffs[:, None] * U.conj().T)
@@ -98,7 +101,8 @@ def pinch_commutant(T, nest: ProjectionNest, n: int | None = None) -> np.ndarray
 
     ``n = None`` means full refinement (one block per nest increment).
     """
-    B = _flag_form(as_operator(T), nest)
+    T = as_operator(T)
+    B = _flag_form(T, nest, operator_norm(T))
     P = np.zeros_like(B)
     for lo, hi in _column_groups(nest, n):
         P[lo:hi, lo:hi] = B[lo:hi, lo:hi]
@@ -128,14 +132,14 @@ def decompose(T, curve: HilbertCurveMap | None = None) -> DecompositionResult:
         curve = default_curve(T)
     nest = build_nest(T, curve)
     U = nest.basis
-    B = _flag_form(T, nest)
+    normT = max(operator_norm(T), 1e-300)
+    B = _flag_form(T, nest, normT)
     coeffs = _block_means(B, _column_groups(nest))
     N = U @ (coeffs[:, None] * U.conj().T)
     Q = T - N
     ordering = tuple((t, hi - lo, complex(coeffs[lo]))
                      for t, lo, hi in nest.increments())
 
-    normT = max(operator_norm(T), 1e-300)
     BQ = U.conj().T @ Q @ U
     strict_lower = np.linalg.norm(np.tril(BQ), "fro")
     # Q is upper triangular in the flag basis, so its eigenvalues are the
@@ -236,9 +240,9 @@ def convergence_report(
                         bound_det, gap_det <= bound_det,
                     )
                 )
+    pinches = [pinch_commutant(T, nest, n) for n in n_range]
     for m in m_list:
-        seq = [np.exp(regularized_log_det(pinch_commutant(T, nest, n), 0.0, 1.0 / m))
-               for n in n_range]
+        seq = [np.exp(regularized_log_det(P, 0.0, 1.0 / m)) for P in pinches]
         for i, n in enumerate(n_range):
             if i == 0:
                 continue

@@ -88,7 +88,8 @@ def brown_measure_exact(T) -> SpectralMeasure:
     """Eigenvalue counting measure, weight multiplicity/n per cluster."""
     T = as_operator(T)
     n = T.shape[0]
-    atoms = [(rep, mult / n) for rep, mult in eigenvalue_clusters(T)]
+    clusters = eigenvalue_clusters(np.linalg.eigvals(T), operator_norm(T))
+    atoms = [(rep, len(ix) / n) for rep, ix in clusters]
     atoms.sort(key=lambda a: (a[0].real, a[0].imag))
     return SpectralMeasure(tuple(atoms))
 

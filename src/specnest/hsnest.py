@@ -12,6 +12,7 @@ import math
 from typing import Callable, Union
 
 import numpy as np
+import scipy.linalg
 
 from .curve import DEEP_LEVEL, HilbertCurveMap, deep_hit_index, hit_index
 from .matrices import (
@@ -20,6 +21,7 @@ from .matrices import (
     eigenvalue_clusters,
     operator_norm,
     ordered_schur,
+    reorder_schur,
 )
 
 
@@ -196,61 +198,44 @@ class AtomAtCurveStartError(ValueError):
     """An eigenvalue cluster occupies the curve's first cell for every anchor."""
 
 
-def _try_build_nest(T: np.ndarray, curve: HilbertCurveMap) -> ProjectionNest:
-    info = []
-    for rep, mult in eigenvalue_clusters(T):
-        deep = deep_hit_index(curve, rep)
-        if deep >> (2 * (DEEP_LEVEL - curve.level)) == 0:
-            raise AtomAtCurveStartError(
-                f"cluster at {rep} occupies the first curve cell"
-            )
-        info.append((deep, rep.real, rep.imag, rep, mult))
-    info.sort(key=lambda rec: rec[:3])
-
-    # Schur key: position of the eigenvalue's cluster in curve order.
-    reps_sorted = [rec[3] for rec in info]
-
-    def key(z: complex) -> int:
-        dists = [abs(z - rep) for rep in reps_sorted]
-        return int(np.argmin(dists))
-
-    U, R, _ = ordered_schur(T, key)
-
-    jumps = [(0.0, 0)]
-    rank = 0
-    prev_t = 0.0
-    for deep, _, _, _, mult in info:
-        t = deep / float(1 << (2 * DEEP_LEVEL))
-        if t <= prev_t:
-            t = math.nextafter(prev_t, 2.0)
-        rank += mult
-        jumps.append((min(t, 1.0), rank))
-        prev_t = jumps[-1][0]
-    return ProjectionNest(U, tuple(jumps))
-
-
 def build_nest(T, curve: HilbertCurveMap) -> ProjectionNest:
     """Curve-ordered nest of invariant projections for T.
 
-    Clusters the eigenvalues, orders the clusters by deep-level first hit
-    time (ties broken by (Re, Im)), and assembles the ordered Schur flag with
-    jumps at (hit time, cumulative multiplicity). If a cluster sits in the
-    curve's first cell, the curve entry corner is rotated and the build
-    retried; all four corners failing is an error.
+    Clusters the diagonal of T's complex Schur form, orders the clusters by
+    deep-level first hit time (ties broken by (Re, Im)), and reorders the
+    Schur form into that order, with jumps at (hit time, cumulative
+    multiplicity). If a cluster sits in the curve's first cell, the curve
+    entry corner is rotated; all four corners failing is an error.
     """
     T = as_operator(T)
-    if curve.half_side < operator_norm(T) * (1 - 1e-12):
+    norm = operator_norm(T)
+    if curve.half_side < norm * (1 - 1e-12):
         raise ValueError("curve half_side must be at least the operator norm")
-    last_err = None
+    R, U = scipy.linalg.schur(T, output="complex")
+    clusters = eigenvalue_clusters(np.diag(R), norm)
     for shift in range(4):
         anchored = curve.with_anchor((curve.anchor + shift) % 4)
-        try:
-            return _try_build_nest(T, anchored)
-        except AtomAtCurveStartError as err:
-            last_err = err
-    raise AtomAtCurveStartError(
-        f"all four curve anchors have an eigenvalue atom at the start: {last_err}"
-    )
+        deeps = [deep_hit_index(anchored, rep) for rep, _ in clusters]
+        if min(deeps) >> (2 * (DEEP_LEVEL - curve.level)):  # no atom in cell 0
+            break
+    else:
+        raise AtomAtCurveStartError("all four curve anchors have an eigenvalue "
+                                    "atom at the start")
+    order = sorted(range(len(clusters)), key=lambda c: (
+        deeps[c], clusters[c][0].real, clusters[c][0].imag))
+    # Schur key: each diagonal slot's cluster position in curve order.
+    keys = np.empty(T.shape[0], dtype=int)
+    for rank, c in enumerate(order):
+        keys[clusters[c][1]] = rank
+    U, _, _ = reorder_schur(T, R, U, keys, norm)
+
+    jumps = [(0.0, 0)]
+    for c in order:
+        # Clusters sharing a deep cell get the next float, so times increase.
+        t = deeps[c] / float(1 << (2 * DEEP_LEVEL))
+        t = max(t, math.nextafter(jumps[-1][0], 2.0))
+        jumps.append((min(t, 1.0), jumps[-1][1] + len(clusters[c][1])))
+    return ProjectionNest(U, tuple(jumps))
 
 
 def default_curve(T, level: int = 16, half_side_factor: float = 1.25,

@@ -220,37 +220,29 @@ def cluster_eigenvalues(eigs: np.ndarray, tol: float) -> list:
     return [np.array(ix) for ix in groups.values()]
 
 
-def eigenvalue_clusters(T) -> list:
-    """Eigenvalues of T as (representative, multiplicity) pairs.
+def eigenvalue_clusters(eigs: np.ndarray, norm: float) -> list:
+    """Eigenvalues as (representative, index array) pairs.
 
-    Eigenvalues within CLUSTER_TOL * max(1, ||T||) of each other (chained)
+    Eigenvalues within CLUSTER_TOL * max(1, norm) of each other (chained)
     form one cluster, represented by its mean.
     """
-    T = as_operator(T)
-    eigs = np.linalg.eigvals(T)
-    tol = CLUSTER_TOL * max(1.0, operator_norm(T))
-    return [(complex(np.mean(eigs[ix])), len(ix))
-            for ix in cluster_eigenvalues(eigs, tol)]
+    tol = CLUSTER_TOL * max(1.0, norm)
+    return [(complex(np.mean(eigs[ix])), ix) for ix in cluster_eigenvalues(eigs, tol)]
 
 
-def ordered_schur(T, key: Callable[[complex], object]):
-    """Schur factorization T = U R U* with diag(R) sorted by ``key``.
+def reorder_schur(T: np.ndarray, R: np.ndarray, U: np.ndarray, keys, norm: float):
+    """Reorder a complex Schur form T = U R U* by ``keys[i]``, one key per slot i.
 
-    Ties under the key are broken by (Re, Im) lexicographic order, then by the
-    position in the unordered Schur form, which makes the flag deterministic.
-    Reordering is done by LAPACK ``ztrexc``, which moves one eigenvalue at a
-    time by adjacent unitary exchanges and copies the diagonal entries
-    exactly, so the order is decided on the unordered Schur diagonal.
-
-    Returns (U, R, perm) where perm[k] is the position, in the unordered Schur
-    diagonal, of the eigenvalue now at slot k.
+    Ties are broken by (Re, Im), then by slot, so the flag is deterministic.
+    LAPACK ``ztrexc`` moves one eigenvalue at a time by adjacent unitary
+    exchanges and copies the diagonal exactly. ``norm`` is ||T||_2, the scale
+    of the residual check. Returns (U, R, perm): perm[k] is the slot, in the
+    given diagonal, of the eigenvalue now at slot k.
     """
-    T = as_operator(T)
-    R, U = scipy.linalg.schur(T, output="complex")
     R = np.asfortranarray(R)
     U = np.asfortranarray(U)
-    n = T.shape[0]
-    sort_keys = [(key(complex(z)), float(z.real), float(z.imag), i)
+    n = R.shape[0]
+    sort_keys = [(keys[i], float(z.real), float(z.imag), i)
                  for i, z in enumerate(np.diag(R))]
     target = sorted(range(n), key=sort_keys.__getitem__)
     labels = list(range(n))
@@ -264,8 +256,17 @@ def ordered_schur(T, key: Callable[[complex], object]):
             raise ArithmeticError(f"ztrexc failed (info {info})")
         labels.insert(k, labels.pop(j))
     resid = np.linalg.norm(T - U @ R @ U.conj().T, 2)
-    if resid > 1e-9 * max(1.0, np.linalg.norm(T, 2)):
+    if resid > 1e-9 * max(1.0, norm):
         raise ArithmeticError(
             f"Schur reordering lost accuracy (residual {resid:.3e})"
         )
     return U, R, np.array(labels)
+
+
+def ordered_schur(T, key: Callable[[complex], object]):
+    """Schur factorization T = U R U* with diag(R) sorted by ``key`` of the
+    unordered Schur diagonal; ties and (U, R, perm) as in ``reorder_schur``."""
+    T = as_operator(T)
+    R, U = scipy.linalg.schur(T, output="complex")
+    keys = [key(complex(z)) for z in np.diag(R)]
+    return reorder_schur(T, R, U, keys, operator_norm(T))

@@ -82,6 +82,13 @@ class TestExpectations:
         defect = np.linalg.norm(E @ E.conj().T - E.conj().T @ E, 2)
         assert defect < 1e-10 * max(1.0, operator_norm(E) ** 2)
 
+    def test_full_expectation_scales_with_huge_input(self):
+        T = random_matrix(38, 6)
+        nest = build_nest(T, default_curve(T))
+        E = expectation_full(T, nest)
+        gap = np.linalg.norm(expectation_full(1e200 * T, nest) / 1e200 - E, 2)
+        assert gap <= 1e-12 * operator_norm(E)
+
     def test_rejects_negative_level(self):
         T = random_matrix(35, 4)
         nest = build_nest(T, default_curve(T))

@@ -181,6 +181,18 @@ class TestCli:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "FileNotFoundError"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_is_numerical_error(self, tmp_path, capsys):
+        matrix_path = tmp_path / "m.json"
+        T = ensembles.generate(ensembles.EnsembleSpec(ensembles.Ginibre(8), seed=3))[0]
+        serialize.write_matrix(str(matrix_path), 1e306 * T)
+        out = tmp_path / "grid.csv"
+        assert self.run("brown", "--in", str(matrix_path), "--grid", "32",
+                        "--out", str(out)) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "OverflowError"
+        assert not out.exists()
+
     def test_bad_gauge_spec_is_usage_error(self, tmp_path):
         matrix_path = tmp_path / "m.json"
         serialize.write_matrix(str(matrix_path), np.eye(2))

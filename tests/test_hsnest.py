@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specnest.curve import HilbertCurveMap
+from specnest.curve import DEEP_LEVEL, HilbertCurveMap, deep_hit_index
+from specnest.ensembles import EnsembleSpec, Jordan, generate
 from specnest.hsnest import (
     AtomAtCurveStartError,
     Ball,
     CurveSegment,
     Predicate,
-    _try_build_nest,
     build_nest,
     default_curve,
     growth_subspace_check,
@@ -153,23 +153,32 @@ class TestBuildNest:
         ts = [t for t, _ in nest.jumps]
         assert all(b > a for a, b in zip(ts, ts[1:]))
 
+    @pytest.mark.parametrize("lam", [0.3 + 0.2j, 0.0, 0.25 - 0.4j, -0.5 + 0.1j])
+    def test_jump_times_are_hit_times_of_flag_blocks(self, lam):
+        # Ill-conditioned spectrum: 16 eigenvalues on a circle of radius
+        # 1e-12**(1/16) around lam, each known only to about 1e-6.
+        T = generate(EnsembleSpec(Jordan(lam, 16)))[0]
+        T[-1, 0] += 1e-12
+        curve = default_curve(T)
+        nest = build_nest(T, curve)
+        diag = np.diag(nest.basis.conj().T @ T @ nest.basis)
+        for t, lo, hi in nest.increments():
+            mean = complex(np.mean(diag[lo:hi]))
+            assert t == deep_hit_index(curve, mean) / float(1 << (2 * DEEP_LEVEL))
+
     def test_half_side_must_cover_norm(self):
         T = 3.0 * np.eye(2)
         with pytest.raises(ValueError):
             build_nest(T, HilbertCurveMap(level=8, half_side=1.0))
 
-    def test_atom_at_start_raises_for_single_anchor(self):
-        # At level 1 the entry quadrant of the anchor-0 curve is [-1,0]^2.
-        T = np.diag([-0.5 - 0.5j, 0.5 + 0.5j])
-        curve = HilbertCurveMap(level=1, half_side=1.0)
-        with pytest.raises(AtomAtCurveStartError):
-            _try_build_nest(np.asarray(T, dtype=complex), curve)
-
     def test_anchor_rotation_rescues_build(self):
+        # At level 1 the entry quadrant of the anchor-0 curve is [-1,0]^2, which
+        # holds an atom; a rotated anchor starts in an empty quadrant.
         T = np.diag([-0.5 - 0.5j, 0.5 + 0.5j])
         curve = HilbertCurveMap(level=1, half_side=1.0)
         nest = build_nest(T, curve)
         assert nest.jumps[-1][1] == 2
+        assert all(t >= 1 / curve.num_cells for t, _ in nest.jumps[1:])
 
     def test_all_anchors_blocked_raises(self):
         # One eigenvalue per quadrant: every rotation starts on an atom.

@@ -50,6 +50,13 @@ class TestComparators:
         B = np.diag([1.0, 0.0])
         assert log_submajorizes(A, B).ok
 
+    def test_zero_singular_value_fails_dominating_side(self):
+        # [DERIVED] partial products: 1 >= 0.5, then 0 < 0.25.
+        verdict = log_submajorizes(np.diag([1.0, 0.0]), 0.5 * np.eye(2))
+        assert not verdict.ok
+        assert verdict.worst_margin == -np.inf
+        assert verdict.worst_k == 2
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             submajorizes(np.eye(2), np.eye(3))
@@ -129,6 +136,10 @@ class TestLogPlus:
         A = random_matrix(seed, 5)
         B = random_matrix(seed + 1, 5)
         assert log_plus_equivalence_check(A, B).all_ok
+        grid = np.geomspace(1e-3, 2.0, 40)
+        failing = sum(tau_log_plus(B, t) > tau_log_plus(A, t) + 1e-10 for t in grid)
+        row = log_plus_equivalence_check(A, B, grid).rows[0]
+        assert row.params == f"grid:40;failing:{failing}"
 
 
 class TestShiftLemma:
