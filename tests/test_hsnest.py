@@ -171,14 +171,23 @@ class TestBuildNest:
         with pytest.raises(ValueError):
             build_nest(T, HilbertCurveMap(level=8, half_side=1.0))
 
-    def test_anchor_rotation_rescues_build(self):
+    def test_atom_at_start_raises_for_single_anchor(self):
         # At level 1 the entry quadrant of the anchor-0 curve is [-1,0]^2, which
-        # holds an atom; a rotated anchor starts in an empty quadrant.
+        # holds an atom: that anchor alone is blocked, so build_nest must not
+        # keep it (an anchor-0 nest would jump before 1/num_cells).
+        T = np.diag([-0.5 - 0.5j, 0.5 + 0.5j])
+        curve = HilbertCurveMap(level=1, half_side=1.0)
+        assert curve.anchor == 0
+        cell_shift = 2 * (DEEP_LEVEL - curve.level)
+        assert deep_hit_index(curve, -0.5 - 0.5j) >> cell_shift == 0
+        nest = build_nest(T, curve)
+        assert all(t >= 1 / curve.num_cells for t, _ in nest.jumps[1:])
+
+    def test_anchor_rotation_rescues_build(self):
         T = np.diag([-0.5 - 0.5j, 0.5 + 0.5j])
         curve = HilbertCurveMap(level=1, half_side=1.0)
         nest = build_nest(T, curve)
         assert nest.jumps[-1][1] == 2
-        assert all(t >= 1 / curve.num_cells for t, _ in nest.jumps[1:])
 
     def test_all_anchors_blocked_raises(self):
         # One eigenvalue per quadrant: every rotation starts on an atom.
