@@ -15,15 +15,10 @@ import numpy as np
 
 from . import serialize
 from .curve import HilbertCurveMap, curve_points_batch
-from .decompose import decompose, expectation_dyadic, pinch_commutant
-from .detbrown import (
-    brown_density_grid,
-    brown_measure_exact,
-    fk_determinant,
-    regularized_log_det,
-)
+from .decompose import convergence_report, decompose, pinch_commutant
+from .detbrown import brown_density_grid, fk_determinant
 from .ensembles import EnsembleSpec, Ginibre, UpperTriangularRandom, generate
-from .hsnest import Ball, default_curve, hs_projection, power_limit_operator
+from .hsnest import Ball, hs_projection, power_limit_operator
 from .majorize import (
     DEFAULT_GAUGES,
     log_plus_equivalence_check,
@@ -209,18 +204,9 @@ def criterion_curve_nest_bounds(seed: int) -> CriterionResult:
         bound_fails = 0
         worst_ratio = 0.0
         for T in _ginibre(8, seed, 50):
-            curve = default_curve(T)
-            res = decompose(T, curve)
-            N = res.N
-            U = res.nest.basis
-            for n in range(2, 11):
-                omega = curve.modulus(2.0**-n)
-                En = expectation_dyadic(T, res.nest, n)
-                gap = np.linalg.norm(En - N, 2)
-                rad = np.max(np.abs(np.diag(U.conj().T @ (T - En) @ U)))
-                worst_ratio = max(worst_ratio, gap / omega, rad / omega)
-                if gap > omega or rad > omega:
-                    bound_fails += 1
+            report = convergence_report(T, n_range=range(2, 11), lam_list=(), m_list=())
+            worst_ratio = max([worst_ratio] + [r.value / r.bound for r in report.rows])
+            bound_fails += len({r.n for r in report.failures()})
         # Curve modulus on sampled pairs.
         curve = HilbertCurveMap(level=16, half_side=1.0)
         rng = np.random.default_rng(seed)
@@ -240,16 +226,11 @@ def criterion_curve_nest_bounds(seed: int) -> CriterionResult:
 
 def criterion_det_convergence(seed: int) -> CriterionResult:
     def run():
-        eps = 0.1
         worst = 0.0
         for T in _ginibre(8, seed, 20):
-            res = decompose(T)
-            measure = brown_measure_exact(T)
-            E12 = expectation_dyadic(T, res.nest, 12)
-            for lam in (0.0, 1.0 + 1.0j):
-                lhs = regularized_log_det(E12, lam, eps)
-                rhs = measure.regularized_potential(lam, eps)
-                worst = max(worst, abs(lhs - rhs))
+            report = convergence_report(T, n_range=range(12, 13), eps_list=(0.1,),
+                                        lam_list=(0.0, 1.0 + 1.0j), m_list=())
+            worst = max([worst] + [r.value for r in report.rows if r.check == "det_gap"])
         return worst <= 1e-3, {"worst_gap_at_n12": worst}
 
     return _timed("6 determinant convergence (20 Ginibre 8x8, n=12)", run)
@@ -262,16 +243,12 @@ def criterion_det_monotonicity(seed: int) -> CriterionResult:
         mono_fails = 0
         full_pinch_worst = 0.0
         for T in _ginibre(8, seed, 20):
-            res = decompose(T)
-            pinches = [pinch_commutant(T, res.nest, n) for n in range(0, 11)]
-            for m in (1, 10, 100):
-                seq = [float(np.exp(regularized_log_det(P, 0.0, 1.0 / m)))
-                       for P in pinches]
-                for a, b in zip(seq, seq[1:]):
-                    if b > a + 1e-10 * max(1.0, abs(a)):
-                        mono_fails += 1
+            report = convergence_report(T, n_range=range(0, 11), lam_list=(),
+                                        m_list=(1, 10, 100))
+            mono_fails += sum(not r.ok for r in report.rows
+                              if r.check == "pinch_det_monotone")
             dT = fk_determinant(T)
-            dP = fk_determinant(pinch_commutant(T, res.nest, None))
+            dP = fk_determinant(pinch_commutant(T, report.decomposition.nest, None))
             full_pinch_worst = max(full_pinch_worst,
                                    abs(dT - dP) / max(1.0, dT))
         rng = np.random.default_rng(seed)

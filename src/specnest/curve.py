@@ -16,24 +16,26 @@ import numpy as np
 DEEP_LEVEL = 32
 
 
-def _d2xy(order: int, d: int):
-    """Curve index -> cell coordinates on the 2**order grid (exact integers)."""
+def _d2xy(order: int, d):
+    """Curve index -> cell coordinates on the 2**order grid.
+
+    Branch-free, so ``d`` may be a Python int (exact at any order) or an
+    int64 array (order <= 31).
+    """
     x = y = 0
     t = d
-    s = 1
-    side = 1 << order
-    while s < side:
+    for k in range(order):
+        s = 1 << k
         rx = 1 & (t >> 1)
         ry = 1 & (t ^ rx)
-        if ry == 0:
-            if rx == 1:
-                x = s - 1 - x
-                y = s - 1 - y
-            x, y = y, x
-        x += s * rx
-        y += s * ry
-        t >>= 2
-        s <<= 1
+        swap = 1 - ry
+        flip = swap & rx
+        x = x + flip * (s - 1 - 2 * x)
+        y = y + flip * (s - 1 - 2 * y)
+        x, y = x + swap * (y - x), y + swap * (x - y)
+        x = x + s * rx
+        y = y + s * ry
+        t = t >> 2
     return x, y
 
 
@@ -54,30 +56,11 @@ def _xy2d(order: int, x: int, y: int) -> int:
     return d
 
 
-def _anchor_fwd(anchor: int, side: int, x: int, y: int):
-    """Rotate curve-frame cell coords into the physical frame."""
-    if anchor == 0:
-        return x, y
-    if anchor == 1:
-        return side - 1 - y, x
-    if anchor == 2:
-        return side - 1 - x, side - 1 - y
-    if anchor == 3:
-        return y, side - 1 - x
-    raise ValueError("anchor must be 0..3")
-
-
-def _anchor_inv(anchor: int, side: int, x: int, y: int):
-    """Physical-frame cell coords back into the curve frame."""
-    if anchor == 0:
-        return x, y
-    if anchor == 1:
-        return y, side - 1 - x
-    if anchor == 2:
-        return side - 1 - x, side - 1 - y
-    if anchor == 3:
-        return side - 1 - y, x
-    raise ValueError("anchor must be 0..3")
+def _anchor_fwd(anchor: int, side: int, x, y):
+    """Rotate curve-frame cell coords into the physical frame (anchor quarter turns)."""
+    for _ in range(anchor):
+        x, y = side - 1 - y, x
+    return x, y
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,15 +103,19 @@ class HilbertCurveMap:
         return dataclasses.replace(self, anchor=anchor)
 
 
+def _cell_center(curve: HilbertCurveMap, idx):
+    """Center (x, y) of the cell with curve index ``idx`` (an int or an int64 array)."""
+    px, py = _anchor_fwd(curve.anchor, curve.cells_per_side, *_d2xy(curve.level, idx))
+    h = curve.cell_side
+    return -curve.half_side + (px + 0.5) * h, -curve.half_side + (py + 0.5) * h
+
+
 def curve_point(curve: HilbertCurveMap, t: float) -> complex:
     """Center of the level-m cell with curve index floor(t * 4**m); t=1 -> last cell."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     idx = min(curve.num_cells - 1, int(t * curve.num_cells))
-    cx, cy = _d2xy(curve.level, idx)
-    px, py = _anchor_fwd(curve.anchor, curve.cells_per_side, cx, cy)
-    h = curve.cell_side
-    return complex(-curve.half_side + (px + 0.5) * h, -curve.half_side + (py + 0.5) * h)
+    return complex(*_cell_center(curve, idx))
 
 
 def _candidate_cells(curve: HilbertCurveMap, coord: float) -> list:
@@ -155,14 +142,10 @@ def hit_index(curve: HilbertCurveMap, z: complex, level: int | None = None) -> i
         level = curve.level
     base = dataclasses.replace(curve, level=level)
     side = base.cells_per_side
-    best = None
-    for px in _candidate_cells(base, z.real):
-        for py in _candidate_cells(base, z.imag):
-            cx, cy = _anchor_inv(curve.anchor, side, px, py)
-            d = _xy2d(level, cx, cy)
-            if best is None or d < best:
-                best = d
-    return best
+    inverse = -curve.anchor % 4  # the rotation that undoes the anchor's
+    return min(_xy2d(level, *_anchor_fwd(inverse, side, px, py))
+               for px in _candidate_cells(base, z.real)
+               for py in _candidate_cells(base, z.imag))
 
 
 def first_hit_time(curve: HilbertCurveMap, z: complex) -> float:
@@ -183,24 +166,5 @@ def curve_points_batch(curve: HilbertCurveMap, ts: np.ndarray) -> np.ndarray:
     if np.any(ts < 0) or np.any(ts > 1):
         raise ValueError("t values must lie in [0, 1]")
     idx = np.minimum(curve.num_cells - 1, (ts * curve.num_cells).astype(np.int64))
-    x = np.zeros_like(idx)
-    y = np.zeros_like(idx)
-    t = idx.copy()
-    s = 1
-    side = curve.cells_per_side
-    while s < side:
-        rx = 1 & (t >> 1)
-        ry = 1 & (t ^ rx)
-        swap = ry == 0
-        flip = swap & (rx == 1)
-        xf = np.where(flip, s - 1 - x, x)
-        yf = np.where(flip, s - 1 - y, y)
-        x = np.where(swap, yf, xf)
-        y = np.where(swap, xf, yf)
-        x = x + s * rx
-        y = y + s * ry
-        t >>= 2
-        s <<= 1
-    px, py = _anchor_fwd(curve.anchor, side, x, y)
-    h = curve.cell_side
-    return (-curve.half_side + (px + 0.5) * h) + 1j * (-curve.half_side + (py + 0.5) * h)
+    x, y = _cell_center(curve, idx)
+    return x + 1j * y

@@ -16,9 +16,11 @@ import scipy.linalg
 from .curve import HilbertCurveMap
 from .detbrown import brown_measure_exact, regularized_log_det
 from .hsnest import build_nest, default_curve
-from .matrices import ProjectionNest, as_operator, operator_norm
+from .matrices import ProjectionNest, as_operator, operator_norm, spectrum_distance
 
 NEST_INVARIANCE_TOL = 1e-9
+DET_TOL = 1e-3
+MONO_SLACK = 1e-10
 
 
 def _column_groups(nest: ProjectionNest, n: int | None = None) -> list:
@@ -69,12 +71,18 @@ def _flag_form(T: np.ndarray, nest: ProjectionNest, norm: float) -> np.ndarray:
     return B
 
 
-def _expectation(T, nest: ProjectionNest, n: int | None) -> np.ndarray:
-    T = as_operator(T)
-    B = _flag_form(T, nest, operator_norm(T))
-    coeffs = _block_means(B, _column_groups(nest, n))
-    U = nest.basis
+def _average(U: np.ndarray, B: np.ndarray, groups: list) -> np.ndarray:
+    """Expectation from the flag form B = U*TU: block means of its diagonal."""
+    coeffs = _block_means(B, groups)
     return U @ (coeffs[:, None] * U.conj().T)
+
+
+def _pinch(U: np.ndarray, B: np.ndarray, groups: list) -> np.ndarray:
+    """Pinching from the flag form B = U*TU: its diagonal blocks only."""
+    P = np.zeros_like(B)
+    for lo, hi in groups:
+        P[lo:hi, lo:hi] = B[lo:hi, lo:hi]
+    return U @ P @ U.conj().T
 
 
 def expectation_dyadic(T, nest: ProjectionNest, n: int) -> np.ndarray:
@@ -84,7 +92,9 @@ def expectation_dyadic(T, nest: ProjectionNest, n: int) -> np.ndarray:
     trace(f T f) / trace(f); the result is a normal matrix, diagonal in the
     flag basis and constant on each dyadic group.
     """
-    return _expectation(T, nest, n)
+    T = as_operator(T)
+    B = _flag_form(T, nest, operator_norm(T))
+    return _average(nest.basis, B, _column_groups(nest, n))
 
 
 def expectation_full(T, nest: ProjectionNest) -> np.ndarray:
@@ -93,7 +103,9 @@ def expectation_full(T, nest: ProjectionNest) -> np.ndarray:
     In the matrix model the dyadic refinement saturates, so no limit is
     needed; the result is the normal part of T relative to this nest.
     """
-    return _expectation(T, nest, None)
+    T = as_operator(T)
+    B = _flag_form(T, nest, operator_norm(T))
+    return _average(nest.basis, B, _column_groups(nest))
 
 
 def pinch_commutant(T, nest: ProjectionNest, n: int | None = None) -> np.ndarray:
@@ -103,11 +115,7 @@ def pinch_commutant(T, nest: ProjectionNest, n: int | None = None) -> np.ndarray
     """
     T = as_operator(T)
     B = _flag_form(T, nest, operator_norm(T))
-    P = np.zeros_like(B)
-    for lo, hi in _column_groups(nest, n):
-        P[lo:hi, lo:hi] = B[lo:hi, lo:hi]
-    U = nest.basis
-    return U @ P @ U.conj().T
+    return _pinch(nest.basis, B, _column_groups(nest, n))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,15 +153,13 @@ def decompose(T, curve: HilbertCurveMap | None = None) -> DecompositionResult:
     # Q is upper triangular in the flag basis, so its eigenvalues are the
     # diagonal there; a dense eigensolver on the defective Q is meaningless.
     q_radius = float(np.max(np.abs(np.diag(BQ))))
-    # N is diagonal in the flag basis: its spectrum is the block means.
-    eigs_T = np.sort_complex(np.linalg.eigvals(T))
-    eigs_N = np.sort_complex(coeffs)
     diagnostics = {
         "reconstruction_error": float(np.linalg.norm(T - (N + Q), 2)),
         "normality_defect": float(
             np.linalg.norm(N @ N.conj().T - N.conj().T @ N, 2)
         ),
-        "spectrum_gap": float(np.max(np.abs(eigs_T - eigs_N))),
+        # N is diagonal in the flag basis: its spectrum is the block means.
+        "spectrum_gap": spectrum_distance(np.linalg.eigvals(T), coeffs),
         "strict_upper_defect": float(strict_lower),
         "q_spectral_radius": q_radius,
         "operator_norm": float(normT),
@@ -175,6 +181,7 @@ class ConvergenceRow:
 @dataclasses.dataclass(frozen=True)
 class ConvergenceReport:
     rows: tuple
+    decomposition: DecompositionResult
 
     @property
     def all_ok(self) -> bool:
@@ -191,8 +198,6 @@ def convergence_report(
     eps_list=(1.0, 0.1, 0.01),
     lam_list=None,
     m_list=(1, 10, 100),
-    det_tol: float = 1e-3,
-    mono_slack: float = 1e-10,
 ) -> ConvergenceReport:
     """Dyadic-refinement diagnostics for the decomposition of T.
 
@@ -200,57 +205,53 @@ def convergence_report(
     modulus bound; the regularized log-determinant gap to the integral
     against the exact eigenvalue measure; the pinching-determinant
     monotonicity sequence per m; and the spectral radius of the remainder
-    against the modulus bound.
+    against the modulus bound. Every level is read from one flag form.
     """
     T = as_operator(T)
     if curve is None:
         curve = default_curve(T)
     result = decompose(T, curve)
     nest = result.nest
-    N = result.N
+    U = nest.basis
+    B = _flag_form(T, nest, result.diagnostics["operator_norm"])
     measure = brown_measure_exact(T)
     if lam_list is None:
-        eigs = np.linalg.eigvals(T)
-        lam_peak = complex(eigs[np.argmax(np.abs(eigs))])
+        lam_peak = max((z for z, _ in measure.atoms), key=abs)
         lam_list = (0.0, 1.0 + 1.0j, lam_peak)
 
     rows = []
-    dyadic = {n: expectation_dyadic(T, nest, n) for n in n_range}
     for n in n_range:
+        En = _average(U, B, _column_groups(nest, n))
         bound = curve.modulus(2.0**-n)
-        gap = float(np.linalg.norm(dyadic[n] - N, 2))
+        gap = float(np.linalg.norm(En - result.N, 2))
         rows.append(ConvergenceRow("norm_gap", n, (), gap, bound, gap <= bound))
         # T - E_n is upper triangular in the flag basis; read its spectrum off
         # the diagonal there (stable, unlike eigvals of a defective matrix).
-        Bn = nest.basis.conj().T @ (T - dyadic[n]) @ nest.basis
+        Bn = U.conj().T @ (T - En) @ U
         rad = float(np.max(np.abs(np.diag(Bn))))
         rows.append(ConvergenceRow("remainder_radius", n, (), rad, bound, rad <= bound))
         # The determinant gap is a limit statement: the tolerance binds only
         # at the finest refinement in range; coarser rows are informational.
-        final = n == max(n_range)
+        bound_det = DET_TOL if n == max(n_range) else math.inf
         for lam in lam_list:
             for eps in eps_list:
-                lhs = regularized_log_det(dyadic[n], lam, eps)
+                lhs = regularized_log_det(En, lam, eps)
                 rhs = measure.regularized_potential(lam, eps)
                 gap_det = abs(lhs - rhs)
-                bound_det = det_tol if final else math.inf
                 rows.append(
                     ConvergenceRow(
                         "det_gap", n, (complex(lam), float(eps)), gap_det,
                         bound_det, gap_det <= bound_det,
                     )
                 )
-    pinches = [pinch_commutant(T, nest, n) for n in n_range]
+    pinches = [_pinch(U, B, _column_groups(nest, n)) for n in n_range]
     for m in m_list:
         seq = [np.exp(regularized_log_det(P, 0.0, 1.0 / m)) for P in pinches]
-        for i, n in enumerate(n_range):
-            if i == 0:
-                continue
-            drop = seq[i - 1] - seq[i]
+        for n, prev, cur in zip(list(n_range)[1:], seq, seq[1:]):
             rows.append(
                 ConvergenceRow(
-                    "pinch_det_monotone", n, (float(m),), float(seq[i]),
-                    float(seq[i - 1]), drop >= -mono_slack * max(1.0, abs(seq[i - 1])),
+                    "pinch_det_monotone", n, (float(m),), float(cur), float(prev),
+                    prev - cur >= -MONO_SLACK * max(1.0, abs(prev)),
                 )
             )
-    return ConvergenceReport(tuple(rows))
+    return ConvergenceReport(tuple(rows), result)

@@ -17,6 +17,7 @@ from .matrices import (
     operator_norm,
     singular_values,
     spectral_radius,
+    spectrum_distance,
 )
 
 # Singular values at or below this fraction of the norm make Delta vanish.
@@ -248,8 +249,6 @@ def block_det_identity_check(T, p, tol: float = 1e-8) -> BlockDetReport:
         det_gap = 0.0
     else:
         det_gap = abs(lhs - rhs) / max(lhs, rhs)
-    full = np.sort_complex(np.linalg.eigvals(T))
-    corners = np.sort_complex(np.array(corner_eigs))
-    measure_gap = float(np.max(np.abs(full - corners))) if n else 0.0
+    measure_gap = spectrum_distance(np.linalg.eigvals(T), np.array(corner_eigs))
     ok = det_gap <= tol and measure_gap <= tol * max(1.0, normT)
     return BlockDetReport(lhs, rhs, det_gap, measure_gap, tau_p, ok)

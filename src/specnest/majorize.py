@@ -104,8 +104,11 @@ class MajorizationVerdict:
 
 def submajorizes(A, B) -> MajorizationVerdict:
     """True iff every partial sum of B's singular values is below A's."""
-    svA = singular_values(A)
-    svB = singular_values(B)
+    return _submajorization(singular_values(A), singular_values(B))
+
+
+def _submajorization(svA: np.ndarray, svB: np.ndarray) -> MajorizationVerdict:
+    """Submajorization verdict on descending singular value arrays."""
     if len(svA) != len(svB):
         raise ValueError("dimension mismatch")
     slack = 1e-10 * max(float(svA[0]) if len(svA) else 0.0, 1e-300)
@@ -175,12 +178,14 @@ def hlp_transfer(A, B, gauges: Sequence) -> CheckReport:
     reported as skipped rather than failed. Gauges here must themselves be
     increasing and convex (Power with p >= 1, for instance).
     """
-    if not submajorizes(A, B).ok:
+    svA = singular_values(A)
+    svB = singular_values(B)
+    if not _submajorization(svA, svB).ok:
         return CheckReport((), skipped=tuple(g.label() for g in gauges))
     rows = []
     for gauge in gauges:
-        lhs = gauge_trace(B, gauge)
-        rhs = gauge_trace(A, gauge)
+        lhs = float(np.mean(gauge(svB)))
+        rhs = float(np.mean(gauge(svA)))
         slack = 1e-10 * max(1.0, rhs)
         rows.append(CheckRow("hlp", gauge.label(), lhs, rhs, rhs - lhs,
                              lhs <= rhs + slack))
@@ -277,14 +282,15 @@ def weyl_check(T, gauges: Sequence = DEFAULT_GAUGES,
     those of |T|."""
     T = as_operator(T)
     result = decompose(T, curve)
-    N = result.N
-    verdict = log_submajorizes(T, N)
+    svT = singular_values(T)
+    svN = singular_values(result.N)
+    verdict = _log_majorization(svT, svN)
     rows = [CheckRow("weyl_logmaj", "", 0.0, 0.0, verdict.worst_margin, verdict.ok)]
     moduli = np.abs(np.linalg.eigvals(T))
     for gauge in gauges:
-        lhs = gauge_trace(N, gauge)
+        lhs = float(np.mean(gauge(svN)))
         from_eigs = float(np.mean(gauge(moduli)))
-        rhs = gauge_trace(T, gauge)
+        rhs = float(np.mean(gauge(svT)))
         eq_ok = abs(lhs - from_eigs) <= 1e-9 * max(1.0, abs(from_eigs))
         ineq_ok = lhs <= rhs + 1e-10 * max(1.0, rhs)
         rows.append(CheckRow("weyl_equality", gauge.label(), lhs, from_eigs,

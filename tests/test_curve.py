@@ -38,6 +38,12 @@ class TestIndexMaps:
         x2, y2 = _d2xy(order, d + 1)
         assert abs(x1 - x2) + abs(y1 - y2) == 1
 
+    def test_d2xy_array_matches_scalar_and_keeps_input(self):
+        idx = np.arange(4**5, dtype=np.int64)
+        x, y = _d2xy(5, idx)
+        assert [(int(a), int(b)) for a, b in zip(x, y)] == [_d2xy(5, d) for d in range(4**5)]
+        assert np.array_equal(idx, np.arange(4**5))
+
     def test_deep_level_exact_integers(self):
         idx = _xy2d(DEEP_LEVEL, 2**DEEP_LEVEL - 1, 0)
         assert isinstance(idx, int)
@@ -81,10 +87,22 @@ class TestCurvePoint:
 
 class TestHitIndex:
     def test_inverts_curve_point(self):
-        curve = HilbertCurveMap(level=7, half_side=1.0)
-        for idx in (0, 5, 1000, curve.num_cells - 1):
-            z = curve_point(curve, idx / curve.num_cells)
-            assert hit_index(curve, z) == idx
+        for anchor in range(4):
+            curve = HilbertCurveMap(level=7, half_side=1.0, anchor=anchor)
+            for idx in (0, 5, 1000, curve.num_cells - 1):
+                z = curve_point(curve, idx / curve.num_cells)
+                assert hit_index(curve, z) == idx
+
+    def test_level_40_round_trip(self):
+        # 4**40 cells overflow int64, so this runs the Python-int index map;
+        # indices with at most 52 significant bits keep idx / 4**40 exact.
+        rng = np.random.default_rng(40)
+        for anchor in range(4):
+            curve = HilbertCurveMap(level=40, half_side=1.0, anchor=anchor)
+            for high in rng.integers(0, 2**52, 5):
+                idx = int(high) << 28
+                z = curve_point(curve, idx / curve.num_cells)
+                assert hit_index(curve, z) == idx
 
     def test_first_hit_time_range(self):
         curve = HilbertCurveMap(level=7, half_side=1.0)

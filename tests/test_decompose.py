@@ -11,6 +11,7 @@ from specnest.decompose import (
     expectation_full,
     pinch_commutant,
 )
+from specnest.detbrown import brown_measure_exact, regularized_log_det
 from specnest.hsnest import build_nest, default_curve
 from specnest.matrices import normalized_trace, operator_norm
 
@@ -153,6 +154,12 @@ class TestDecomposeInvariants:
             assert (t, mult) == (t_inc, hi - lo)
             assert abs(z - np.mean(diag[lo:hi])) <= 1e-12 * normT
 
+    def test_spectrum_gap_on_real_input(self):
+        # Conjugate pairs of a real T must be matched, not sorted, to N's spectrum.
+        for seed in range(4):
+            T = np.random.default_rng(seed).standard_normal((8, 8))
+            assert decompose(T).diagnostics["spectrum_gap"] <= 1e-8
+
     def test_normal_input_has_zero_nilpotent_part(self):
         rng = np.random.default_rng(51)
         d = rng.standard_normal(5) + 1j * rng.standard_normal(5)
@@ -177,3 +184,35 @@ class TestConvergenceReport:
         rows = [r for r in report.rows if r.check == "det_gap"]
         assert all(np.isinf(r.bound) for r in rows if r.n < 4)
         assert all(np.isfinite(r.bound) for r in rows if r.n == 4)
+
+    def test_rows_match_dense_recomputation(self):
+        T = random_matrix(64, 6)
+        report = convergence_report(T)
+        res = decompose(T)
+        assert report.decomposition.nest.jumps == res.nest.jumps
+        assert np.array_equal(report.decomposition.nest.basis, res.nest.basis)
+        curve = default_curve(T)
+        measure = brown_measure_exact(T)
+        eigs = np.linalg.eigvals(T)
+        lams = (0.0, 1.0 + 1.0j, complex(eigs[np.argmax(np.abs(eigs))]))
+        U = res.nest.basis
+        rows = []
+        for n in range(0, 11):
+            En = expectation_dyadic(T, res.nest, n)
+            bound = curve.modulus(2.0**-n)
+            rad = np.max(np.abs(np.diag(U.conj().T @ (T - En) @ U)))
+            rows.append(("norm_gap", n, (), np.linalg.norm(En - res.N, 2), bound))
+            rows.append(("remainder_radius", n, (), rad, bound))
+            for lam in lams:
+                for eps in (1.0, 0.1, 0.01):
+                    gap = abs(regularized_log_det(En, lam, eps)
+                              - measure.regularized_potential(lam, eps))
+                    rows.append(("det_gap", n, (lam, eps), gap,
+                                 1e-3 if n == 10 else np.inf))
+        pinches = [pinch_commutant(T, res.nest, n) for n in range(0, 11)]
+        for m in (1, 10, 100):
+            seq = [np.exp(regularized_log_det(P, 0.0, 1.0 / m)) for P in pinches]
+            rows.extend(("pinch_det_monotone", n, (float(m),), seq[n], seq[n - 1])
+                        for n in range(1, 11))
+        assert [(r.check, r.n, r.params, r.value, r.bound) for r in report.rows] == rows
+        assert report.all_ok

@@ -13,6 +13,7 @@ from specnest.detbrown import (
     fk_determinant,
     regularized_log_det,
 )
+from specnest.hsnest import Ball, hs_projection
 from specnest.matrices import operator_norm
 
 
@@ -158,3 +159,11 @@ class TestBlockDetIdentity:
         p[np.arange(k), np.arange(k)] = 1.0
         report = block_det_identity_check(T, p)
         assert report.ok, (report.det_gap, report.measure_gap)
+
+    def test_real_input_ball_split(self):
+        # A real T has conjugate eigenvalue pairs; the measure gap must pair
+        # them by distance, not by sort order.
+        for seed in range(4):
+            T = np.random.default_rng(seed).standard_normal((6, 6)) / np.sqrt(6)
+            report = block_det_identity_check(T, hs_projection(T, Ball(0, 0.7)))
+            assert report.ok, report.measure_gap

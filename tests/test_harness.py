@@ -1,5 +1,10 @@
-"""Ensembles, serialization round trips and the command-line interface."""
+"""Ensembles, serialization round trips, the command-line interface and demos."""
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,8 @@ from specnest.detbrown import brown_density_grid, brown_measure_exact
 from specnest.hsnest import build_nest, default_curve
 from specnest.majorize import weyl_check
 from specnest.matrices import singular_value_function
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestEnsembles:
@@ -174,6 +181,23 @@ class TestCli:
         serialize.write_matrix(str(matrix_path), T)
         assert self.run("check", "lemmas", "--in", str(matrix_path), "--n-max", "6") == 0
 
+    def test_check_lemmas_decomposes_once(self, tmp_path, monkeypatch):
+        module = importlib.import_module("specnest.decompose")
+        original = module.decompose
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "decompose", counting)
+        monkeypatch.setattr(cli, "decompose", counting)
+        matrix_path = tmp_path / "m.json"
+        serialize.write_matrix(str(matrix_path), ensembles.generate(
+            ensembles.EnsembleSpec(ensembles.Ginibre(8), seed=4))[0])
+        assert self.run("check", "lemmas", "--in", str(matrix_path)) == 0
+        assert len(calls) == 1
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = self.run("decompose", "--in", str(tmp_path / "nope.json"),
                         "--out", str(tmp_path / "o.json"))
@@ -204,3 +228,23 @@ class TestCli:
         assert self.run("gen", "--kind", "jordan", "--n", "3",
                         "--lam-re", "1.0") == 0
         assert (tmp_path / "jordan_3_0_0000.json").exists()
+
+
+class TestScripts:
+    def run_script(self, name, *argv):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+
+    def test_demo_decompose(self):
+        proc = self.run_script("demo_decompose.py", "--n", "4")
+        assert proc.returncode == 0, proc.stderr
+        assert "diagnostics:" in proc.stdout
+
+    def test_brown_grid_demo(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        proc = self.run_script("brown_grid_demo.py", "--n", "4", "--grid", "48",
+                               "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text().startswith("# bounds=")

@@ -19,6 +19,7 @@ from specnest.matrices import (
     singular_values,
     spectral_nest,
     spectral_radius,
+    spectrum_distance,
 )
 
 
@@ -162,6 +163,19 @@ class TestClusterEigenvalues:
     def test_singletons_when_far(self):
         eigs = np.array([0.0, 1.0, 2.0])
         assert len(cluster_eigenvalues(eigs, 0.5)) == 3
+
+
+class TestSpectrumDistance:
+    def test_conjugates_are_not_crossed(self):
+        # Sorting pairs 1 - 1j with 1 + 1j here, a false gap of 2.
+        a = np.array([1 + 1e-15 + 1j, 1 - 1j])
+        b = np.array([1 + 1e-15 - 1j, 1 + 1j])
+        assert spectrum_distance(a, b) <= 2e-15
+        assert spectrum_distance(a, np.array([1.0, 1.0])) == 1.0
+
+    def test_shared_nearest_value_takes_the_cheaper_pairing(self):
+        # Both points are nearest 0.05; pairing 0.1 with 10 costs less in total.
+        assert spectrum_distance(np.array([0.0, 0.1]), np.array([0.05, 10.0])) == 9.9
 
 
 class TestOrderedSchur:
