@@ -63,14 +63,15 @@ def _cmd_gen(args) -> int:
 
 def _cmd_decompose(args) -> int:
     T = serialize.read_matrix(args.infile)
-    result = decompose(T, _curve_for(T, args))
+    curve = _curve_for(T, args)
+    report = convergence_report(T, curve) if args.report else None
+    result = report.decomposition if report else decompose(T, curve)
     serialize.write_text(args.out, json.dumps(serialize.decomposition_to_dict(result)) + "\n")
     print(f"decomposed {args.infile}: "
           f"|Q diag| <= {result.diagnostics['q_spectral_radius']:.3e}, "
           f"normality defect {result.diagnostics['normality_defect']:.3e}")
     print(f"wrote {args.out}")
-    if args.report:
-        report = convergence_report(T, _curve_for(T, args))
+    if report:
         serialize.write_text(args.report, serialize.report_rows_csv(report.rows))
         print(f"wrote {args.report}")
         if not report.all_ok:
@@ -85,7 +86,8 @@ def _cmd_brown(args) -> int:
     serialize.write_text(args.out, serialize.density_grid_csv(grid))
     measure = brown_measure_exact(T)
     print(f"grid total mass {grid.total_mass:.4f} over {len(measure.atoms)} atoms; "
-          f"{grid.negative_cells_flagged} negative cells flagged")
+          f"{grid.negative_cells_flagged} negative cells flagged; "
+          f"{grid.kernel} kernel, rho {grid.rho:.3g}")
     print(f"wrote {args.out}")
     return 0
 

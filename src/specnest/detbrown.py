@@ -97,7 +97,12 @@ def brown_measure_exact(T) -> SpectralMeasure:
 
 @dataclasses.dataclass(frozen=True)
 class DensityGrid:
-    """Brown density estimate on a rectangle; cell masses after clamping."""
+    """Brown density estimate on a rectangle; cell masses after clamping.
+
+    ``kernel`` names the log-potential kernel that ran ("cholesky" or "svd")
+    and ``rho`` is the conditioning figure that chose it (see
+    ``brown_density_grid``).
+    """
 
     bounds: tuple  # (xmin, xmax, ymin, ymax)
     resolution: tuple  # (nx, ny)
@@ -105,6 +110,8 @@ class DensityGrid:
     epsilon: float
     total_mass: float
     negative_cells_flagged: int
+    kernel: str
+    rho: float
 
     @property
     def x_centers(self) -> np.ndarray:
@@ -126,24 +133,64 @@ class DensityGrid:
         return float(np.sum(self.cell_mass[mask]))
 
 
-def default_bounds(T, factor: float = 1.25) -> tuple:
-    """Square of half-side factor * norm(T), centered at the origin."""
-    half = factor * max(operator_norm(T), 1e-12)
+def _square_bounds(norm: float, factor: float = 1.25) -> tuple:
+    half = factor * max(norm, 1e-12)
     return (-half, half, -half, half)
 
 
-def _batched_log_phi(T: np.ndarray, lams: np.ndarray, eps: float) -> np.ndarray:
-    """phi(lam) = tau log|T - lam| computed via the eps-regularized SVD form."""
+def default_bounds(T, factor: float = 1.25) -> tuple:
+    """Square of half-side factor * norm(T), centered at the origin."""
+    return _square_bounds(operator_norm(T), factor)
+
+
+# The Gram kernel runs when rho = n u (|T|_2 + max|lam|)^2 / eps is at most
+# this; rho bounds its phi error to first order (see _batched_log_phi).
+GRAM_RHO_MAX = 2e-4
+# Grid points per batched Cholesky: small batches stay in cache.
+GRAM_CHUNK = 64
+
+
+def _batched_log_phi(T: np.ndarray, lams: np.ndarray, eps: float, norm: float) -> tuple:
+    """phi(lam) = (1/2) tau log(|T - lam|^2 + eps) at every lam; (phi, kernel, rho).
+
+    The Gram kernel uses the identity
+        G(lam) = (T - lam)*(T - lam) + eps
+               = (T*T + eps) - Re lam (T + T*) - Im lam i(T* - T) + |lam|^2,
+    three Hermitian matrices formed once and combined with real scalars, and
+    phi = mean(log diag L) for the Cholesky factor G = LL*. Forming and
+    factoring G perturbs it by about n u (|T|_2 + |lam|)^2 in norm (u is the
+    machine epsilon) while G >= eps, so to first order phi moves by at most
+    about rho / 2, with rho = n u (|T|_2 + max|lam|)^2 / eps; rho is
+    invariant under (T, lam, eps) -> (cT, c lam, c^2 eps). When
+    rho > GRAM_RHO_MAX the kernel takes the singular values of T - lam
+    instead, which does not square the condition number.
+    """
     n = T.shape[0]
-    eye = np.eye(n)
+    with np.errstate(over="ignore"):
+        rho = float(n * np.finfo(float).eps * np.square(norm + np.max(np.abs(lams))) / eps)
     out = np.empty(len(lams))
+    if rho <= GRAM_RHO_MAX:
+        Th = T.conj().T
+        eye = np.eye(n, dtype=complex)
+        # Rows: T*T + eps, T + T*, i(T* - T), I as real pairs, so that one
+        # real matmul per chunk forms every G(lam) of the chunk.
+        terms = np.stack([Th @ T + eps * eye, T + Th, 1j * (Th - T), eye])
+        terms = terms.reshape(4, -1).view(float)
+        diag = np.arange(n)
+        for start in range(0, len(lams), GRAM_CHUNK):
+            lam = lams[start : start + GRAM_CHUNK]
+            coef = np.stack([np.ones(len(lam)), -lam.real, -lam.imag, np.abs(lam) ** 2], axis=1)
+            L = np.linalg.cholesky((coef @ terms).view(complex).reshape(-1, n, n))
+            out[start : start + len(lam)] = np.mean(np.log(L[:, diag, diag].real), axis=1)
+        return out, "cholesky", rho
+    eye = np.eye(n)
     chunk = max(1, 2_000_000 // (n * n))
     for start in range(0, len(lams), chunk):
         batch = lams[start : start + chunk]
         mats = T[None, :, :] - batch[:, None, None] * eye[None, :, :]
         sv = np.linalg.svd(mats, compute_uv=False)
         out[start : start + len(batch)] = 0.5 * np.mean(np.log(sv**2 + eps), axis=1)
-    return out
+    return out, "svd", rho
 
 
 def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> DensityGrid:
@@ -152,12 +199,20 @@ def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> Den
     Computes phi(lam) = (1/2) tau log(|T - lam|^2 + eps) on the cell centers,
     applies the Laplacian stencil, scales by cell area / (2 pi), and clamps
     tiny negative cells (counting those below -1e-6 as diagnostics).
+
+    phi comes from one Cholesky factor of the shifted Gram matrix
+    G(lam) = (T*T + eps) - Re lam (T + T*) - Im lam i(T* - T) + |lam|^2 per
+    cell when rho = n u (|T|_2 + max|lam|)^2 / eps <= GRAM_RHO_MAX (u is the
+    machine epsilon; rho bounds the phi error of that path to first order),
+    and from the singular values of T - lam otherwise. Raises OverflowError
+    when phi is not finite (|T| too large for its squares to be represented).
     """
     T = as_operator(T)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    norm = operator_norm(T)
     if bounds is None:
-        bounds = default_bounds(T)
+        bounds = _square_bounds(norm)
     if isinstance(resolution, int):
         resolution = (resolution, resolution)
     nx, ny = resolution
@@ -174,7 +229,12 @@ def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> Den
     xs = xmin + (np.arange(nx) + 0.5) * hx
     ys = ymin + (np.arange(ny) + 0.5) * hy
     lams = (xs[:, None] + 1j * ys[None, :]).ravel()
-    phi = _batched_log_phi(T, lams, eps).reshape(nx, ny)
+    phi, kernel, rho = _batched_log_phi(T, lams, eps, norm)
+    if not np.all(np.isfinite(phi)):
+        raise OverflowError(
+            f"log potential is not finite ({kernel} kernel, |T| = {norm:.3g})"
+        )
+    phi = phi.reshape(nx, ny)
 
     lap = np.zeros_like(phi)
     lap[1:-1, 1:-1] = (
@@ -194,6 +254,8 @@ def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> Den
         epsilon=float(eps),
         total_mass=float(np.sum(mass)),
         negative_cells_flagged=flagged,
+        kernel=kernel,
+        rho=rho,
     )
 
 

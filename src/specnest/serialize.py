@@ -57,6 +57,7 @@ def density_grid_csv(grid) -> str:
         f"# bounds={xmin!r},{xmax!r},{ymin!r},{ymax!r}"
         f" resolution={nx}x{ny} eps={grid.epsilon!r}"
         f" total_mass={grid.total_mass!r}"
+        f" kernel={grid.kernel} rho={grid.rho!r}"
     )
     lines = [header, "x,y,mass"]
     xs = grid.x_centers

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from specnest.detbrown import (
     SpectralMeasure,
+    _batched_log_phi,
     block_det_identity_check,
     brown_density_grid,
     brown_measure_exact,
@@ -13,6 +14,7 @@ from specnest.detbrown import (
     fk_determinant,
     regularized_log_det,
 )
+from specnest.ensembles import EnsembleSpec, Ginibre, Jordan, generate
 from specnest.hsnest import Ball, hs_projection
 from specnest.matrices import operator_norm
 
@@ -128,6 +130,57 @@ class TestDensityGrid:
         small_neg = grid.cell_mass[grid.cell_mass < 0]
         assert np.all(small_neg < -1e-6) or small_neg.size == 0
         assert grid.negative_cells_flagged == small_neg.size
+
+
+
+def grid_points(T, resolution: int) -> np.ndarray:
+    xmin, xmax, ymin, ymax = default_bounds(T)
+    xs = np.linspace(xmin, xmax, resolution)
+    ys = np.linspace(ymin, ymax, resolution)
+    return (xs[:, None] + 1j * ys[None, :]).ravel()
+
+
+class TestLogPhiKernel:
+    """Both kernels against the SVD reference (1/2) regularized_log_det."""
+
+    def check_against_reference(self, T, eps, kernel):
+        lams = grid_points(T, 41)
+        phi, ran, rho = _batched_log_phi(T, lams, eps, operator_norm(T))
+        ref = np.array([0.5 * regularized_log_det(T, lam, eps) for lam in lams])
+        assert np.max(np.abs(phi - ref)) <= 1e-10
+        assert ran == kernel, rho
+
+    def test_gram_kernel_on_ginibre(self):
+        T = generate(EnsembleSpec(Ginibre(32), seed=1))[0]
+        self.check_against_reference(T, 1e-8, "cholesky")
+
+    def test_large_norm_to_eps_takes_svd_kernel(self):
+        # |T|^2 / eps ~ 1e16: the Gram matrix would lose about 3e-2 in phi.
+        T = 1e4 * generate(EnsembleSpec(Jordan(0.3, 8)))[0]
+        self.check_against_reference(T, 1e-8, "svd")
+
+    # rho is scale-invariant, so both scales take the same kernel. The Gram
+    # kernel's rounding is not smooth in lam: second differences of its phi
+    # error leave cell masses within its 1e-10 phi accuracy, not at the SVD's
+    # 1e-14 level.
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize("eps, kernel, tol", [(1e-13, "svd", 1e-12),
+                                                  (1e-8, "cholesky", 1e-10)])
+    def test_cell_mass_is_scale_invariant(self, c, eps, kernel, tol):
+        T = generate(EnsembleSpec(Ginibre(16), seed=2))[0]
+        bounds = default_bounds(T)
+        grid = brown_density_grid(T, bounds, resolution=64, eps=eps)
+        scaled = brown_density_grid(c * T, tuple(c * b for b in bounds),
+                                    resolution=64, eps=c * c * eps)
+        assert scaled.kernel == grid.kernel == kernel
+        assert scaled.rho == pytest.approx(grid.rho, rel=1e-12)
+        assert np.max(np.abs(scaled.cell_mass - grid.cell_mass)) <= tol
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises(self):
+        T = generate(EnsembleSpec(Ginibre(8), seed=3))[0]
+        with pytest.raises(OverflowError):
+            brown_density_grid(1e154 * T, resolution=32)
 
 
 class TestBlockDetIdentity:

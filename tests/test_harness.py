@@ -106,6 +106,7 @@ class TestSerialize:
         lines = text.strip().split("\n")
         assert lines[0].startswith("# bounds=")
         assert "resolution=32x32" in lines[0]
+        assert f" kernel=cholesky rho={grid.rho!r}" in lines[0]
         assert lines[1] == "x,y,mass"
         assert len(lines) == 2 + 32 * 32
 
@@ -149,13 +150,14 @@ class TestCli:
         assert data["schemaVersion"] == 1
         assert report.read_text().startswith("# schemaVersion=1")
 
-    def test_brown_command(self, tmp_path):
+    def test_brown_command(self, tmp_path, capsys):
         matrix_path = tmp_path / "m.json"
         serialize.write_matrix(str(matrix_path), np.diag([0.5, -0.5]).astype(complex))
         out = tmp_path / "grid.csv"
         assert self.run("brown", "--in", str(matrix_path), "--grid", "48",
                         "--eps", "1e-6", "--out", str(out)) == 0
         assert out.read_text().startswith("# bounds=")
+        assert "cholesky kernel, rho " in capsys.readouterr().out
 
     def test_hs_command(self, tmp_path):
         matrix_path = tmp_path / "m.json"
@@ -198,6 +200,28 @@ class TestCli:
         assert self.run("check", "lemmas", "--in", str(matrix_path)) == 0
         assert len(calls) == 1
 
+    def test_decompose_report_decomposes_once(self, tmp_path, monkeypatch):
+        module = importlib.import_module("specnest.decompose")
+        original = module.decompose
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "decompose", counting)
+        monkeypatch.setattr(cli, "decompose", counting)
+        matrix_path = tmp_path / "m.json"
+        serialize.write_matrix(str(matrix_path), ensembles.generate(
+            ensembles.EnsembleSpec(ensembles.Ginibre(8), seed=4))[0])
+        plain, with_report = tmp_path / "plain.json", tmp_path / "dec.json"
+        assert self.run("decompose", "--in", str(matrix_path), "--out", str(plain)) == 0
+        calls.clear()
+        self.run("decompose", "--in", str(matrix_path), "--out", str(with_report),
+                 "--report", str(tmp_path / "report.csv"))
+        assert len(calls) == 1
+        assert with_report.read_bytes() == plain.read_bytes()
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = self.run("decompose", "--in", str(tmp_path / "nope.json"),
                         "--out", str(tmp_path / "o.json"))
@@ -210,6 +234,19 @@ class TestCli:
         matrix_path = tmp_path / "m.json"
         T = ensembles.generate(ensembles.EnsembleSpec(ensembles.Ginibre(8), seed=3))[0]
         serialize.write_matrix(str(matrix_path), 1e306 * T)
+        out = tmp_path / "grid.csv"
+        assert self.run("brown", "--in", str(matrix_path), "--grid", "32",
+                        "--out", str(out)) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "OverflowError"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_squared_norm_overflow_is_numerical_error(self, tmp_path, capsys):
+        # At 1e154 the grid spacing still squares, but the singular values do not.
+        matrix_path = tmp_path / "m.json"
+        T = ensembles.generate(ensembles.EnsembleSpec(ensembles.Ginibre(8), seed=3))[0]
+        serialize.write_matrix(str(matrix_path), 1e154 * T)
         out = tmp_path / "grid.csv"
         assert self.run("brown", "--in", str(matrix_path), "--grid", "32",
                         "--out", str(out)) == 2
