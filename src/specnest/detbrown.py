@@ -166,8 +166,7 @@ def _batched_log_phi(T: np.ndarray, lams: np.ndarray, eps: float, norm: float) -
     instead, which does not square the condition number.
     """
     n = T.shape[0]
-    with np.errstate(over="ignore"):
-        rho = float(n * np.finfo(float).eps * np.square(norm + np.max(np.abs(lams))) / eps)
+    rho = float(n * np.finfo(float).eps * np.square(norm + np.max(np.abs(lams))) / eps)
     out = np.empty(len(lams))
     if rho <= GRAM_RHO_MAX:
         Th = T.conj().T
@@ -229,7 +228,8 @@ def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> Den
     xs = xmin + (np.arange(nx) + 0.5) * hx
     ys = ymin + (np.arange(ny) + 0.5) * hy
     lams = (xs[:, None] + 1j * ys[None, :]).ravel()
-    phi, kernel, rho = _batched_log_phi(T, lams, eps, norm)
+    with np.errstate(over="ignore"):  # reported by the check below
+        phi, kernel, rho = _batched_log_phi(T, lams, eps, norm)
     if not np.all(np.isfinite(phi)):
         raise OverflowError(
             f"log potential is not finite ({kernel} kernel, |T| = {norm:.3g})"

@@ -176,7 +176,6 @@ class TestLogPhiKernel:
         assert scaled.rho == pytest.approx(grid.rho, rel=1e-12)
         assert np.max(np.abs(scaled.cell_mass - grid.cell_mass)) <= tol
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises(self):
         T = generate(EnsembleSpec(Ginibre(8), seed=3))[0]
         with pytest.raises(OverflowError):

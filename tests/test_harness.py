@@ -241,9 +241,10 @@ class TestCli:
         assert record["error"] == "OverflowError"
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_squared_norm_overflow_is_numerical_error(self, tmp_path, capsys):
-        # At 1e154 the grid spacing still squares, but the singular values do not.
+        # At 1e154 the grid spacing still squares, but the singular values do
+        # not; the error record is the only report (no numpy overflow warning).
         matrix_path = tmp_path / "m.json"
         T = ensembles.generate(ensembles.EnsembleSpec(ensembles.Ginibre(8), seed=3))[0]
         serialize.write_matrix(str(matrix_path), 1e154 * T)
