@@ -80,35 +80,31 @@ def hs_projection(T, region: BorelSet) -> np.ndarray:
     return V @ V.conj().T
 
 
-def _power_svd_highprec(S: np.ndarray, n: int, prec: int):
-    """Singular values and right factor of S^n in mpmath at the given precision."""
-    import mpmath
+_RUN_GAP = -math.log(np.finfo(float).eps)
+_RUN_SPAN = -0.5 * math.log(np.finfo(float).tiny)
 
-    with mpmath.workprec(prec):
-        M = mpmath.matrix([[mpmath.mpc(z) for z in row] for row in S])
-        P = mpmath.eye(S.shape[0])
-        base = M
-        k = n
-        while k:
-            if k & 1:
-                P = P * base
-            k >>= 1
-            if k:
-                base = base * base
-        _, sv, V = mpmath.svd_c(P)
-        s = np.array([float(x) for x in sv])
-        Vh = np.array([[complex(V[i, j]) for j in range(V.cols)]
-                       for i in range(V.rows)])
-    return s, Vh
+
+def _runs(rows: np.ndarray, logs: np.ndarray) -> list:
+    """Rows by decreasing log-scale, cut at the widest gap while one exceeds
+    ln(1/eps) (rows apart by more are resolved one run at a time) or the run
+    spans over half the double exponent range (its rescaled rows stay normal)."""
+    gaps = -np.diff(logs[rows])
+    if len(rows) < 2 or (gaps.max() <= _RUN_GAP and gaps.sum() <= _RUN_SPAN):
+        return [rows] if len(rows) else []
+    k = int(np.argmax(gaps)) + 1
+    return _runs(rows[:k], logs) + _runs(rows[k:], logs)
 
 
 def power_limit_operator(T, n: int) -> np.ndarray:
-    """((T*)^n T^n)^(1/2n), via the SVD of T^n with rescaling to unit norm.
+    """((T*)^n T^n)^(1/2n) by a graded product QR of S^n, S = T/||T|| (Stewart 1995).
 
-    Eigenvalues converge, as n grows, to the sorted moduli of the eigenvalues
-    of T (Yamamoto limit, used as the oracle in tests). When the dynamic range
-    of the singular values of T^n exceeds double precision, the power and its
-    SVD are redone in multiprecision arithmetic at just enough bits.
+    Eigenvalues tend to the sorted moduli of T's eigenvalues (Yamamoto). A
+    pivoted QR S = Q_1 C grades C; n - 1 steps Q_k R_k = S Q_(k-1), C <- R_k C
+    give S^n = Q_n C. C's rows stay unit-norm, log-scales kept apart, so
+    singular values below 1e-308 keep their n-th roots; rows cut at wide scale
+    gaps (_runs) get a pivoted QR and an SVD per run. Each step is backward
+    stable (exact for S + E_k, ||E_k|| ~ eps), not exact for T: where T's
+    eigenproblem is ill-conditioned in double, small eigenvalues move. O(n m^3).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -117,24 +113,27 @@ def power_limit_operator(T, n: int) -> np.ndarray:
     if scale == 0.0:
         return np.zeros_like(T.real)
     S = T / scale
-    P = np.linalg.matrix_power(S, n)
-    if not np.all(np.isfinite(P.real)) or not np.all(np.isfinite(P.imag)):
-        raise ArithmeticError("matrix power overflowed even after rescaling")
-    s = np.linalg.svd(P, compute_uv=False)
-    # Singular values within n * eps of the top are trustworthy in doubles;
-    # anything smaller has been swamped by accumulated rounding in S^n.
-    sv_T = np.linalg.svd(S, compute_uv=False)
-    contaminated = s[-1] <= s[0] * (n * 1e-14) and sv_T[-1] > 0.0
-    if contaminated:
-        # sigma_min(S^n) >= sigma_min(S)^n bounds the range of exponents.
-        span_bits = n * max(1.0, -math.log2(sv_T[-1] / sv_T[0]))
-        prec = min(int(span_bits) + 80, 6000)
-        s, Vh = _power_svd_highprec(S, n, prec)
-    else:
-        _, s, Vh = np.linalg.svd(P)
-    A = Vh.conj().T @ (s[:, None] ** (1.0 / n) * Vh)
-    A = 0.5 * (A + A.conj().T)
-    return scale * A
+    A, basis = np.zeros_like(S), np.zeros_like(S[:0])
+    with np.errstate(divide="ignore"):  # log 0 = -inf marks a zero row
+        Q, C, piv = scipy.linalg.qr(S, pivoting=True)
+        C, logs = C[:, np.argsort(piv)], np.zeros(len(S))
+        for _ in range(n - 1):
+            Q, R = np.linalg.qr(S @ Q)
+            # Row i of R diag(exp(logs)) C, relative to the largest scale it mixes in.
+            top = np.nan_to_num(np.maximum.accumulate(logs[::-1])[::-1], neginf=0.0)
+            C = (R * np.exp(np.minimum(logs - top[:, None], 0.0))) @ C
+            norms = np.linalg.norm(C, axis=1)
+            C, logs = C / np.where(norms > 0.0, norms, 1.0)[:, None], top + np.log(norms)
+        for rows in _runs(np.argsort(-logs)[:np.count_nonzero(logs > -np.inf)], logs):
+            B = np.exp(logs[rows] - logs[rows[0]])[:, None] * C[rows]
+            B -= (B @ basis.conj().T) @ basis
+            # gesvd (not gesdd) of this graded triangle keeps small singular values.
+            W, P, _ = scipy.linalg.qr(B.conj().T, mode="economic", pivoting=True)
+            U, s, _ = scipy.linalg.svd(P, lapack_driver="gesvd")
+            Vh = (W @ U).conj().T
+            A += (Vh.conj().T * np.exp((np.log(s) + logs[rows[0]]) / n)) @ Vh
+            basis = np.vstack([basis, Vh])
+    return scale * 0.5 * (A + A.conj().T)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,4 +1,6 @@
 """Region projections, power limits, growth rates and curve-ordered nests."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,7 +107,7 @@ class TestPowerLimit:
         assert vals == pytest.approx([1.0, 2.0], rel=0.05)
 
     def test_high_precision_path_under_dynamic_range(self):
-        # sigma(T^64) spans 2^-425; the double path alone cannot resolve it.
+        # sigma(T^64) spans 2^-425, beyond an SVD of T^64 formed in double.
         T = np.array([[0.01, 1.0], [0.0, 1.0]], dtype=complex)
         A = power_limit_operator(T, 64)
         vals = np.sort(np.linalg.eigvalsh(A))
@@ -122,6 +124,79 @@ class TestPowerLimit:
     def test_rejects_bad_power(self):
         with pytest.raises(ValueError):
             power_limit_operator(SHEAR, 0)
+
+    @pytest.mark.parametrize("n", [64, 160, 256, 1024])
+    def test_matches_2x2_closed_form_below_double_range(self, n):
+        # [DERIVED] for T = [[a, b], [0, c]]: sigma_1 sigma_2 = |ac|^n and
+        # sigma_1^2 + sigma_2^2 = ||T^n||_F^2, T^n's corner being
+        # b (a^n - c^n) / (a - c). sigma_2 drops below 1e-308 from n = 160.
+        a, b, c = 0.01, 1.0, 1.0
+        fro2 = a ** (2 * n) + (b * (a ** n - c ** n) / (a - c)) ** 2 + c ** (2 * n)
+        log_prod = n * math.log(abs(a * c))
+        log_s1 = 0.5 * math.log(0.5 * (fro2 + math.sqrt(fro2 ** 2 - 4 * math.exp(2 * log_prod))))
+        expected = np.exp(np.array([log_prod - log_s1, log_s1]) / n)
+        A = power_limit_operator(np.array([[a, b], [0.0, c]], dtype=complex), n)
+        assert np.sort(np.linalg.eigvalsh(A)) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_graded_triangular_has_no_zero_eigenvalue(self, n):
+        # Invertible, eigenvalue moduli 1 ... 1e-7. Its eigenproblem is
+        # ill-conditioned in double (cond ~ 1e24), so only the sign is pinned.
+        rng = np.random.default_rng(0)
+        T = np.triu(rng.standard_normal((8, 8)), 1) + np.diag(10.0 ** -np.arange(8))
+        assert np.all(np.linalg.eigvalsh(power_limit_operator(T, n)) > 0.0)
+
+    @pytest.mark.parametrize("n, expected", [
+        (16, [0.402691403795073, 0.538953718051547, 0.68908437064073, 0.8570131613791,
+              1.04458987275636, 1.25300782933466, 1.48291405842041, 1.73037716380296]),
+        (64, [0.641693275802733, 0.714115828687285, 0.787109057757826, 0.863442543466288,
+              0.944925402651094, 1.03359626874423, 1.13267509885235, 1.24945829300123]),
+        (256, [0.797011623333081, 0.826898948616326, 0.856028373252464, 0.885333441251946,
+               0.915328143962386, 0.946490181386832, 0.979474014104951, 1.01564539700996]),
+    ])
+    def test_jordan_block_matches_reference(self, n, expected):
+        # [DERIVED] sigma(J^n)^(1/n) for J = Jordan(0.9, 8), from an SVD of
+        # the exact power at 2000-8000 bits (agreeing with twice the bits),
+        # computed once outside the tests.
+        T = generate(EnsembleSpec(Jordan(0.9, 8)))[0]
+        vals = np.sort(np.linalg.eigvalsh(power_limit_operator(T, n)))
+        assert np.linalg.norm(vals - expected) <= 1e-6
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_determinant_is_that_of_T(self, n):
+        # [DERIVED] det A = prod sigma_i(T^n)^(1/n) = |det T|. Here one SVD
+        # resolves 26-31 singular values of S^n spanning e^100 to e^157, far
+        # past 1/eps; an SVD without relative accuracy inflates the smallest.
+        T = random_matrix(23, 32)
+        vals = np.linalg.eigvalsh(power_limit_operator(T, n))
+        assert np.sum(np.log(vals)) == pytest.approx(np.linalg.slogdet(T)[1], rel=1e-12)
+
+    def test_nilpotent_power_is_exactly_zero(self):
+        T = generate(EnsembleSpec(Jordan(0.0, 4)))[0]
+        assert np.array_equal(power_limit_operator(T, 8), np.zeros((4, 4)))
+
+    def test_singular_normal_matrix(self):
+        A = power_limit_operator(np.diag([1.0, 0.0]), 5)
+        assert np.allclose(A, np.diag([1.0, 0.0]), rtol=0.0, atol=1e-15)
+        assert np.linalg.eigvalsh(A)[0] == 0.0
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2000), st.floats(-250.0, 250.0), st.integers(1, 64))
+    def test_scales_with_T(self, seed, log10_c, n):
+        T = random_matrix(seed, 5)
+        c = 10.0 ** log10_c
+        A = power_limit_operator(T, n)
+        gap = np.linalg.norm(power_limit_operator(c * T, n) / c - A, 2)
+        assert gap <= 1e-12 * np.linalg.norm(A, 2)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2000), st.integers(1, 64))
+    def test_commutes_with_unitary_conjugation(self, seed, n):
+        T = random_matrix(seed, 5)
+        U, _ = np.linalg.qr(random_matrix(seed + 1, 5))
+        A = power_limit_operator(T, n)
+        B = power_limit_operator(U @ T @ U.conj().T, n)
+        assert np.linalg.norm(B - U @ A @ U.conj().T, 2) <= 1e-12 * np.linalg.norm(A, 2)
 
 
 class TestGrowthSubspace:
