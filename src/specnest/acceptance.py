@@ -109,10 +109,9 @@ def criterion_hs_contract(seed: int) -> CriterionResult:
     def run():
         rng = np.random.default_rng(seed)
         mats = _ginibre(8, seed, 200)
+        spectra = [(np.linalg.eigvals(T), operator_norm(T)) for T in mats]
         bad = []
-        for idx, T in enumerate(mats):
-            eigs = np.linalg.eigvals(T)
-            normT = operator_norm(T)
+        for idx, (T, (eigs, normT)) in enumerate(zip(mats, spectra)):
             ball = _random_ball(rng, eigs, normT)
             p = hs_projection(T, ball)
             k = int(round(np.trace(p).real))
@@ -133,9 +132,7 @@ def criterion_hs_contract(seed: int) -> CriterionResult:
                 if np.any(np.abs(comp - ball.center) < ball.radius - 1e-8):
                     bad.append((idx, "outside-spectrum"))
         mono_bad = 0
-        for T in mats[:100]:
-            eigs = np.linalg.eigvals(T)
-            normT = operator_norm(T)
+        for T, (eigs, normT) in zip(mats[:100], spectra):
             ball = _random_ball(rng, eigs, normT)
             r2 = ball.radius + rng.uniform(0.1, 0.5) * max(normT, 0.5)
             while np.any(np.abs(np.abs(eigs - ball.center) - r2) < 1e-6):
@@ -153,25 +150,16 @@ def criterion_hs_contract(seed: int) -> CriterionResult:
 # -- 4: power-limit convergence ---------------------------------------------
 
 def _modulus_gap_filtered(seed: int, count: int, n: int = 8):
-    rng_seed = seed
     mats = []
-    attempts = 0
-    while len(mats) < count and attempts < 200 * count:
+    for rng_seed in range(seed, seed + 4 * count):  # at most 200 * count attempts
         batch = _ginibre(n, rng_seed, 50)
-        rng_seed += 1
-        attempts += 50
-        for T in batch:
-            moduli = np.sort(np.abs(np.linalg.eigvals(T)))
-            if moduli[0] <= 1e-3:
-                continue
-            rel_gaps = (moduli[1:] - moduli[:-1]) / moduli[1:]
-            if np.min(rel_gaps) > 0.1:
-                mats.append((T, moduli))
-                if len(mats) == count:
-                    break
-    if len(mats) < count:
-        raise RuntimeError("could not find enough modulus-gap-filtered matrices")
-    return mats
+        moduli = np.sort(np.abs(np.linalg.eigvals(np.stack(batch))), axis=1)
+        rel_gaps = (moduli[:, 1:] - moduli[:, :-1]) / moduli[:, 1:]
+        keep = (moduli[:, 0] > 1e-3) & (np.min(rel_gaps, axis=1) > 0.1)
+        mats += [(batch[i], moduli[i]) for i in np.flatnonzero(keep)[:count - len(mats)]]
+        if len(mats) == count:
+            return mats
+    raise RuntimeError("could not find enough modulus-gap-filtered matrices")
 
 
 def criterion_power_limit(seed: int) -> CriterionResult:

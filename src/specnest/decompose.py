@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .curve import HilbertCurveMap
 from .detbrown import brown_measure_exact, regularized_log_det
-from .hsnest import build_nest, default_curve
+from .hsnest import _default_curve, build_nest
 from .matrices import ProjectionNest, as_operator, operator_norm, spectrum_distance
 
 NEST_INVARIANCE_TOL = 1e-9
@@ -136,11 +136,9 @@ class DecompositionResult:
 def decompose(T, curve: HilbertCurveMap | None = None) -> DecompositionResult:
     """Split T into its curve-ordered normal part and nilpotent remainder."""
     T = as_operator(T)
-    if curve is None:
-        curve = default_curve(T)
-    nest = build_nest(T, curve)
-    U = nest.basis
     normT = max(operator_norm(T), 1e-300)
+    nest = build_nest(T, curve or _default_curve(normT))
+    U = nest.basis
     B = _flag_form(T, nest, normT)
     coeffs = _block_means(B, _column_groups(nest))
     N = U @ (coeffs[:, None] * U.conj().T)
@@ -208,9 +206,8 @@ def convergence_report(
     against the modulus bound. Every level is read from one flag form.
     """
     T = as_operator(T)
-    if curve is None:
-        curve = default_curve(T)
     result = decompose(T, curve)
+    curve = curve or _default_curve(result.diagnostics["operator_norm"])
     nest = result.nest
     U = nest.basis
     B = _flag_form(T, nest, result.diagnostics["operator_norm"])

@@ -12,6 +12,8 @@ import math
 import numpy as np
 
 from .matrices import (
+    HALF_SIDE_FACTOR,
+    _check_invariant_projection,
     as_operator,
     eigenvalue_clusters,
     operator_norm,
@@ -133,14 +135,14 @@ class DensityGrid:
         return float(np.sum(self.cell_mass[mask]))
 
 
-def _square_bounds(norm: float, factor: float = 1.25) -> tuple:
-    half = factor * max(norm, 1e-12)
+def _square_bounds(norm: float) -> tuple:
+    half = HALF_SIDE_FACTOR * max(norm, 1e-12)
     return (-half, half, -half, half)
 
 
-def default_bounds(T, factor: float = 1.25) -> tuple:
-    """Square of half-side factor * norm(T), centered at the origin."""
-    return _square_bounds(operator_norm(T), factor)
+def default_bounds(T) -> tuple:
+    """Square of half-side HALF_SIDE_FACTOR * norm(T), centered at the origin."""
+    return _square_bounds(operator_norm(T))
 
 
 # The Gram kernel runs when rho = n u (|T|_2 + max|lam|)^2 / eps is at most
@@ -287,10 +289,7 @@ def block_det_identity_check(T, p, tol: float = 1e-8) -> BlockDetReport:
     p = as_operator(p)
     n = T.shape[0]
     normT = max(operator_norm(T), 1e-300)
-    if np.linalg.norm(p @ p - p, 2) > 1e-10 or np.linalg.norm(p - p.conj().T, 2) > 1e-10:
-        raise ValueError("p is not an orthogonal projection")
-    if np.linalg.norm(T @ p - p @ T @ p, 2) > 1e-8 * normT:
-        raise ValueError("range of p is not T-invariant")
+    _check_invariant_projection(T, p, normT)
 
     V = _range_basis(p)
     W = _range_basis(np.eye(n) - p)

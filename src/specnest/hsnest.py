@@ -16,6 +16,7 @@ import scipy.linalg
 
 from .curve import DEEP_LEVEL, HilbertCurveMap, deep_hit_index, hit_index
 from .matrices import (
+    HALF_SIDE_FACTOR,
     ProjectionNest,
     as_operator,
     eigenvalue_clusters,
@@ -237,9 +238,11 @@ def build_nest(T, curve: HilbertCurveMap) -> ProjectionNest:
     return ProjectionNest(U, tuple(jumps))
 
 
-def default_curve(T, level: int = 16, half_side_factor: float = 1.25,
-                  modulus_constant: float = 6.0) -> HilbertCurveMap:
-    """Curve whose square comfortably contains the spectral disk of T."""
-    half = half_side_factor * max(operator_norm(T), 1e-12)
-    return HilbertCurveMap(level=level, half_side=half,
-                           modulus_constant=modulus_constant)
+def default_curve(T, level: int = 16) -> HilbertCurveMap:
+    """Curve on [-R, R]^2, R = HALF_SIDE_FACTOR * ||T||_2: it contains T's spectral disk."""
+    return _default_curve(operator_norm(T), level)
+
+
+def _default_curve(norm: float, level: int = 16) -> HilbertCurveMap:
+    """``default_curve`` for a matrix of 2-norm ``norm``."""
+    return HilbertCurveMap(level, HALF_SIDE_FACTOR * max(norm, 1e-12))

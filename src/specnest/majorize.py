@@ -15,7 +15,7 @@ import numpy as np
 from .curve import HilbertCurveMap
 from .decompose import decompose
 from .detbrown import fk_determinant
-from .matrices import as_operator, operator_norm, singular_values
+from .matrices import _check_invariant_projection, as_operator, operator_norm, singular_values
 
 LOG_SLACK = 1e-10
 
@@ -259,8 +259,7 @@ def pinch_log_check(T, p) -> CheckReport:
     T = as_operator(T)
     p = as_operator(p)
     normT = max(operator_norm(T), 1e-300)
-    if np.linalg.norm(T @ p - p @ T @ p, 2) > 1e-8 * normT:
-        raise ValueError("range of p is not T-invariant")
+    _check_invariant_projection(T, p, normT)
     n = T.shape[0]
     S = T @ p + (np.eye(n) - p) @ T
     verdict = log_submajorizes(T, S)

@@ -19,6 +19,9 @@ HERMITIAN_TOL = 1e-10
 # treated as one cluster with multiplicity.
 CLUSTER_TOL = 1e-10
 
+# Half-side of the default squares (curve, Brown grid) relative to ||T||_2.
+HALF_SIDE_FACTOR = 1.25
+
 
 def as_operator(matrix) -> np.ndarray:
     """Validate and return a square complex matrix as a fresh complex128 array."""
@@ -134,7 +137,8 @@ class ProjectionNest:
     def __post_init__(self):
         U = as_operator(self.basis)
         n = U.shape[0]
-        if np.linalg.norm(U.conj().T @ U - np.eye(n), 2) > 1e-10:
+        # The Frobenius norm (BLAS nrm2 of the entries) bounds the 2-norm.
+        if scipy.linalg.norm(np.ravel(U.conj().T @ U - np.eye(n))) > 1e-10:
             raise ValueError("nest basis is not unitary")
         jumps = tuple((float(t), int(r)) for t, r in self.jumps)
         ts = [t for t, _ in jumps]
@@ -179,6 +183,15 @@ class ProjectionNest:
         return self.rank_at(t) / self.dim
 
 
+def _check_invariant_projection(T: np.ndarray, p: np.ndarray, norm: float) -> None:
+    """Raise ValueError unless p is an orthogonal projection (within 1e-10) with
+    T-invariant range: Tp = pTp within 1e-8 * norm, where ``norm`` is ||T||_2."""
+    if np.linalg.norm(p @ p - p, 2) > 1e-10 or np.linalg.norm(p - p.conj().T, 2) > 1e-10:
+        raise ValueError("p is not an orthogonal projection")
+    if np.linalg.norm(T @ p - p @ T @ p, 2) > 1e-8 * norm:
+        raise ValueError("range of p is not T-invariant")
+
+
 def spectral_nest(A) -> ProjectionNest:
     """Nest of spectral projections of a PSD matrix, eigenvalues descending.
 
@@ -196,28 +209,23 @@ def spectral_nest(A) -> ProjectionNest:
 def cluster_eigenvalues(eigs: np.ndarray, tol: float) -> list:
     """Partition eigenvalues into clusters of pairwise distance <= tol (chained).
 
-    Returns a list of index arrays. Union-find over all pairs; matrices here
-    are small so the quadratic scan is fine.
+    Returns the connected components of the graph joining eigenvalues within
+    tol, as index arrays ordered by smallest index, indices ascending. Labels
+    start as indices and drop to the smallest label within tol (and on to that
+    label's own label) until each settles on its component's smallest index.
     """
-    n = len(eigs)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(eigs[i] - eigs[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(ix) for ix in groups.values()]
+    near = np.abs(np.subtract.outer(eigs, eigs)) <= tol
+    labels = np.arange(len(eigs))
+    while True:
+        lower = np.where(near, labels, len(eigs)).min(axis=1)
+        lower = lower[lower]
+        if (lower == labels).all():
+            break
+        labels = lower
+    order = np.argsort(labels, kind="stable")  # by root, indices ascending
+    sizes = np.bincount(labels)
+    ends = np.cumsum(sizes[sizes > 0]).tolist()
+    return [order[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def eigenvalue_clusters(eigs: np.ndarray, norm: float) -> list:
@@ -273,7 +281,8 @@ def reorder_schur(T: np.ndarray, R: np.ndarray, U: np.ndarray, keys, norm: float
         if info != 0:
             raise ArithmeticError(f"ztrexc failed (info {info})")
         labels.insert(k, labels.pop(j))
-    resid = np.linalg.norm(T - U @ R @ U.conj().T, 2)
+    # Frobenius norm as BLAS nrm2 of the entries: it bounds the 2-norm and scales.
+    resid = scipy.linalg.norm(np.ravel(T - U @ R @ U.conj().T))
     if resid > 1e-9 * max(1.0, norm):
         raise ArithmeticError(
             f"Schur reordering lost accuracy (residual {resid:.3e})"

@@ -40,7 +40,8 @@ def read_matrix(path: str) -> np.ndarray:
 
 def step_function_csv(sf: StepFunction) -> str:
     lines = ["t,value"]
-    for t, v in zip(sf.breakpoints[:-1], sf.values):
+    # tolist() gives Python floats, whose repr numpy 2 does not wrap.
+    for t, v in zip(sf.breakpoints[:-1].tolist(), sf.values.tolist()):
         lines.append(f"{t!r},{v!r}")
     return "\n".join(lines) + "\n"
 
@@ -60,11 +61,10 @@ def density_grid_csv(grid) -> str:
         f" kernel={grid.kernel} rho={grid.rho!r}"
     )
     lines = [header, "x,y,mass"]
-    xs = grid.x_centers
-    ys = grid.y_centers
+    xs, ys, mass = grid.x_centers.tolist(), grid.y_centers.tolist(), grid.cell_mass.tolist()
     for ix in range(nx):
         for iy in range(ny):
-            lines.append(f"{xs[ix]!r},{ys[iy]!r},{grid.cell_mass[ix, iy]!r}")
+            lines.append(f"{xs[ix]!r},{ys[iy]!r},{mass[ix][iy]!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -160,6 +160,21 @@ class TestDecomposeInvariants:
             T = np.random.default_rng(seed).standard_normal((8, 8))
             assert decompose(T).diagnostics["spectrum_gap"] <= 1e-8
 
+    def test_decompose_takes_four_two_norms(self, monkeypatch):
+        # ||T||_2 (shared by the default curve), build_nest's own ||T||_2, and
+        # the reconstruction and normality diagnostics; the guards use nrm2.
+        original = np.linalg.norm
+        calls = []
+
+        def counting(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                calls.append(np.shape(x))
+            return original(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        decompose(random_matrix(65, 8))
+        assert len(calls) == 4
+
     def test_normal_input_has_zero_nilpotent_part(self):
         rng = np.random.default_rng(51)
         d = rng.standard_normal(5) + 1j * rng.standard_normal(5)

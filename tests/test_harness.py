@@ -93,6 +93,8 @@ class TestSerialize:
         lines = text.strip().split("\n")
         assert lines[0] == "t,value"
         assert len(lines) == 3
+        assert [[float(x) for x in line.split(",")] for line in lines[1:]] == [
+            [0.0, 2.0], [0.5, 1.0]]
 
     def test_measure_json(self):
         m = brown_measure_exact(np.diag([1.0, 2.0]))
@@ -109,6 +111,9 @@ class TestSerialize:
         assert f" kernel=cholesky rho={grid.rho!r}" in lines[0]
         assert lines[1] == "x,y,mass"
         assert len(lines) == 2 + 32 * 32
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
+        assert np.array_equal(rows[:, 0], np.repeat(grid.x_centers, 32))
+        assert np.array_equal(rows[:, 2], grid.cell_mass.ravel())
 
     def test_decomposition_dict_schema(self):
         rng = np.random.default_rng(4)

@@ -173,6 +173,12 @@ class TestPinchLogCheck:
         with pytest.raises(ValueError):
             pinch_log_check(SHEAR, p)
 
+    def test_rejects_non_projection(self):
+        # P + 1e-9 I keeps Tp = pTp within 1e-8 ||T||, but p^2 - p = 1e-9 (2P - I) + 1e-18.
+        p = np.diag([1.0, 0.0]).astype(complex) + 1e-9 * np.eye(2)
+        with pytest.raises(ValueError, match="not an orthogonal projection"):
+            pinch_log_check(SHEAR, p)
+
 
 class TestWeylCheck:
     def test_shear_report(self):

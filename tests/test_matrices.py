@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,6 +134,9 @@ class TestProjectionNest:
     def test_rejects_non_unitary_basis(self):
         with pytest.raises(ValueError):
             ProjectionNest(np.ones((2, 2)), ((0.0, 0), (1.0, 2)))
+        # ||U*U - I||_2 = 8e-11 is under the 1e-10 tolerance; its Frobenius norm 3.2e-10 is not.
+        with pytest.raises(ValueError, match="not unitary"):
+            ProjectionNest((1 + 4e-11) * np.eye(16), ((0.0, 0), (1.0, 16)))
 
     def test_rejects_non_increasing_jumps(self):
         with pytest.raises(ValueError):
@@ -153,16 +157,43 @@ class TestProjectionNest:
         assert np.allclose(rebuilt, A, atol=1e-10)
 
 
+def reference_clusters(eigs: np.ndarray, tol: float) -> list:
+    """Connected components of the tol-graph, ordered by smallest index."""
+    near = np.abs(np.subtract.outer(eigs, eigs)) <= tol
+    _, labels = scipy.sparse.csgraph.connected_components(near, directed=False)
+    groups = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
+    return sorted(groups, key=lambda g: g[0])
+
+
 class TestClusterEigenvalues:
     def test_chained_merging(self):
         eigs = np.array([0.0, 1e-11, 2e-11, 1.0])
         groups = cluster_eigenvalues(eigs, 1.5e-11)
         sizes = sorted(len(g) for g in groups)
         assert sizes == [1, 3]
+        # Groups come by smallest index, indices ascending; 2e-11 reaches 0 only through 1e-11.
+        eigs = np.array([1.0, 2e-11, 3.0, 0.0, 1.0 + 1e-12j, 1e-11])
+        groups = cluster_eigenvalues(eigs, 1.5e-11)
+        assert [g.tolist() for g in groups] == [[0, 4], [1, 3, 5], [2]]
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 7, 40):
+            eigs = np.round(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1)
+            groups = cluster_eigenvalues(eigs, 0.15)
+            assert [g.tolist() for g in groups] == [
+                g.tolist() for g in reference_clusters(eigs, 0.15)]
+        # A shuffled chain: each label reaches the smallest one only step by step.
+        tol = 1e-10
+        order = rng.permutation(256)
+        groups = cluster_eigenvalues((0.9 * tol * np.arange(256))[order] + 2.0, tol)
+        assert len(groups) == 1 and groups[0].tolist() == list(range(256))
 
     def test_singletons_when_far(self):
         eigs = np.array([0.0, 1.0, 2.0])
         assert len(cluster_eigenvalues(eigs, 0.5)) == 3
+        # Repeated values cluster even at tol = 0.
+        eigs = np.array([2.0, 1j, 2.0, 0.0, 1j, 2.0])
+        groups = cluster_eigenvalues(eigs, 0.0)
+        assert [g.tolist() for g in groups] == [[0, 2, 5], [1, 4], [3]]
 
 
 class TestSpectrumDistance:
