@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import serialize
-from .curve import HilbertCurveMap, curve_points_batch
+from .curve import MODULUS_CONSTANT, HilbertCurveMap, curve_points_batch
 from .decompose import convergence_report, decompose, pinch_commutant
 from .detbrown import brown_density_grid, fk_determinant
 from .ensembles import EnsembleSpec, Ginibre, UpperTriangularRandom, generate
@@ -28,7 +28,7 @@ from .majorize import (
     submajorizes,
     weyl_check,
 )
-from .matrices import operator_norm
+from .matrices import frobenius, operator_norm
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,7 +118,7 @@ def criterion_hs_contract(seed: int) -> CriterionResult:
             inside = np.abs(eigs - ball.center) <= ball.radius
             if k != int(np.count_nonzero(inside)):
                 bad.append((idx, "trace"))
-            if np.linalg.norm(T @ p - p @ T @ p, 2) > 1e-9 * normT:
+            if frobenius(T @ p - p @ T @ p) > 1e-9 * normT:
                 bad.append((idx, "invariance"))
             vals, vecs = np.linalg.eigh(p)
             V = vecs[:, vals > 0.5]
@@ -139,7 +139,7 @@ def criterion_hs_contract(seed: int) -> CriterionResult:
                 r2 += 1e-3
             p1 = hs_projection(T, ball)
             p2 = hs_projection(T, Ball(ball.center, r2))
-            if np.linalg.norm(p2 @ p1 - p1, 2) > 1e-8:
+            if frobenius(p2 @ p1 - p1) > 1e-8:
                 mono_bad += 1
         ok = not bad and mono_bad == 0
         return ok, {"contract_failures": bad[:10], "monotonicity_failures": mono_bad}
@@ -201,7 +201,7 @@ def criterion_curve_nest_bounds(seed: int) -> CriterionResult:
         t1 = rng.uniform(0.0, 1.0, 100_000)
         t2 = rng.uniform(0.0, 1.0, 100_000)
         d = np.abs(curve_points_batch(curve, t1) - curve_points_batch(curve, t2))
-        bound = curve.modulus_constant * curve.half_side * np.sqrt(np.abs(t1 - t2))
+        bound = MODULUS_CONSTANT * curve.half_side * np.sqrt(np.abs(t1 - t2))
         modulus_fails = int(np.count_nonzero(d > bound))
         ok = bound_fails == 0 and modulus_fails == 0
         return ok, {"bound_failures": bound_fails, "worst_bound_ratio": worst_ratio,

@@ -19,7 +19,7 @@ from .decompose import convergence_report, decompose
 from .detbrown import brown_density_grid, brown_measure_exact
 from .hsnest import Ball, default_curve, hs_projection
 from .majorize import DEFAULT_GAUGES, LogShift, Power, pinch_log_check, weyl_check
-from .matrices import operator_norm
+from .matrices import frobenius, operator_norm
 
 
 def _out_dir(path: str | None) -> str:
@@ -98,7 +98,7 @@ def _cmd_hs(args) -> int:
     p = hs_projection(T, Ball(complex(re, im), radius))
     serialize.write_text(args.out, json.dumps(serialize.matrix_to_dict(p)) + "\n")
     frac = float(np.trace(p).real) / T.shape[0]
-    leak = float(np.linalg.norm(T @ p - p @ T @ p, 2))
+    leak = frobenius(T @ p - p @ T @ p)
     print(f"projection trace {frac:.4f}, invariance leak {leak:.3e}")
     print(f"wrote {args.out}")
     return 0

@@ -15,6 +15,8 @@ import numpy as np
 # indices stay exact as Python ints; only the final jump times are floats.
 DEEP_LEVEL = 32
 
+MODULUS_CONSTANT = 6.0  # see HilbertCurveMap.modulus (a sampled invariant)
+
 
 def _d2xy(order: int, d):
     """Curve index -> cell coordinates on the 2**order grid.
@@ -67,13 +69,12 @@ def _anchor_fwd(anchor: int, side: int, x, y):
 class HilbertCurveMap:
     """Level-m Hilbert curve on the square [-R, R]^2.
 
-    ``modulus(dt) = modulus_constant * half_side * sqrt(dt)`` bounds the
-    distance between curve points with parameter gap dt (sampled invariant).
+    ``modulus(dt) = MODULUS_CONSTANT * half_side * sqrt(dt)`` bounds the
+    distance between curve points with parameter gap dt.
     """
 
     level: int = 16
     half_side: float = 1.0
-    modulus_constant: float = 6.0
     anchor: int = 0
 
     def __post_init__(self):
@@ -97,7 +98,7 @@ class HilbertCurveMap:
         return 2.0 * self.half_side / self.cells_per_side
 
     def modulus(self, dt: float) -> float:
-        return self.modulus_constant * self.half_side * math.sqrt(abs(dt))
+        return MODULUS_CONSTANT * self.half_side * math.sqrt(abs(dt))
 
     def with_anchor(self, anchor: int) -> "HilbertCurveMap":
         return dataclasses.replace(self, anchor=anchor)
@@ -122,7 +123,7 @@ def _candidate_cells(curve: HilbertCurveMap, coord: float) -> list:
     """Cell indices along one axis whose closed cell contains the coordinate."""
     R = curve.half_side
     side = curve.cells_per_side
-    slack = 1e-12 * max(1.0, R)
+    slack = 1e-12 * R
     if coord < -R - slack or coord > R + slack:
         raise ValueError(f"point with coordinate {coord} outside the square of half-side {R}")
     frac = (min(max(coord, -R), R) + R) / curve.cell_side

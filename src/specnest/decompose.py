@@ -11,12 +11,11 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .curve import HilbertCurveMap
-from .detbrown import brown_measure_exact, regularized_log_det
-from .hsnest import _default_curve, build_nest
-from .matrices import ProjectionNest, as_operator, operator_norm, spectrum_distance
+from .detbrown import _counting_measure, regularized_log_det
+from .hsnest import _build_nest, _default_curve
+from .matrices import ProjectionNest, as_operator, frobenius, operator_norm, spectrum_distance
 
 NEST_INVARIANCE_TOL = 1e-9
 DET_TOL = 1e-3
@@ -58,15 +57,15 @@ def _flag_form(T: np.ndarray, nest: ProjectionNest, norm: float) -> np.ndarray:
     """T in the flag basis, after checking that the nest is T-invariant.
 
     The Frobenius norm of the part below the diagonal blocks bounds the
-    2-norm of every block B[r:, :r] cut at a jump, so one norm checks them all;
-    BLAS ``nrm2`` scales, so it stays finite for huge T. ``norm`` is ||T||_2.
+    2-norm of every block B[r:, :r] cut at a jump, so one norm checks them all
+    against NEST_INVARIANCE_TOL * norm, where ``norm`` is ||T||_2.
     """
     U = nest.basis
     B = U.conj().T @ T @ U
     sizes = [hi - lo for _, lo, hi in nest.increments()]
     block = np.repeat(np.arange(len(sizes)), sizes)
-    leak = float(scipy.linalg.norm(B[block[:, None] > block[None, :]]))
-    if leak > NEST_INVARIANCE_TOL * max(norm, 1e-300):
+    leak = frobenius(B[block[:, None] > block[None, :]])
+    if leak > NEST_INVARIANCE_TOL * norm:
         raise ValueError(f"nest is not invariant for T (leak {leak:.3e})")
     return B
 
@@ -127,6 +126,7 @@ class DecompositionResult:
     nest: ProjectionNest
     ordering: tuple  # (hit time, multiplicity, cluster value) in flag order
     diagnostics: dict
+    eigenvalues: np.ndarray  # eigvals(T), behind spectrum_gap; not serialized
 
     @property
     def T(self) -> np.ndarray:
@@ -134,10 +134,15 @@ class DecompositionResult:
 
 
 def decompose(T, curve: HilbertCurveMap | None = None) -> DecompositionResult:
-    """Split T into its curve-ordered normal part and nilpotent remainder."""
+    """Split T into its curve-ordered normal part and nilpotent remainder.
+
+    One SVD (||T||_2) serves the curve, the nest and every check. Residuals are
+    Frobenius norms; normality is taken on N / ||T||_2 and scaled back, so it is
+    inf only where the true defect lies beyond the double range.
+    """
     T = as_operator(T)
-    normT = max(operator_norm(T), 1e-300)
-    nest = build_nest(T, curve or _default_curve(normT))
+    normT = operator_norm(T)
+    nest = _build_nest(T, curve or _default_curve(normT), normT)
     U = nest.basis
     B = _flag_form(T, nest, normT)
     coeffs = _block_means(B, _column_groups(nest))
@@ -147,23 +152,23 @@ def decompose(T, curve: HilbertCurveMap | None = None) -> DecompositionResult:
                      for t, lo, hi in nest.increments())
 
     BQ = U.conj().T @ Q @ U
-    strict_lower = np.linalg.norm(np.tril(BQ), "fro")
     # Q is upper triangular in the flag basis, so its eigenvalues are the
     # diagonal there; a dense eigensolver on the defective Q is meaningless.
     q_radius = float(np.max(np.abs(np.diag(BQ))))
+    scale = normT or 1.0
+    Ns = N / scale
+    eigs = np.linalg.eigvals(T)
     diagnostics = {
-        "reconstruction_error": float(np.linalg.norm(T - (N + Q), 2)),
-        "normality_defect": float(
-            np.linalg.norm(N @ N.conj().T - N.conj().T @ N, 2)
-        ),
+        "reconstruction_error": frobenius(T - (N + Q)),
+        "normality_defect": frobenius(Ns @ Ns.conj().T - Ns.conj().T @ Ns) * scale * scale,
         # N is diagonal in the flag basis: its spectrum is the block means.
-        "spectrum_gap": spectrum_distance(np.linalg.eigvals(T), coeffs),
-        "strict_upper_defect": float(strict_lower),
+        "spectrum_gap": spectrum_distance(eigs, coeffs),
+        "strict_upper_defect": frobenius(np.tril(BQ)),
         "q_spectral_radius": q_radius,
-        "operator_norm": float(normT),
+        "operator_norm": normT,
     }
     return DecompositionResult(N=N, Q=Q, nest=nest, ordering=ordering,
-                               diagnostics=diagnostics)
+                               diagnostics=diagnostics, eigenvalues=eigs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -211,7 +216,7 @@ def convergence_report(
     nest = result.nest
     U = nest.basis
     B = _flag_form(T, nest, result.diagnostics["operator_norm"])
-    measure = brown_measure_exact(T)
+    measure = _counting_measure(result.eigenvalues, result.diagnostics["operator_norm"])
     if lam_list is None:
         lam_peak = max((z for z, _ in measure.atoms), key=abs)
         lam_list = (0.0, 1.0 + 1.0j, lam_peak)

@@ -90,9 +90,12 @@ def regularized_log_det(T, lam: complex = 0.0, eps: float = 1.0) -> float:
 def brown_measure_exact(T) -> SpectralMeasure:
     """Eigenvalue counting measure, weight multiplicity/n per cluster."""
     T = as_operator(T)
-    n = T.shape[0]
-    clusters = eigenvalue_clusters(np.linalg.eigvals(T), operator_norm(T))
-    atoms = [(rep, len(ix) / n) for rep, ix in clusters]
+    return _counting_measure(np.linalg.eigvals(T), operator_norm(T))
+
+
+def _counting_measure(eigs: np.ndarray, norm: float) -> SpectralMeasure:
+    """``brown_measure_exact`` from T's eigenvalues and 2-norm ``norm``."""
+    atoms = [(rep, len(ix) / len(eigs)) for rep, ix in eigenvalue_clusters(eigs, norm)]
     atoms.sort(key=lambda a: (a[0].real, a[0].imag))
     return SpectralMeasure(tuple(atoms))
 
@@ -136,12 +139,12 @@ class DensityGrid:
 
 
 def _square_bounds(norm: float) -> tuple:
-    half = HALF_SIDE_FACTOR * max(norm, 1e-12)
+    half = HALF_SIDE_FACTOR * norm if norm else 1.0
     return (-half, half, -half, half)
 
 
 def default_bounds(T) -> tuple:
-    """Square of half-side HALF_SIDE_FACTOR * norm(T), centered at the origin."""
+    """Square of half-side HALF_SIDE_FACTOR * norm(T) (1 for T = 0), centered at the origin."""
     return _square_bounds(operator_norm(T))
 
 
@@ -282,13 +285,13 @@ def _range_basis(p: np.ndarray) -> np.ndarray:
 def block_det_identity_check(T, p, tol: float = 1e-8) -> BlockDetReport:
     """Check the block factorization of Delta and the Brown measure split.
 
-    Requires Tp = pTp within 1e-8 * norm(T). Uses the convention that the
+    Requires ||Tp - pTp||_F <= 1e-8 * norm(T). Uses the convention that the
     determinant of an empty corner, raised to the power 0, is 1.
     """
     T = as_operator(T)
     p = as_operator(p)
     n = T.shape[0]
-    normT = max(operator_norm(T), 1e-300)
+    normT = operator_norm(T)
     _check_invariant_projection(T, p, normT)
 
     V = _range_basis(p)
@@ -311,5 +314,5 @@ def block_det_identity_check(T, p, tol: float = 1e-8) -> BlockDetReport:
     else:
         det_gap = abs(lhs - rhs) / max(lhs, rhs)
     measure_gap = spectrum_distance(np.linalg.eigvals(T), np.array(corner_eigs))
-    ok = det_gap <= tol and measure_gap <= tol * max(1.0, normT)
+    ok = det_gap <= tol and measure_gap <= tol * normT
     return BlockDetReport(lhs, rhs, det_gap, measure_gap, tau_p, ok)

@@ -38,7 +38,6 @@ class NormalPlusNilpotent:
     """Random normal matrix plus a coupled nilpotent in the same flag."""
 
     n: int
-    coupling_scale: float = 1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,7 +91,7 @@ def _one(rng: np.random.Generator, kind: Kind) -> np.ndarray:
         d = _diagonal(rng, n, "gaussian")
         U, _ = np.linalg.qr(_ginibre(rng, n))
         strict = np.triu(_ginibre(rng, n), 1)
-        return U @ (np.diag(d) + kind.coupling_scale * strict) @ U.conj().T
+        return U @ (np.diag(d) + strict) @ U.conj().T
     if isinstance(kind, FromFile):
         return serialize.read_matrix(kind.path)
     raise TypeError(f"unknown ensemble kind {kind!r}")

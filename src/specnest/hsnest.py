@@ -208,7 +208,11 @@ def build_nest(T, curve: HilbertCurveMap) -> ProjectionNest:
     entry corner is rotated; all four corners failing is an error.
     """
     T = as_operator(T)
-    norm = operator_norm(T)
+    return _build_nest(T, curve, operator_norm(T))
+
+
+def _build_nest(T: np.ndarray, curve: HilbertCurveMap, norm: float) -> ProjectionNest:
+    """``build_nest`` for a validated T of 2-norm ``norm``."""
     if curve.half_side < norm * (1 - 1e-12):
         raise ValueError("curve half_side must be at least the operator norm")
     R, U = scipy.linalg.schur(T, output="complex")
@@ -244,5 +248,5 @@ def default_curve(T, level: int = 16) -> HilbertCurveMap:
 
 
 def _default_curve(norm: float, level: int = 16) -> HilbertCurveMap:
-    """``default_curve`` for a matrix of 2-norm ``norm``."""
-    return HilbertCurveMap(level, HALF_SIDE_FACTOR * max(norm, 1e-12))
+    """``default_curve`` for a matrix of 2-norm ``norm`` (half-side 1 if norm is 0)."""
+    return HilbertCurveMap(level, HALF_SIDE_FACTOR * norm if norm else 1.0)

@@ -15,7 +15,8 @@ import numpy as np
 from .curve import HilbertCurveMap
 from .decompose import decompose
 from .detbrown import fk_determinant
-from .matrices import _check_invariant_projection, as_operator, operator_norm, singular_values
+from .matrices import (_check_invariant_projection, as_operator, frobenius, operator_norm,
+                       singular_values)
 
 LOG_SLACK = 1e-10
 
@@ -111,7 +112,7 @@ def _submajorization(svA: np.ndarray, svB: np.ndarray) -> MajorizationVerdict:
     """Submajorization verdict on descending singular value arrays."""
     if len(svA) != len(svB):
         raise ValueError("dimension mismatch")
-    slack = 1e-10 * max(float(svA[0]) if len(svA) else 0.0, 1e-300)
+    slack = 1e-10 * float(svA[0])
     margins = np.cumsum(svA) - np.cumsum(svB)
     k = int(np.argmin(margins))
     return MajorizationVerdict(bool(np.all(margins >= -slack)),
@@ -237,8 +238,8 @@ def shift_lemma_check(A, B, scales=(1, 2, 4, 8)) -> CheckReport:
     """B log-submajorized by A (both PSD) implies nB + 1 log-submajorized by nA + 1."""
     A = as_operator(A)
     B = as_operator(B)
-    herm_gap = max(np.linalg.norm(A - A.conj().T, 2), np.linalg.norm(B - B.conj().T, 2))
-    if herm_gap > 1e-10 * max(1.0, operator_norm(A), operator_norm(B)):
+    herm_gap = max(frobenius(A - A.conj().T), frobenius(B - B.conj().T))
+    if herm_gap > 1e-10 * max(operator_norm(A), operator_norm(B)):
         return CheckReport((), skipped=("non-hermitian input",))
     if np.min(np.linalg.eigvalsh(A)) < -1e-10 or np.min(np.linalg.eigvalsh(B)) < -1e-10:
         return CheckReport((), skipped=("non-psd input",))
@@ -258,8 +259,7 @@ def pinch_log_check(T, p) -> CheckReport:
     and the shifted determinants satisfy the matching inequality."""
     T = as_operator(T)
     p = as_operator(p)
-    normT = max(operator_norm(T), 1e-300)
-    _check_invariant_projection(T, p, normT)
+    _check_invariant_projection(T, p, operator_norm(T))
     n = T.shape[0]
     S = T @ p + (np.eye(n) - p) @ T
     verdict = log_submajorizes(T, S)
@@ -285,7 +285,7 @@ def weyl_check(T, gauges: Sequence = DEFAULT_GAUGES,
     svN = singular_values(result.N)
     verdict = _log_majorization(svT, svN)
     rows = [CheckRow("weyl_logmaj", "", 0.0, 0.0, verdict.worst_margin, verdict.ok)]
-    moduli = np.abs(np.linalg.eigvals(T))
+    moduli = np.abs(result.eigenvalues)
     for gauge in gauges:
         lhs = float(np.mean(gauge(svN)))
         from_eigs = float(np.mean(gauge(moduli)))

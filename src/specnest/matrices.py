@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-# Acceptance tolerance for Hermitian / PSD inputs, relative to max(1, norm).
+# Acceptance tolerance for Hermitian / PSD inputs: ||A - A*||_F / ||A||_2.
 HERMITIAN_TOL = 1e-10
 
 # Two eigenvalues closer than this (relative to the operator norm) are
@@ -38,6 +38,12 @@ def operator_norm(T) -> float:
     return float(np.linalg.norm(as_operator(T), 2))
 
 
+def frobenius(R) -> float:
+    """Frobenius norm as BLAS nrm2 of the raveled entries: it bounds the 2-norm,
+    cannot overflow, and raises ValueError on non-finite entries."""
+    return float(scipy.linalg.norm(np.ravel(R)))
+
+
 def spectral_radius(T) -> float:
     eigs = np.linalg.eigvals(as_operator(T))
     return float(np.max(np.abs(eigs)))
@@ -50,8 +56,8 @@ def normalized_trace(T) -> complex:
 
 
 def _check_hermitian(A: np.ndarray) -> None:
-    gap = np.linalg.norm(A - A.conj().T, 2)
-    if gap > HERMITIAN_TOL * max(1.0, np.linalg.norm(A, 2)):
+    gap = frobenius(A - A.conj().T)
+    if gap > HERMITIAN_TOL * operator_norm(A):
         raise ValueError(f"matrix is not Hermitian within tolerance (gap {gap:.3e})")
 
 
@@ -137,8 +143,7 @@ class ProjectionNest:
     def __post_init__(self):
         U = as_operator(self.basis)
         n = U.shape[0]
-        # The Frobenius norm (BLAS nrm2 of the entries) bounds the 2-norm.
-        if scipy.linalg.norm(np.ravel(U.conj().T @ U - np.eye(n))) > 1e-10:
+        if frobenius(U.conj().T @ U - np.eye(n)) > 1e-10:
             raise ValueError("nest basis is not unitary")
         jumps = tuple((float(t), int(r)) for t, r in self.jumps)
         ts = [t for t, _ in jumps]
@@ -159,11 +164,7 @@ class ProjectionNest:
         return self.basis.shape[0]
 
     def rank_at(self, t: float) -> int:
-        rank = 0
-        for tj, rj in self.jumps:
-            if tj <= t:
-                rank = rj
-        return rank
+        return max((r for tj, r in self.jumps if tj <= t), default=0)
 
     def projection_at(self, t: float) -> np.ndarray:
         k = self.rank_at(t)
@@ -172,12 +173,7 @@ class ProjectionNest:
 
     def increments(self) -> list:
         """List of (t, lo, hi): minimal jump increment spanning columns lo:hi."""
-        out = []
-        prev = 0
-        for t, r in self.jumps[1:]:
-            out.append((t, prev, r))
-            prev = r
-        return out
+        return [(t, lo, hi) for (t, hi), (_, lo) in zip(self.jumps[1:], self.jumps)]
 
     def trace_at(self, t: float) -> float:
         return self.rank_at(t) / self.dim
@@ -185,10 +181,10 @@ class ProjectionNest:
 
 def _check_invariant_projection(T: np.ndarray, p: np.ndarray, norm: float) -> None:
     """Raise ValueError unless p is an orthogonal projection (within 1e-10) with
-    T-invariant range: Tp = pTp within 1e-8 * norm, where ``norm`` is ||T||_2."""
-    if np.linalg.norm(p @ p - p, 2) > 1e-10 or np.linalg.norm(p - p.conj().T, 2) > 1e-10:
+    T-invariant range: ||Tp - pTp||_F <= 1e-8 * norm, where ``norm`` is ||T||_2."""
+    if frobenius(p @ p - p) > 1e-10 or frobenius(p - p.conj().T) > 1e-10:
         raise ValueError("p is not an orthogonal projection")
-    if np.linalg.norm(T @ p - p @ T @ p, 2) > 1e-8 * norm:
+    if frobenius(T @ p - p @ T @ p) > 1e-8 * norm:
         raise ValueError("range of p is not T-invariant")
 
 
@@ -231,10 +227,10 @@ def cluster_eigenvalues(eigs: np.ndarray, tol: float) -> list:
 def eigenvalue_clusters(eigs: np.ndarray, norm: float) -> list:
     """Eigenvalues as (representative, index array) pairs.
 
-    Eigenvalues within CLUSTER_TOL * max(1, norm) of each other (chained)
-    form one cluster, represented by its mean.
+    Eigenvalues within CLUSTER_TOL * norm (norm = ||T||_2, so cT clusters as T
+    does) of each other (chained) form one cluster, represented by its mean.
     """
-    tol = CLUSTER_TOL * max(1.0, norm)
+    tol = CLUSTER_TOL * norm
     return [(complex(np.mean(eigs[ix])), ix) for ix in cluster_eigenvalues(eigs, tol)]
 
 
@@ -281,9 +277,8 @@ def reorder_schur(T: np.ndarray, R: np.ndarray, U: np.ndarray, keys, norm: float
         if info != 0:
             raise ArithmeticError(f"ztrexc failed (info {info})")
         labels.insert(k, labels.pop(j))
-    # Frobenius norm as BLAS nrm2 of the entries: it bounds the 2-norm and scales.
-    resid = scipy.linalg.norm(np.ravel(T - U @ R @ U.conj().T))
-    if resid > 1e-9 * max(1.0, norm):
+    resid = frobenius(T - U @ R @ U.conj().T)
+    if resid > 1e-9 * norm:
         raise ArithmeticError(
             f"Schur reordering lost accuracy (residual {resid:.3e})"
         )

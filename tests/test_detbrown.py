@@ -201,6 +201,12 @@ class TestBlockDetIdentity:
         with pytest.raises(ValueError):
             block_det_identity_check(np.eye(2), 0.5 * np.eye(2))
 
+    def test_takes_one_two_norm(self, two_norm_calls):
+        # ||T||_2 scales the invariance and measure checks; the rest use nrm2.
+        T = np.array([[1, 1], [0, 2]], dtype=complex)
+        block_det_identity_check(T, np.diag([1.0, 0.0]).astype(complex))
+        assert two_norm_calls == [(2, 2)]
+
     @settings(deadline=None, max_examples=20)
     @given(st.integers(0, 500), st.integers(1, 5))
     def test_random_triangular_splits(self, seed, k):

@@ -179,6 +179,11 @@ class TestPinchLogCheck:
         with pytest.raises(ValueError, match="not an orthogonal projection"):
             pinch_log_check(SHEAR, p)
 
+    def test_takes_one_two_norm(self, two_norm_calls):
+        # ||T||_2 scales the invariance check; the projection checks use nrm2.
+        pinch_log_check(SHEAR, np.diag([1.0, 0.0]).astype(complex))
+        assert two_norm_calls == [(2, 2)]
+
 
 class TestWeylCheck:
     def test_shear_report(self):
