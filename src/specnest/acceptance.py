@@ -64,7 +64,7 @@ def criterion_decomposition(seed: int = 42) -> CriterionResult:
             normN = max(operator_norm(res.N), 1e-300)
             checks = {
                 "reconstruction": d["reconstruction_error"] / (1e-12 * normT),
-                "normality": d["normality_defect"] / (1e-10 * normN**2),
+                "normality": d["normality_defect"] / (1e-10 * (normN / normT) ** 2),
                 "spectrum": d["spectrum_gap"] / 1e-8,
                 "strict_upper": d["strict_upper_defect"] / (1e-8 * normT),
                 "q_diag": d["q_spectral_radius"] / (1e-8 * normT),

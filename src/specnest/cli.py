@@ -69,7 +69,7 @@ def _cmd_decompose(args) -> int:
     serialize.write_text(args.out, json.dumps(serialize.decomposition_to_dict(result)) + "\n")
     print(f"decomposed {args.infile}: "
           f"|Q diag| <= {result.diagnostics['q_spectral_radius']:.3e}, "
-          f"normality defect {result.diagnostics['normality_defect']:.3e}")
+          f"normality defect {result.diagnostics['normality_defect']:.3e} x ||T||^2")
     print(f"wrote {args.out}")
     if report:
         serialize.write_text(args.report, serialize.report_rows_csv(report.rows))

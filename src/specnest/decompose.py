@@ -14,8 +14,9 @@ import numpy as np
 
 from .curve import HilbertCurveMap
 from .detbrown import _counting_measure, regularized_log_det
-from .hsnest import _build_nest, _default_curve
-from .matrices import ProjectionNest, as_operator, frobenius, operator_norm, spectrum_distance
+from .hsnest import build_nest
+from .matrices import (ProjectionNest, as_operator, default_half_side, frobenius,
+                       operator_norm, spectrum_distance)
 
 NEST_INVARIANCE_TOL = 1e-9
 DET_TOL = 1e-3
@@ -136,13 +137,13 @@ class DecompositionResult:
 def decompose(T, curve: HilbertCurveMap | None = None) -> DecompositionResult:
     """Split T into its curve-ordered normal part and nilpotent remainder.
 
-    One SVD (||T||_2) serves the curve, the nest and every check. Residuals are
-    Frobenius norms; normality is taken on N / ||T||_2 and scaled back, so it is
-    inf only where the true defect lies beyond the double range.
+    ||T||_2 serves the default curve and every check. Residuals are Frobenius
+    norms; the normality defect is that of N / ||T||_2, so it is relative to
+    ||T||_2^2 and finite for every finite T.
     """
     T = as_operator(T)
     normT = operator_norm(T)
-    nest = _build_nest(T, curve or _default_curve(normT), normT)
+    nest = build_nest(T, curve or HilbertCurveMap(half_side=default_half_side(normT)))
     U = nest.basis
     B = _flag_form(T, nest, normT)
     coeffs = _block_means(B, _column_groups(nest))
@@ -155,12 +156,11 @@ def decompose(T, curve: HilbertCurveMap | None = None) -> DecompositionResult:
     # Q is upper triangular in the flag basis, so its eigenvalues are the
     # diagonal there; a dense eigensolver on the defective Q is meaningless.
     q_radius = float(np.max(np.abs(np.diag(BQ))))
-    scale = normT or 1.0
-    Ns = N / scale
+    Ns = N / (normT or 1.0)
     eigs = np.linalg.eigvals(T)
     diagnostics = {
         "reconstruction_error": frobenius(T - (N + Q)),
-        "normality_defect": frobenius(Ns @ Ns.conj().T - Ns.conj().T @ Ns) * scale * scale,
+        "normality_defect": frobenius(Ns @ Ns.conj().T - Ns.conj().T @ Ns),
         # N is diagonal in the flag basis: its spectrum is the block means.
         "spectrum_gap": spectrum_distance(eigs, coeffs),
         "strict_upper_defect": frobenius(np.tril(BQ)),
@@ -212,11 +212,12 @@ def convergence_report(
     """
     T = as_operator(T)
     result = decompose(T, curve)
-    curve = curve or _default_curve(result.diagnostics["operator_norm"])
+    normT = result.diagnostics["operator_norm"]
+    curve = curve or HilbertCurveMap(half_side=default_half_side(normT))
     nest = result.nest
     U = nest.basis
-    B = _flag_form(T, nest, result.diagnostics["operator_norm"])
-    measure = _counting_measure(result.eigenvalues, result.diagnostics["operator_norm"])
+    B = _flag_form(T, nest, normT)
+    measure = _counting_measure(result.eigenvalues, normT)
     if lam_list is None:
         lam_peak = max((z for z, _ in measure.atoms), key=abs)
         lam_list = (0.0, 1.0 + 1.0j, lam_peak)

@@ -12,9 +12,9 @@ import math
 import numpy as np
 
 from .matrices import (
-    HALF_SIDE_FACTOR,
     _check_invariant_projection,
     as_operator,
+    default_half_side,
     eigenvalue_clusters,
     operator_norm,
     singular_values,
@@ -139,7 +139,7 @@ class DensityGrid:
 
 
 def _square_bounds(norm: float) -> tuple:
-    half = HALF_SIDE_FACTOR * norm if norm else 1.0
+    half = default_half_side(norm)
     return (-half, half, -half, half)
 
 

@@ -16,9 +16,9 @@ import scipy.linalg
 
 from .curve import DEEP_LEVEL, HilbertCurveMap, deep_hit_index, hit_index
 from .matrices import (
-    HALF_SIDE_FACTOR,
     ProjectionNest,
     as_operator,
+    default_half_side,
     eigenvalue_clusters,
     operator_norm,
     ordered_schur,
@@ -208,11 +208,7 @@ def build_nest(T, curve: HilbertCurveMap) -> ProjectionNest:
     entry corner is rotated; all four corners failing is an error.
     """
     T = as_operator(T)
-    return _build_nest(T, curve, operator_norm(T))
-
-
-def _build_nest(T: np.ndarray, curve: HilbertCurveMap, norm: float) -> ProjectionNest:
-    """``build_nest`` for a validated T of 2-norm ``norm``."""
+    norm = operator_norm(T)
     if curve.half_side < norm * (1 - 1e-12):
         raise ValueError("curve half_side must be at least the operator norm")
     R, U = scipy.linalg.schur(T, output="complex")
@@ -244,9 +240,4 @@ def _build_nest(T: np.ndarray, curve: HilbertCurveMap, norm: float) -> Projectio
 
 def default_curve(T, level: int = 16) -> HilbertCurveMap:
     """Curve on [-R, R]^2, R = HALF_SIDE_FACTOR * ||T||_2: it contains T's spectral disk."""
-    return _default_curve(operator_norm(T), level)
-
-
-def _default_curve(norm: float, level: int = 16) -> HilbertCurveMap:
-    """``default_curve`` for a matrix of 2-norm ``norm`` (half-side 1 if norm is 0)."""
-    return HilbertCurveMap(level, HALF_SIDE_FACTOR * norm if norm else 1.0)
+    return HilbertCurveMap(level, default_half_side(operator_norm(T)))

@@ -23,6 +23,11 @@ CLUSTER_TOL = 1e-10
 HALF_SIDE_FACTOR = 1.25
 
 
+def default_half_side(norm: float) -> float:
+    """Half-side of the default square for a matrix of 2-norm ``norm`` (1 if it is 0)."""
+    return HALF_SIDE_FACTOR * norm if norm else 1.0
+
+
 def as_operator(matrix) -> np.ndarray:
     """Validate and return a square complex matrix as a fresh complex128 array."""
     A = np.array(matrix, dtype=np.complex128)
@@ -164,7 +169,11 @@ class ProjectionNest:
         return self.basis.shape[0]
 
     def rank_at(self, t: float) -> int:
-        return max((r for tj, r in self.jumps if tj <= t), default=0)
+        rank = 0
+        for tj, rj in self.jumps:
+            if tj <= t:
+                rank = rj
+        return rank
 
     def projection_at(self, t: float) -> np.ndarray:
         k = self.rank_at(t)
@@ -173,7 +182,12 @@ class ProjectionNest:
 
     def increments(self) -> list:
         """List of (t, lo, hi): minimal jump increment spanning columns lo:hi."""
-        return [(t, lo, hi) for (t, hi), (_, lo) in zip(self.jumps[1:], self.jumps)]
+        out = []
+        prev = 0
+        for t, r in self.jumps[1:]:
+            out.append((t, prev, r))
+            prev = r
+        return out
 
     def trace_at(self, t: float) -> float:
         return self.rank_at(t) / self.dim

@@ -149,7 +149,7 @@ class TestDecomposeInvariants:
         d = res.diagnostics
         normT = d["operator_norm"]
         assert d["reconstruction_error"] <= 1e-12 * normT
-        assert d["normality_defect"] <= 1e-10 * max(operator_norm(res.N), 1e-30) ** 2
+        assert d["normality_defect"] <= 1e-10 * (operator_norm(res.N) / normT) ** 2
         assert d["spectrum_gap"] <= 1e-8
         assert d["strict_upper_defect"] <= 1e-8 * normT
         assert d["q_spectral_radius"] <= 1e-8 * normT
@@ -168,11 +168,11 @@ class TestDecomposeInvariants:
             T = np.random.default_rng(seed).standard_normal((8, 8))
             assert decompose(T).diagnostics["spectrum_gap"] <= 1e-8
 
-    def test_decompose_takes_one_two_norm(self, two_norm_calls):
-        # ||T||_2 serves the default curve, the nest and the diagnostics; the
-        # guards and residual diagnostics use nrm2.
+    def test_decompose_takes_two_two_norms(self, two_norm_calls):
+        # One ||T||_2 for the default curve and the diagnostics, one inside
+        # build_nest; the guards and residual diagnostics use nrm2.
         decompose(random_matrix(65, 8))
-        assert two_norm_calls == [(8, 8)]
+        assert two_norm_calls == [(8, 8), (8, 8)]
 
     def test_keeps_the_spectrum_it_solved(self):
         T = random_matrix(66, 8)
@@ -223,7 +223,9 @@ class TestScaling:
     def test_huge_ginibre_keeps_the_contract(self, scale):
         # N N* and a sum-of-squares norm overflowed here before any check ran.
         T = scale * generate(EnsembleSpec(Ginibre(16), seed=5))[0]
-        assert relative_contract_failures(T, decompose(T)) == []
+        res = decompose(T)
+        assert relative_contract_failures(T, res) == []
+        assert np.all(np.isfinite(list(res.diagnostics.values())))
 
     def test_batch_kinds_keep_the_contract_at_every_scale(self):
         failures = {}

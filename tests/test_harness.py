@@ -227,6 +227,18 @@ class TestCli:
         assert len(calls) == 1
         assert with_report.read_bytes() == plain.read_bytes()
 
+    def test_huge_matrix_decomposes_to_strict_json(self, tmp_path):
+        matrix_path = tmp_path / "m.json"
+        T = ensembles.generate(ensembles.EnsembleSpec(ensembles.Ginibre(16), seed=5))[0]
+        serialize.write_matrix(str(matrix_path), 1e200 * T)
+        out = tmp_path / "dec.json"
+        assert self.run("decompose", "--in", str(matrix_path), "--out", str(out)) == 0
+
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        json.loads(out.read_text(), parse_constant=reject)
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = self.run("decompose", "--in", str(tmp_path / "nope.json"),
                         "--out", str(tmp_path / "o.json"))
