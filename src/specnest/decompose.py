@@ -19,6 +19,8 @@ from .matrices import (ProjectionNest, as_operator, default_half_side, frobenius
                        operator_norm, spectrum_distance)
 
 NEST_INVARIANCE_TOL = 1e-9
+# Bound on Q's flag diagonal (its spectral radius) relative to ||T||_2.
+Q_DIAGONAL_TOL = 1e-8
 DET_TOL = 1e-3
 MONO_SLACK = 1e-10
 
@@ -127,7 +129,7 @@ class DecompositionResult:
     nest: ProjectionNest
     ordering: tuple  # (hit time, multiplicity, cluster value) in flag order
     diagnostics: dict
-    eigenvalues: np.ndarray  # eigvals(T), behind spectrum_gap; not serialized
+    eigenvalues: np.ndarray  # Schur eigenvalues, diag of U*TU in nest order; not serialized
 
     @property
     def T(self) -> np.ndarray:
@@ -140,12 +142,18 @@ def decompose(T, curve: HilbertCurveMap | None = None) -> DecompositionResult:
     ||T||_2 serves the default curve and every check. Residuals are Frobenius
     norms; the normality defect is that of N / ||T||_2, so it is relative to
     ||T||_2^2 and finite for every finite T.
+
+    T's spectrum is the diagonal of the flag form B = U*TU: exact eigenvalues
+    of T + E, ||E||_F bounded by ``strict_upper_defect``. ``spectrum_gap`` is
+    its distance to N's spectrum (the block means), the cluster spread.
+    Raises ArithmeticError when Q's flag diagonal exceeds Q_DIAGONAL_TOL * ||T||_2.
     """
     T = as_operator(T)
     normT = operator_norm(T)
     nest = build_nest(T, curve or HilbertCurveMap(half_side=default_half_side(normT)))
     U = nest.basis
     B = _flag_form(T, nest, normT)
+    eigs = np.diag(B).copy()
     coeffs = _block_means(B, _column_groups(nest))
     N = U @ (coeffs[:, None] * U.conj().T)
     Q = T - N
@@ -156,8 +164,9 @@ def decompose(T, curve: HilbertCurveMap | None = None) -> DecompositionResult:
     # Q is upper triangular in the flag basis, so its eigenvalues are the
     # diagonal there; a dense eigensolver on the defective Q is meaningless.
     q_radius = float(np.max(np.abs(np.diag(BQ))))
+    if q_radius > Q_DIAGONAL_TOL * normT:
+        raise ArithmeticError(f"Q's flag diagonal is not zero (|Q diag| {q_radius:.3e})")
     Ns = N / (normT or 1.0)
-    eigs = np.linalg.eigvals(T)
     diagnostics = {
         "reconstruction_error": frobenius(T - (N + Q)),
         "normality_defect": frobenius(Ns @ Ns.conj().T - Ns.conj().T @ Ns),

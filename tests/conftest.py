@@ -16,3 +16,17 @@ def two_norm_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", counting)
     return calls
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """Shapes of the arrays passed to ``np.linalg.eigvals`` (a dense eigensolve each)."""
+    original = np.linalg.eigvals
+    calls = []
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return calls

@@ -239,6 +239,16 @@ class TestCli:
 
         json.loads(out.read_text(), parse_constant=reject)
 
+    def test_nonzero_flag_diagonal_is_numerical_error(self, tmp_path, capsys):
+        # A chained cluster too wide for Q's flag diagonal to vanish.
+        matrix_path = tmp_path / "m.json"
+        serialize.write_matrix(str(matrix_path), np.diag(1.0 + 9e-11 * np.arange(256)))
+        out = tmp_path / "dec.json"
+        assert self.run("decompose", "--in", str(matrix_path), "--out", str(out)) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ArithmeticError"
+        assert not out.exists()
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = self.run("decompose", "--in", str(tmp_path / "nope.json"),
                         "--out", str(tmp_path / "o.json"))
