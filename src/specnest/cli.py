@@ -14,10 +14,9 @@ import sys
 import numpy as np
 
 from . import acceptance, ensembles, serialize
-from .curve import HilbertCurveMap
 from .decompose import convergence_report, decompose
 from .detbrown import brown_density_grid, brown_measure_exact
-from .hsnest import Ball, default_curve, hs_projection
+from .hsnest import Ball, hs_projection
 from .majorize import DEFAULT_GAUGES, LogShift, Power, pinch_log_check, weyl_check
 from .matrices import frobenius, operator_norm
 
@@ -37,10 +36,6 @@ def _parse_gauges(text: str):
         else:
             raise ValueError(f"unknown gauge {item!r} (use pow:P or logshift:S)")
     return gauges
-
-
-def _curve_for(T, args) -> HilbertCurveMap:
-    return default_curve(T, level=args.curve_level)
 
 
 def _cmd_gen(args) -> int:
@@ -63,9 +58,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_decompose(args) -> int:
     T = serialize.read_matrix(args.infile)
-    curve = _curve_for(T, args)
-    report = convergence_report(T, curve) if args.report else None
-    result = report.decomposition if report else decompose(T, curve)
+    report = convergence_report(T) if args.report else None
+    result = report.decomposition if report else decompose(T)
     serialize.write_text(args.out, json.dumps(serialize.decomposition_to_dict(result)) + "\n")
     print(f"decomposed {args.infile}: "
           f"|Q diag| <= {result.diagnostics['q_spectral_radius']:.3e}, "
@@ -174,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="split a matrix into normal + nilpotent parts")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--curve-level", type=int, default=16)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="also write convergence report CSV")
     p.set_defaults(func=_cmd_decompose)

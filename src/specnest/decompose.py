@@ -13,10 +13,10 @@ import math
 import numpy as np
 
 from .curve import HilbertCurveMap
-from .detbrown import _counting_measure, regularized_log_det
+from .detbrown import _counting_measure, _regularized_log_det
 from .hsnest import build_nest
 from .matrices import (ProjectionNest, as_operator, default_half_side, frobenius,
-                       operator_norm, spectrum_distance)
+                       operator_norm, singular_values)
 
 NEST_INVARIANCE_TOL = 1e-9
 # Bound on Q's flag diagonal (its spectral radius) relative to ||T||_2.
@@ -73,9 +73,8 @@ def _flag_form(T: np.ndarray, nest: ProjectionNest, norm: float) -> np.ndarray:
     return B
 
 
-def _average(U: np.ndarray, B: np.ndarray, groups: list) -> np.ndarray:
-    """Expectation from the flag form B = U*TU: block means of its diagonal."""
-    coeffs = _block_means(B, groups)
+def _average(U: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Expectation U diag(coeffs) U* from the block means of a flag form U*TU."""
     return U @ (coeffs[:, None] * U.conj().T)
 
 
@@ -96,7 +95,7 @@ def expectation_dyadic(T, nest: ProjectionNest, n: int) -> np.ndarray:
     """
     T = as_operator(T)
     B = _flag_form(T, nest, operator_norm(T))
-    return _average(nest.basis, B, _column_groups(nest, n))
+    return _average(nest.basis, _block_means(B, _column_groups(nest, n)))
 
 
 def expectation_full(T, nest: ProjectionNest) -> np.ndarray:
@@ -107,7 +106,7 @@ def expectation_full(T, nest: ProjectionNest) -> np.ndarray:
     """
     T = as_operator(T)
     B = _flag_form(T, nest, operator_norm(T))
-    return _average(nest.basis, B, _column_groups(nest))
+    return _average(nest.basis, _block_means(B, _column_groups(nest)))
 
 
 def pinch_commutant(T, nest: ProjectionNest, n: int | None = None) -> np.ndarray:
@@ -131,31 +130,29 @@ class DecompositionResult:
     diagnostics: dict
     eigenvalues: np.ndarray  # Schur eigenvalues, diag of U*TU in nest order; not serialized
 
-    @property
-    def T(self) -> np.ndarray:
-        return self.N + self.Q
 
-
-def decompose(T, curve: HilbertCurveMap | None = None) -> DecompositionResult:
+def decompose(T) -> DecompositionResult:
     """Split T into its curve-ordered normal part and nilpotent remainder.
 
-    ||T||_2 serves the default curve and every check. Residuals are Frobenius
-    norms; the normality defect is that of N / ||T||_2, so it is relative to
-    ||T||_2^2 and finite for every finite T.
+    The nest follows ``hsnest.default_curve(T)``; other curves go through
+    ``build_nest`` and ``expectation_full``. ||T||_2 serves that curve and every
+    check. Residuals are Frobenius norms; the normality defect is that of
+    N / ||T||_2, so it is relative to ||T||_2^2 and finite for every finite T.
 
     T's spectrum is the diagonal of the flag form B = U*TU: exact eigenvalues
     of T + E, ||E||_F bounded by ``strict_upper_defect``. ``spectrum_gap`` is
-    its distance to N's spectrum (the block means), the cluster spread.
+    their largest distance to the block means in the same flag slots (N's
+    spectrum), the cluster spread.
     Raises ArithmeticError when Q's flag diagonal exceeds Q_DIAGONAL_TOL * ||T||_2.
     """
     T = as_operator(T)
     normT = operator_norm(T)
-    nest = build_nest(T, curve or HilbertCurveMap(half_side=default_half_side(normT)))
+    nest = build_nest(T, HilbertCurveMap(half_side=default_half_side(normT)))
     U = nest.basis
     B = _flag_form(T, nest, normT)
     eigs = np.diag(B).copy()
     coeffs = _block_means(B, _column_groups(nest))
-    N = U @ (coeffs[:, None] * U.conj().T)
+    N = _average(U, coeffs)
     Q = T - N
     ordering = tuple((t, hi - lo, complex(coeffs[lo]))
                      for t, lo, hi in nest.increments())
@@ -171,7 +168,7 @@ def decompose(T, curve: HilbertCurveMap | None = None) -> DecompositionResult:
         "reconstruction_error": frobenius(T - (N + Q)),
         "normality_defect": frobenius(Ns @ Ns.conj().T - Ns.conj().T @ Ns),
         # N is diagonal in the flag basis: its spectrum is the block means.
-        "spectrum_gap": spectrum_distance(eigs, coeffs),
+        "spectrum_gap": float(np.max(np.abs(eigs - coeffs))),
         "strict_upper_defect": frobenius(np.tril(BQ)),
         "q_spectral_radius": q_radius,
         "operator_norm": normT,
@@ -205,7 +202,6 @@ class ConvergenceReport:
 
 def convergence_report(
     T,
-    curve: HilbertCurveMap | None = None,
     n_range=range(0, 11),
     eps_list=(1.0, 0.1, 0.01),
     lam_list=None,
@@ -217,12 +213,13 @@ def convergence_report(
     modulus bound; the regularized log-determinant gap to the integral
     against the exact eigenvalue measure; the pinching-determinant
     monotonicity sequence per m; and the spectral radius of the remainder
-    against the modulus bound. Every level is read from one flag form.
+    against the modulus bound. The curve is ``decompose``'s. Every level is
+    read from one flag form, with one SVD per (level, lam) and per pinch.
     """
     T = as_operator(T)
-    result = decompose(T, curve)
+    result = decompose(T)
     normT = result.diagnostics["operator_norm"]
-    curve = curve or HilbertCurveMap(half_side=default_half_side(normT))
+    curve = HilbertCurveMap(half_side=default_half_side(normT))
     nest = result.nest
     U = nest.basis
     B = _flag_form(T, nest, normT)
@@ -233,7 +230,7 @@ def convergence_report(
 
     rows = []
     for n in n_range:
-        En = _average(U, B, _column_groups(nest, n))
+        En = _average(U, _block_means(B, _column_groups(nest, n)))
         bound = curve.modulus(2.0**-n)
         gap = float(np.linalg.norm(En - result.N, 2))
         rows.append(ConvergenceRow("norm_gap", n, (), gap, bound, gap <= bound))
@@ -246,8 +243,9 @@ def convergence_report(
         # at the finest refinement in range; coarser rows are informational.
         bound_det = DET_TOL if n == max(n_range) else math.inf
         for lam in lam_list:
+            sv = singular_values(En - lam * np.eye(len(En)))
             for eps in eps_list:
-                lhs = regularized_log_det(En, lam, eps)
+                lhs = _regularized_log_det(sv, eps)
                 rhs = measure.regularized_potential(lam, eps)
                 gap_det = abs(lhs - rhs)
                 rows.append(
@@ -256,9 +254,10 @@ def convergence_report(
                         bound_det, gap_det <= bound_det,
                     )
                 )
-    pinches = [_pinch(U, B, _column_groups(nest, n)) for n in n_range]
+    pinch_svs = [singular_values(_pinch(U, B, _column_groups(nest, n)))
+                 for n in n_range] if m_list else []
     for m in m_list:
-        seq = [np.exp(regularized_log_det(P, 0.0, 1.0 / m)) for P in pinches]
+        seq = [np.exp(_regularized_log_det(sv, 1.0 / m)) for sv in pinch_svs]
         for n, prev, cur in zip(list(n_range)[1:], seq, seq[1:]):
             rows.append(
                 ConvergenceRow(

@@ -80,10 +80,14 @@ def fk_determinant(T) -> float:
 
 def regularized_log_det(T, lam: complex = 0.0, eps: float = 1.0) -> float:
     """Normalized trace of log(|T - lam|^2 + eps); finite for every input."""
+    T = as_operator(T)
+    return _regularized_log_det(singular_values(T - lam * np.eye(T.shape[0])), eps)
+
+
+def _regularized_log_det(sv: np.ndarray, eps: float) -> float:
+    """``regularized_log_det`` from the singular values ``sv`` of T - lam."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    T = as_operator(T)
-    sv = singular_values(T - lam * np.eye(T.shape[0]))
     return float(np.mean(np.log(sv**2 + eps)))
 
 

@@ -216,7 +216,9 @@ def build_nest(T, curve: HilbertCurveMap) -> ProjectionNest:
     for shift in range(4):
         anchored = curve.with_anchor((curve.anchor + shift) % 4)
         deeps = [deep_hit_index(anchored, rep) for rep, _ in clusters]
-        if min(deeps) >> (2 * (DEEP_LEVEL - curve.level)):  # no atom in cell 0
+        # No atom in cell 0; a curve finer than DEEP_LEVEL tests deep cell 0,
+        # which a square of half-side >= ||T||_2 keeps clear of the spectrum.
+        if min(deeps) >> (2 * max(DEEP_LEVEL - curve.level, 0)):
             break
     else:
         raise AtomAtCurveStartError("all four curve anchors have an eigenvalue "
@@ -238,6 +240,7 @@ def build_nest(T, curve: HilbertCurveMap) -> ProjectionNest:
     return ProjectionNest(U, tuple(jumps))
 
 
-def default_curve(T, level: int = 16) -> HilbertCurveMap:
-    """Curve on [-R, R]^2, R = HALF_SIDE_FACTOR * ||T||_2: it contains T's spectral disk."""
-    return HilbertCurveMap(level, default_half_side(operator_norm(T)))
+def default_curve(T) -> HilbertCurveMap:
+    """``decompose``'s curve: level 16 on [-R, R]^2, R = HALF_SIDE_FACTOR * ||T||_2,
+    a square that contains T's spectral disk."""
+    return HilbertCurveMap(half_side=default_half_side(operator_norm(T)))

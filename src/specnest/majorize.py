@@ -12,7 +12,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .curve import HilbertCurveMap
 from .decompose import decompose
 from .detbrown import fk_determinant
 from .matrices import (_check_invariant_projection, as_operator, frobenius, operator_norm,
@@ -274,13 +273,12 @@ def pinch_log_check(T, p) -> CheckReport:
     return CheckReport(rows)
 
 
-def weyl_check(T, gauges: Sequence = DEFAULT_GAUGES,
-               curve: HilbertCurveMap | None = None) -> CheckReport:
-    """Weyl inequality for the decomposition: N log-submajorized by T, and the
-    gauge traces of |N| equal the eigenvalue-modulus averages and stay below
-    those of |T|."""
+def weyl_check(T, gauges: Sequence = DEFAULT_GAUGES) -> CheckReport:
+    """Weyl inequality for the decomposition ``decompose(T)``: N log-submajorized
+    by T, and the gauge traces of |N| equal the eigenvalue-modulus averages and
+    stay below those of |T|."""
     T = as_operator(T)
-    result = decompose(T, curve)
+    result = decompose(T)
     svT = singular_values(T)
     svN = singular_values(result.N)
     verdict = _log_majorization(svT, svN)

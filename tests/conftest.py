@@ -19,6 +19,20 @@ def two_norm_calls(monkeypatch):
 
 
 @pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the arrays passed to ``np.linalg.svd``."""
+    original = np.linalg.svd
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.fixture
 def eigvals_calls(monkeypatch):
     """Shapes of the arrays passed to ``np.linalg.eigvals`` (a dense eigensolve each)."""
     original = np.linalg.eigvals

@@ -1,4 +1,9 @@
 """Conditional expectations, pinchings and the normal + nilpotent split."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +29,7 @@ from specnest.hsnest import build_nest, default_curve
 from specnest.matrices import CLUSTER_TOL, normalized_trace, operator_norm, spectrum_distance
 
 SHEAR = np.array([[1, 1], [0, 2]], dtype=complex)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def block_means(res) -> np.ndarray:
@@ -156,6 +162,7 @@ class TestDecomposeInvariants:
         assert d["reconstruction_error"] <= 1e-12 * normT
         assert d["normality_defect"] <= 1e-10 * (operator_norm(res.N) / normT) ** 2
         assert d["spectrum_gap"] <= 1e-8
+        assert d["spectrum_gap"] == np.max(np.abs(res.eigenvalues - block_means(res)))
         assert d["strict_upper_defect"] <= 1e-8 * normT
         assert d["q_spectral_radius"] <= 1e-8 * normT
         # An independent solver's spectrum matches N's, the block means.
@@ -194,6 +201,19 @@ class TestDecomposeInvariants:
     def test_decompose_solves_no_eigvals(self, eigvals_calls):
         decompose(random_matrix(67, 8))
         assert eigvals_calls == []
+
+    def test_spectrum_gap_imports_no_assignment_solver(self):
+        # Chained clusters, where an optimal matching of the spectra would
+        # fall back to scipy.optimize; the gap is read slot by slot instead.
+        code = ("import sys; import numpy as np; from specnest import decompose; "
+                "res = decompose(np.diag(1 + np.array([0, 0.9, 1.8, 2.7, 3.8]) * 1e-10)); "
+                "print(res.diagnostics['spectrum_gap'], 'scipy.optimize' in sys.modules)")
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+        gap, imported = out.split()
+        assert float(gap) == pytest.approx(1.35e-10, rel=1e-6)
+        assert imported == "False"
 
     def test_nonzero_flag_diagonal_of_q_raises(self):
         # One chained cluster (steps 0.9 CLUSTER_TOL ||T||) whose ends lie
@@ -298,6 +318,16 @@ class TestConvergenceReport:
     def test_all_checks_pass_on_random_matrix(self):
         report = convergence_report(random_matrix(61, 8))
         assert report.all_ok, report.failures()[:5]
+
+    def test_takes_one_svd_per_level_and_shift(self, svd_calls):
+        # 11 levels x 3 shifts lam for the determinant gaps, shared by the 3
+        # eps, and one per pinch level, shared by the 3 m.
+        T = random_matrix(68, 8)
+        convergence_report(T)
+        assert svd_calls == [(8, 8)] * 44
+        svd_calls.clear()
+        convergence_report(T, lam_list=(), m_list=())
+        assert svd_calls == []
 
     def test_row_families_present(self):
         report = convergence_report(random_matrix(62, 6), n_range=range(0, 5))

@@ -227,6 +227,24 @@ class TestCli:
         assert len(calls) == 1
         assert with_report.read_bytes() == plain.read_bytes()
 
+    def test_decompose_takes_two_two_norms(self, tmp_path, two_norm_calls):
+        # One ||T||_2 in decompose for the curve and the checks, one in build_nest.
+        matrix_path = tmp_path / "m.json"
+        serialize.write_matrix(str(matrix_path), ensembles.generate(
+            ensembles.EnsembleSpec(ensembles.Ginibre(8), seed=3))[0])
+        assert self.run("decompose", "--in", str(matrix_path),
+                        "--out", str(tmp_path / "dec.json")) == 0
+        assert two_norm_calls == [(8, 8), (8, 8)]
+
+    def test_curve_level_is_not_an_option(self, tmp_path, capsys):
+        matrix_path = tmp_path / "m.json"
+        serialize.write_matrix(str(matrix_path), np.eye(2))
+        with pytest.raises(SystemExit) as exit_info:
+            self.run("decompose", "--in", str(matrix_path), "--out",
+                     str(tmp_path / "dec.json"), "--curve-level", "16")
+        assert exit_info.value.code == 2
+        assert "--curve-level" in capsys.readouterr().err
+
     def test_huge_matrix_decomposes_to_strict_json(self, tmp_path):
         matrix_path = tmp_path / "m.json"
         T = ensembles.generate(ensembles.EnsembleSpec(ensembles.Ginibre(16), seed=5))[0]

@@ -241,6 +241,15 @@ class TestBuildNest:
             mean = complex(np.mean(diag[lo:hi]))
             assert t == deep_hit_index(curve, mean) / float(1 << (2 * DEEP_LEVEL))
 
+    @pytest.mark.parametrize("level", [33, 40])
+    def test_levels_past_deep_level_give_the_level_16_nest(self, level):
+        T = random_matrix(23, 16)
+        curve = default_curve(T)
+        ref = build_nest(T, curve)
+        nest = build_nest(T, HilbertCurveMap(level, curve.half_side))
+        assert nest.jumps == ref.jumps
+        assert np.array_equal(nest.basis, ref.basis)
+
     def test_half_side_must_cover_norm(self):
         T = 3.0 * np.eye(2)
         with pytest.raises(ValueError):
