@@ -35,7 +35,6 @@ from .hsnest import (
     Predicate,
     build_nest,
     default_curve,
-    growth_subspace_check,
     hs_projection,
     power_limit_operator,
 )

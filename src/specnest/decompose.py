@@ -15,7 +15,7 @@ import numpy as np
 from .curve import HilbertCurveMap
 from .detbrown import _counting_measure, _regularized_log_det
 from .hsnest import build_nest
-from .matrices import (ProjectionNest, as_operator, default_half_side, frobenius,
+from .matrices import (ProjectionNest, as_operator, default_half_side, frobenius, gemm,
                        operator_norm, singular_values)
 
 NEST_INVARIANCE_TOL = 1e-9
@@ -64,7 +64,7 @@ def _flag_form(T: np.ndarray, nest: ProjectionNest, norm: float) -> np.ndarray:
     against NEST_INVARIANCE_TOL * norm, where ``norm`` is ||T||_2.
     """
     U = nest.basis
-    B = U.conj().T @ T @ U
+    B = gemm(gemm(U, T, adj_a=True), U)
     sizes = [hi - lo for _, lo, hi in nest.increments()]
     block = np.repeat(np.arange(len(sizes)), sizes)
     leak = frobenius(B[block[:, None] > block[None, :]])
@@ -75,7 +75,7 @@ def _flag_form(T: np.ndarray, nest: ProjectionNest, norm: float) -> np.ndarray:
 
 def _average(U: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Expectation U diag(coeffs) U* from the block means of a flag form U*TU."""
-    return U @ (coeffs[:, None] * U.conj().T)
+    return gemm(U, coeffs[:, None] * U.conj().T)
 
 
 def _pinch(U: np.ndarray, B: np.ndarray, groups: list) -> np.ndarray:
@@ -157,7 +157,7 @@ def decompose(T) -> DecompositionResult:
     ordering = tuple((t, hi - lo, complex(coeffs[lo]))
                      for t, lo, hi in nest.increments())
 
-    BQ = U.conj().T @ Q @ U
+    BQ = gemm(gemm(U, Q, adj_a=True), U)
     # Q is upper triangular in the flag basis, so its eigenvalues are the
     # diagonal there; a dense eigensolver on the defective Q is meaningless.
     q_radius = float(np.max(np.abs(np.diag(BQ))))
@@ -166,7 +166,7 @@ def decompose(T) -> DecompositionResult:
     Ns = N / (normT or 1.0)
     diagnostics = {
         "reconstruction_error": frobenius(T - (N + Q)),
-        "normality_defect": frobenius(Ns @ Ns.conj().T - Ns.conj().T @ Ns),
+        "normality_defect": frobenius(gemm(Ns, Ns, adj_b=True) - gemm(Ns, Ns, adj_a=True)),
         # N is diagonal in the flag basis: its spectrum is the block means.
         "spectrum_gap": float(np.max(np.abs(eigs - coeffs))),
         "strict_upper_defect": frobenius(np.tril(BQ)),

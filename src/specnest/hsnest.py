@@ -137,63 +137,6 @@ def power_limit_operator(T, n: int) -> np.ndarray:
     return scale * 0.5 * (A + A.conj().T)
 
 
-@dataclasses.dataclass(frozen=True)
-class GrowthReport:
-    """Growth rates of ||T^n xi||^(1/n) inside and outside the r-subspace."""
-
-    r: float
-    n_max: int
-    rank: int
-    inside_rates: tuple
-    outside_rates: tuple
-    max_inside_rate: float
-    min_outside_rate: float
-
-
-def _growth_rate(T: np.ndarray, xi: np.ndarray, n_max: int) -> float:
-    """||T^n xi||^(1/n) at n = n_max, with renormalization to avoid overflow."""
-    log_norm = 0.0
-    v = xi / np.linalg.norm(xi)
-    for _ in range(n_max):
-        v = T @ v
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        log_norm += math.log(nv)
-        v = v / nv
-    return math.exp(log_norm / n_max)
-
-
-def growth_subspace_check(T, r: float, n_max: int = 64, samples: int = 8,
-                          seed: int = 0) -> GrowthReport:
-    """Diagnostic: growth rates of vectors in / orthogonal to the r-ball subspace."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    T = as_operator(T)
-    n = T.shape[0]
-    p = hs_projection(T, Ball(0.0, r))
-    k = int(round(np.trace(p).real))
-    rng = np.random.default_rng(seed)
-    inside, outside = [], []
-    for _ in range(samples):
-        xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v_in = p @ xi
-        if np.linalg.norm(v_in) > 1e-10:
-            inside.append(_growth_rate(T, v_in, n_max))
-        v_out = xi - p @ xi
-        if np.linalg.norm(v_out) > 1e-10:
-            outside.append(_growth_rate(T, v_out, n_max))
-    return GrowthReport(
-        r=float(r),
-        n_max=n_max,
-        rank=k,
-        inside_rates=tuple(inside),
-        outside_rates=tuple(outside),
-        max_inside_rate=max(inside) if inside else 0.0,
-        min_outside_rate=min(outside) if outside else math.inf,
-    )
-
-
 class AtomAtCurveStartError(ValueError):
     """An eigenvalue cluster occupies the curve's first cell for every anchor."""
 

@@ -3,6 +3,12 @@
 Normalized traces, singular value step functions, distribution functions,
 spectral nests of positive matrices, and Schur factorizations with a
 caller-supplied ordering of the eigenvalues on the diagonal.
+
+numpy and scipy each bundle their own OpenBLAS, each with its own thread
+pool, and two pools waking in turn compete for the cores. So the products
+(``gemm``) and 2-norms (``operator_norm``) that ``decompose`` reaches run in
+scipy's BLAS/LAPACK, next to its Schur form and reordering; numpy does the
+elementwise work.
 """
 from __future__ import annotations
 
@@ -39,8 +45,18 @@ def as_operator(matrix) -> np.ndarray:
 
 
 def operator_norm(T) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(as_operator(T), 2))
+    """Largest singular value (scipy's LAPACK; ``as_operator`` checked finiteness)."""
+    return float(scipy.linalg.svd(as_operator(T), compute_uv=False, check_finite=False)[0])
+
+
+def gemm(a: np.ndarray, b: np.ndarray, adj_a: bool = False, adj_b: bool = False) -> np.ndarray:
+    """Complex product op(a) op(b), op the adjoint where asked, by scipy's BLAS zgemm.
+
+    Equal to ``a @ b`` (or with ``a.conj().T``, ``b.conj().T``) and C-ordered.
+    BLAS computes the transpose, op(b)^T op(a)^T, whose factors are the
+    transposes of C-ordered operands: Fortran-ordered, so they are not copied.
+    """
+    return scipy.linalg.blas.zgemm(1.0, b.T, a.T, trans_a=2 * adj_b, trans_b=2 * adj_a).T
 
 
 def frobenius(R) -> float:
@@ -148,7 +164,7 @@ class ProjectionNest:
     def __post_init__(self):
         U = as_operator(self.basis)
         n = U.shape[0]
-        if frobenius(U.conj().T @ U - np.eye(n)) > 1e-10:
+        if frobenius(gemm(U, U, adj_a=True) - np.eye(n)) > 1e-10:
             raise ValueError("nest basis is not unitary")
         jumps = tuple((float(t), int(r)) for t, r in self.jumps)
         ts = [t for t, _ in jumps]
@@ -272,8 +288,8 @@ def reorder_schur(T: np.ndarray, R: np.ndarray, U: np.ndarray, keys, norm: float
     Ties are broken by (Re, Im), then by slot, so the flag is deterministic.
     LAPACK ``ztrexc`` moves one eigenvalue at a time by adjacent unitary
     exchanges and copies the diagonal exactly. ``norm`` is ||T||_2, the scale
-    of the residual check. Returns (U, R, perm): perm[k] is the slot, in the
-    given diagonal, of the eigenvalue now at slot k.
+    of the residual check. Returns (U, R, perm), U C-ordered: perm[k] is the
+    slot, in the given diagonal, of the eigenvalue now at slot k.
     """
     R = np.asfortranarray(R)
     U = np.asfortranarray(U)
@@ -291,7 +307,8 @@ def reorder_schur(T: np.ndarray, R: np.ndarray, U: np.ndarray, keys, norm: float
         if info != 0:
             raise ArithmeticError(f"ztrexc failed (info {info})")
         labels.insert(k, labels.pop(j))
-    resid = frobenius(T - U @ R @ U.conj().T)
+    U = np.ascontiguousarray(U)
+    resid = frobenius(T - gemm(gemm(U, R), U, adj_b=True))
     if resid > 1e-9 * norm:
         raise ArithmeticError(
             f"Schur reordering lost accuracy (residual {resid:.3e})"

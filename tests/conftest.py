@@ -1,20 +1,22 @@
 """Shared fixtures."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 
 @pytest.fixture
 def two_norm_calls(monkeypatch):
-    """Shapes of the arrays passed to ``np.linalg.norm(x, 2)`` (an SVD each)."""
-    original = np.linalg.norm
+    """Shapes of the arrays passed to ``scipy.linalg.svd`` without singular vectors,
+    as ``matrices.operator_norm`` takes a 2-norm (an SVD each)."""
+    original = scipy.linalg.svd
     calls = []
 
-    def counting(x, ord=None, *args, **kwargs):
-        if ord == 2:
-            calls.append(np.shape(x))
-        return original(x, ord, *args, **kwargs)
+    def counting(a, *args, compute_uv=True, **kwargs):
+        if not compute_uv:
+            calls.append(np.shape(a))
+        return original(a, *args, compute_uv=compute_uv, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "norm", counting)
+    monkeypatch.setattr(scipy.linalg, "svd", counting)
     return calls
 
 

@@ -186,7 +186,7 @@ class TestDecomposeInvariants:
 
     def test_decompose_takes_two_two_norms(self, two_norm_calls):
         # One ||T||_2 for the default curve and the diagnostics, one inside
-        # build_nest; the guards and residual diagnostics use nrm2.
+        # build_nest (scipy SVDs); the guards and residual diagnostics use nrm2.
         decompose(random_matrix(65, 8))
         assert two_norm_calls == [(8, 8), (8, 8)]
 
@@ -201,6 +201,16 @@ class TestDecomposeInvariants:
     def test_decompose_solves_no_eigvals(self, eigvals_calls):
         decompose(random_matrix(67, 8))
         assert eigvals_calls == []
+
+    def test_decompose_calls_nothing_in_numpy_linalg(self, monkeypatch):
+        # Its products and 2-norms run in scipy's BLAS/LAPACK, not numpy's.
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        T = generate(EnsembleSpec(Ginibre(8), seed=68))[0]
+        for name in ("norm", "svd", "eigvals", "qr"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        decompose(T)
 
     def test_spectrum_gap_imports_no_assignment_solver(self):
         # Chained clusters, where an optimal matching of the spectra would

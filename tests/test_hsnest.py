@@ -1,4 +1,4 @@
-"""Region projections, power limits, growth rates and curve-ordered nests."""
+"""Region projections, power limits and curve-ordered nests."""
 import math
 
 import numpy as np
@@ -15,7 +15,6 @@ from specnest.hsnest import (
     Predicate,
     build_nest,
     default_curve,
-    growth_subspace_check,
     hs_projection,
     power_limit_operator,
 )
@@ -197,20 +196,6 @@ class TestPowerLimit:
         A = power_limit_operator(T, n)
         B = power_limit_operator(U @ T @ U.conj().T, n)
         assert np.linalg.norm(B - U @ A @ U.conj().T, 2) <= 1e-12 * np.linalg.norm(A, 2)
-
-
-class TestGrowthSubspace:
-    def test_shear_growth_rates_split_at_radius(self):
-        # [DERIVED] e1 is the eigenvector for 1, so ||T^n e1|| grows at rate 1;
-        # generic vectors pick up the rate-2 component.
-        report = growth_subspace_check(SHEAR, r=1.5, n_max=64)
-        assert report.rank == 1
-        assert report.max_inside_rate <= 1.5
-        assert report.min_outside_rate > 1.5
-
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            growth_subspace_check(SHEAR, r=0.0)
 
 
 class TestBuildNest:

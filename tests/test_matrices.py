@@ -12,6 +12,7 @@ from specnest.matrices import (
     as_operator,
     cluster_eigenvalues,
     distribution_function,
+    gemm,
     normalized_trace,
     operator_norm,
     ordered_schur,
@@ -70,6 +71,21 @@ class TestTraceAndNorms:
     def test_norm_vs_radius(self):
         T = random_matrix(0, 6)
         assert spectral_radius(T) <= operator_norm(T) + 1e-12
+
+
+class TestGemm:
+    # From 2x2 up numpy's @ calls BLAS zgemm too (a 1x1 it multiplies itself).
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    @pytest.mark.parametrize("order_a", ["C", "F"])
+    @pytest.mark.parametrize("order_b", ["C", "F"])
+    def test_equals_matmul_exactly(self, n, order_a, order_b):
+        a = np.asarray(random_matrix(n, n), order=order_a)
+        b = np.asarray(random_matrix(n + 1, n), order=order_b)
+        for got, want in [(gemm(a, b), a @ b),
+                          (gemm(a, b, adj_a=True), a.conj().T @ b),
+                          (gemm(a, b, adj_b=True), a @ b.conj().T)]:
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous
 
 
 class TestPsdEigenvalues:
