@@ -18,7 +18,7 @@ from .decompose import convergence_report, decompose
 from .detbrown import brown_density_grid, brown_measure_exact
 from .hsnest import Ball, hs_projection
 from .majorize import DEFAULT_GAUGES, LogShift, Power, pinch_log_check, weyl_check
-from .matrices import frobenius, operator_norm
+from .matrices import frobenius
 
 
 def _out_dir(path: str | None) -> str:
@@ -120,7 +120,7 @@ def _cmd_check_lemmas(args) -> int:
     report = convergence_report(T, n_range=range(0, args.n_max + 1))
     rows = list(report.rows)
     n = T.shape[0]
-    normT = operator_norm(T)
+    normT = report.decomposition.diagnostics["operator_norm"]
     # Pinching inequality along the nest: coordinate cut at every jump rank.
     nest = report.decomposition.nest
     for _, rank in nest.jumps[1:-1]:

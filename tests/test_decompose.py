@@ -329,15 +329,26 @@ class TestConvergenceReport:
         report = convergence_report(random_matrix(61, 8))
         assert report.all_ok, report.failures()[:5]
 
-    def test_takes_one_svd_per_level_and_shift(self, svd_calls):
-        # 11 levels x 3 shifts lam for the determinant gaps, shared by the 3
-        # eps, and one per pinch level, shared by the 3 m.
+    def test_takes_one_svd_per_pinch_level(self, svd_calls):
+        # The level rows read the flag diagonal; only the 11 pinch levels take
+        # an SVD, shared by the 3 m.
         T = random_matrix(68, 8)
         convergence_report(T)
-        assert svd_calls == [(8, 8)] * 44
+        assert svd_calls == [(8, 8)] * 11
         svd_calls.clear()
         convergence_report(T, lam_list=(), m_list=())
         assert svd_calls == []
+
+    def test_calls_nothing_in_numpy_linalg_without_pinch_rows(self, monkeypatch,
+                                                              two_norm_calls):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        T = random_matrix(69, 8)
+        for name in ("norm", "svd", "eigvals", "qr"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        convergence_report(T, lam_list=(), m_list=())
+        assert two_norm_calls == [(8, 8), (8, 8)]
 
     def test_row_families_present(self):
         report = convergence_report(random_matrix(62, 6), n_range=range(0, 5))
@@ -350,16 +361,31 @@ class TestConvergenceReport:
         assert all(np.isinf(r.bound) for r in rows if r.n < 4)
         assert all(np.isfinite(r.bound) for r in rows if r.n == 4)
 
-    def test_rows_match_dense_recomputation(self):
-        T = random_matrix(64, 6)
+    @pytest.mark.parametrize("T, peak_failures", [
+        (random_matrix(64, 6), ()),
+        (generate(EnsembleSpec(UpperTriangularRandom(8), seed=64))[0], ()),
+        (generate(EnsembleSpec(NormalPlusNilpotent(8), seed=64))[0], ()),
+        # Eigenvalues 0.024 apart on a circle still share level-10 groups, so
+        # the det_gap rows at lam_peak with eps 0.1 and 0.01 fail.
+        (generate(EnsembleSpec(Jordan(0.3 - 0.4j, 8)))[0] + 1e-12 * np.eye(8, k=-7),
+         (0.1, 0.01)),
+        # A cluster chained in steps of CLUSTER_TOL / 2: its block mean c
+        # differs from the flag diagonal by 5e-11.
+        (np.triu(random_matrix(65, 6), 1) + np.diag(np.r_[
+            1 + np.array([0.0, 0.5, 1.0]) * CLUSTER_TOL, np.diag(random_matrix(65, 6))[3:]]),
+         ()),
+    ], ids=["ginibre6", "upper-triangular8", "normal-plus-nilpotent8", "jordan8-corner",
+            "chained-cluster6"])
+    def test_rows_match_dense_recomputation(self, T, peak_failures):
+        # The report reads closed forms on the flag diagonal; the reference
+        # forms E_n, the pinchings and their SVDs densely.
         report = convergence_report(T)
         res = decompose(T)
         assert report.decomposition.nest.jumps == res.nest.jumps
         assert np.array_equal(report.decomposition.nest.basis, res.nest.basis)
         curve = default_curve(T)
         measure = _counting_measure(res.eigenvalues, res.diagnostics["operator_norm"])
-        eigs = res.eigenvalues
-        lams = (0.0, 1.0 + 1.0j, complex(eigs[np.argmax(np.abs(eigs))]))
+        lams = (0.0, 1.0 + 1.0j, max((z for z, _ in measure.atoms), key=abs))
         U = res.nest.basis
         rows = []
         for n in range(0, 11):
@@ -379,5 +405,9 @@ class TestConvergenceReport:
             seq = [np.exp(regularized_log_det(P, 0.0, 1.0 / m)) for P in pinches]
             rows.extend(("pinch_det_monotone", n, (float(m),), seq[n], seq[n - 1])
                         for n in range(1, 11))
-        assert [(r.check, r.n, r.params, r.value, r.bound) for r in report.rows] == rows
-        assert report.all_ok
+        assert [(r.check, r.n, r.params) for r in report.rows] == [row[:3] for row in rows]
+        for field, i in (("value", 3), ("bound", 4)):
+            assert [getattr(r, field) for r in report.rows] == pytest.approx(
+                [row[i] for row in rows], rel=1e-12, abs=1e-13)
+        assert [(r.check, r.n, r.params) for r in report.failures()] == [
+            ("det_gap", 10, (lams[2], eps)) for eps in peak_failures]

@@ -205,6 +205,15 @@ class TestCli:
         assert self.run("check", "lemmas", "--in", str(matrix_path)) == 0
         assert len(calls) == 1
 
+    def test_check_lemmas_takes_nine_two_norms(self, tmp_path, two_norm_calls):
+        # Two in decompose, reused for the printed norm, and one per
+        # pinch_log_check cut at the 7 inner jumps.
+        matrix_path = tmp_path / "m.json"
+        serialize.write_matrix(str(matrix_path), ensembles.generate(
+            ensembles.EnsembleSpec(ensembles.Ginibre(8), seed=4))[0])
+        assert self.run("check", "lemmas", "--in", str(matrix_path)) == 0
+        assert two_norm_calls == [(8, 8)] * 9
+
     def test_decompose_report_decomposes_once(self, tmp_path, monkeypatch):
         module = importlib.import_module("specnest.decompose")
         original = module.decompose
