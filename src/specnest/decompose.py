@@ -51,7 +51,7 @@ def _block_means(diag: np.ndarray, groups: list) -> np.ndarray:
     """The flag diagonal ``diag`` with each column group replaced by its mean."""
     coeffs = np.empty_like(diag)
     for lo, hi in groups:
-        coeffs[lo:hi] = np.mean(diag[lo:hi])
+        coeffs[lo:hi] = np.mean(diag[lo:hi]) if hi - lo > 1 else diag[lo]
     return coeffs
 
 

@@ -6,8 +6,12 @@ log potential on a grid.
 """
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
 import dataclasses
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -137,8 +141,8 @@ class DensityGrid:
         return ymin + (np.arange(ny) + 0.5) * h
 
     def mass_within(self, center: complex, radius: float) -> float:
-        X, Y = np.meshgrid(self.x_centers, self.y_centers, indexing="ij")
-        mask = (X - center.real) ** 2 + (Y - center.imag) ** 2 <= radius**2
+        dx2 = (self.x_centers[:, None] - center.real) ** 2
+        mask = dx2 + (self.y_centers[None, :] - center.imag) ** 2 <= radius**2
         return float(np.sum(self.cell_mass[mask]))
 
 
@@ -155,8 +159,62 @@ def default_bounds(T) -> tuple:
 # The Gram kernel runs when rho = n u (|T|_2 + max|lam|)^2 / eps is at most
 # this; rho bounds its phi error to first order (see _batched_log_phi).
 GRAM_RHO_MAX = 2e-4
-# Grid points per batched Cholesky: small batches stay in cache.
-GRAM_CHUNK = 64
+# Matrix entries per chunk of either kernel, max(1, CHUNK_ENTRIES // n^2)
+# grid points: small chunks stay in cache, and large enough ones keep the
+# per-chunk Python work (which holds the interpreter lock) small.
+CHUNK_ENTRIES = 16 * 32 * 32
+
+# Runs all chunk shares but the caller's; made on first use (which imports
+# the executor's module), dropped in a forked child, whose copy would have no
+# threads.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_share(fn, starts) -> None:
+    for start in starts:
+        fn(start)
+
+
+def _map_chunks(fn, count: int, step: int) -> None:
+    """Call ``fn(start)`` for every start in range(0, count, step), on every usable core.
+
+    The starts are dealt round-robin into one share per core (at most one per
+    chunk); the calling thread runs the first share and a pool of cores - 1
+    threads the others, each in a copy of the caller's context (numpy's
+    errstate is a context variable). Each ``fn(start)`` must write only its own
+    chunk's output, so the result does not depend on the number of cores. With
+    one core, or one chunk, the chunks run in a plain loop.
+    """
+    global _pool
+    starts = range(0, count, step)
+    cores = len(os.sched_getaffinity(0))
+    shares = min(cores, len(starts))
+    if shares <= 1:
+        _run_share(fn, starts)
+        return
+    with _pool_lock:
+        if _pool is None:
+            _pool = concurrent.futures.ThreadPoolExecutor(
+                cores - 1, thread_name_prefix="specnest-chunks")
+        pool = _pool
+    futures = [pool.submit(contextvars.copy_context().run, _run_share, fn, starts[i::shares])
+               for i in range(1, shares)]
+    try:
+        _run_share(fn, starts[::shares])
+    finally:
+        concurrent.futures.wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _batched_log_phi(T: np.ndarray, lams: np.ndarray, eps: float, norm: float) -> tuple:
@@ -172,11 +230,14 @@ def _batched_log_phi(T: np.ndarray, lams: np.ndarray, eps: float, norm: float) -
     about rho / 2, with rho = n u (|T|_2 + max|lam|)^2 / eps; rho is
     invariant under (T, lam, eps) -> (cT, c lam, c^2 eps). When
     rho > GRAM_RHO_MAX the kernel takes the singular values of T - lam
-    instead, which does not square the condition number.
+    instead, which does not square the condition number. Either kernel runs
+    in chunks of CHUNK_ENTRIES matrix entries spread over every usable core
+    (``_map_chunks``); each point's phi depends on its own lam alone.
     """
     n = T.shape[0]
     rho = float(n * np.finfo(float).eps * np.square(norm + np.max(np.abs(lams))) / eps)
     out = np.empty(len(lams))
+    step = max(1, CHUNK_ENTRIES // (n * n))
     if rho <= GRAM_RHO_MAX:
         Th = T.conj().T
         eye = np.eye(n, dtype=complex)
@@ -185,20 +246,26 @@ def _batched_log_phi(T: np.ndarray, lams: np.ndarray, eps: float, norm: float) -
         terms = np.stack([Th @ T + eps * eye, T + Th, 1j * (Th - T), eye])
         terms = terms.reshape(4, -1).view(float)
         diag = np.arange(n)
-        for start in range(0, len(lams), GRAM_CHUNK):
-            lam = lams[start : start + GRAM_CHUNK]
+
+        def chunk(start):
+            lam = lams[start : start + step]
             coef = np.stack([np.ones(len(lam)), -lam.real, -lam.imag, np.abs(lam) ** 2], axis=1)
             L = np.linalg.cholesky((coef @ terms).view(complex).reshape(-1, n, n))
             out[start : start + len(lam)] = np.mean(np.log(L[:, diag, diag].real), axis=1)
-        return out, "cholesky", rho
-    eye = np.eye(n)
-    chunk = max(1, 2_000_000 // (n * n))
-    for start in range(0, len(lams), chunk):
-        batch = lams[start : start + chunk]
-        mats = T[None, :, :] - batch[:, None, None] * eye[None, :, :]
-        sv = np.linalg.svd(mats, compute_uv=False)
-        out[start : start + len(batch)] = 0.5 * np.mean(np.log(sv**2 + eps), axis=1)
-    return out, "svd", rho
+
+        kernel = "cholesky"
+    else:
+        eye = np.eye(n)
+
+        def chunk(start):
+            batch = lams[start : start + step]
+            mats = T[None, :, :] - batch[:, None, None] * eye[None, :, :]
+            sv = np.linalg.svd(mats, compute_uv=False)
+            out[start : start + len(batch)] = 0.5 * np.mean(np.log(sv**2 + eps), axis=1)
+
+        kernel = "svd"
+    _map_chunks(chunk, len(lams), step)
+    return out, kernel, rho
 
 
 def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> DensityGrid:
@@ -227,11 +294,17 @@ def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> Den
     if nx < 32 or ny < 32:
         raise ValueError("resolution must be at least 32 per axis")
     xmin, xmax, ymin, ymax = bounds
-    rad = spectral_radius(T) + 3.0 * math.sqrt(eps)
-    if not (xmin <= -rad and xmax >= rad and ymin <= -rad and ymax >= rad):
-        raise ValueError(
-            f"bounds {bounds} do not cover the spectral disk of radius {rad:.4g}"
-        )
+
+    def covers(rad):
+        return xmin <= -rad and xmax >= rad and ymin <= -rad and ymax >= rad
+
+    # rho(T) <= |T|_2, so the eigensolve runs only when the norm's disk is not covered.
+    if not covers(norm + 3.0 * math.sqrt(eps)):
+        rad = spectral_radius(T) + 3.0 * math.sqrt(eps)
+        if not covers(rad):
+            raise ValueError(
+                f"bounds {bounds} do not cover the spectral disk of radius {rad:.4g}"
+            )
     hx = (xmax - xmin) / nx
     hy = (ymax - ymin) / ny
     xs = xmin + (np.arange(nx) + 0.5) * hx

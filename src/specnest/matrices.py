@@ -261,7 +261,8 @@ def eigenvalue_clusters(eigs: np.ndarray, norm: float) -> list:
     does) of each other (chained) form one cluster, represented by its mean.
     """
     tol = CLUSTER_TOL * norm
-    return [(complex(np.mean(eigs[ix])), ix) for ix in cluster_eigenvalues(eigs, tol)]
+    return [(complex(np.mean(eigs[ix]) if len(ix) > 1 else eigs[ix[0]]), ix)
+            for ix in cluster_eigenvalues(eigs, tol)]
 
 
 def spectrum_distance(a: np.ndarray, b: np.ndarray) -> float:

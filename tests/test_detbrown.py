@@ -1,10 +1,17 @@
 """Determinants, spectral measures, density grids and block identities."""
+import multiprocessing
+import os
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specnest import detbrown
 from specnest.detbrown import (
+    CHUNK_ENTRIES,
     SpectralMeasure,
     _batched_log_phi,
     block_det_identity_check,
@@ -114,6 +121,25 @@ class TestDensityGrid:
         with pytest.raises(ValueError):
             brown_density_grid(np.diag([5.0, -5.0]), bounds=(-1, 1, -1, 1))
 
+    def test_default_bounds_solve_no_eigvals(self, eigvals_calls):
+        # The default square covers the disk of radius |T|_2 >= rho(T).
+        brown_density_grid(random_matrix(4, 8), resolution=32)
+        assert eigvals_calls == []
+
+    def test_bounds_inside_the_norm_disk_solve_eigvals_once(self, eigvals_calls):
+        # |T|_2 = 10 but rho(T) = 0: only the eigenvalues show the bounds cover.
+        T = np.array([[0.0, 10.0], [0.0, 0.0]])
+        grid = brown_density_grid(T, bounds=(-1, 1, -1, 1), resolution=32)
+        assert eigvals_calls == [(2, 2)]
+        assert grid.total_mass == pytest.approx(1.0, abs=0.05)
+
+    def test_mass_within_matches_meshgrid_mask(self):
+        grid = brown_density_grid(random_matrix(3, 6), resolution=48, eps=1e-6)
+        X, Y = np.meshgrid(grid.x_centers, grid.y_centers, indexing="ij")
+        for center, radius in [(0.1 - 0.2j, 0.5), (0j, 1.0), (-0.3 + 0.4j, 0.05)]:
+            mask = (X - center.real) ** 2 + (Y - center.imag) ** 2 <= radius**2
+            assert grid.mass_within(center, radius) == float(np.sum(grid.cell_mass[mask]))
+
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             brown_density_grid(np.eye(2), bounds=(-3, 3, -3, 3), resolution=16)
@@ -180,6 +206,86 @@ class TestLogPhiKernel:
         T = generate(EnsembleSpec(Ginibre(8), seed=3))[0]
         with pytest.raises(OverflowError):
             brown_density_grid(1e154 * T, resolution=32)
+
+
+def serial_map_chunks(fn, count, step):
+    for start in range(0, count, step):
+        fn(start)
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores and a fresh chunk pool, shut down afterwards."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(detbrown, "_pool", None)
+    yield
+    if detbrown._pool is not None:
+        detbrown._pool.shutdown()
+
+
+def grid_in_child():
+    grid = brown_density_grid(random_matrix(1, 32), resolution=32)
+    os._exit(0 if np.isfinite(grid.total_mass) else 1)
+
+
+class TestChunkMap:
+    """The chunk loop on every usable core gives the serial loop's phi bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 8, 32])
+    @pytest.mark.parametrize("eps, kernel", [(1e-8, "cholesky"), (1e-13, "svd")])
+    def test_threaded_phi_equals_serial_loop(self, n, eps, kernel, two_cores, monkeypatch):
+        T = random_matrix(n, n)
+        step = max(1, CHUNK_ENTRIES // (n * n))
+        # Seven chunks, the last one short: not a multiple of the two shares.
+        lams = grid_points(T, 90)[: 7 * step - 3]
+        assert len(lams) == 7 * step - 3
+        threads = set()
+        threaded_map = detbrown._map_chunks
+
+        def recording(fn, count, step):
+            def chunk(start):
+                threads.add(threading.get_ident())
+                fn(start)
+            threaded_map(chunk, count, step)
+
+        monkeypatch.setattr(detbrown, "_map_chunks", recording)
+        phi, ran, _ = _batched_log_phi(T, lams, eps, operator_norm(T))
+        monkeypatch.setattr(detbrown, "_map_chunks", serial_map_chunks)
+        serial, _, _ = _batched_log_phi(T, lams, eps, operator_norm(T))
+        assert ran == kernel
+        assert len(threads) == 2
+        assert phi.tobytes() == serial.tobytes()
+
+    def test_one_core_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(detbrown, "_pool", None)
+        before = threading.active_count()
+        brown_density_grid(random_matrix(2, 32), resolution=64)
+        assert threading.active_count() == before
+        assert detbrown._pool is None
+
+    def test_worker_keeps_the_callers_errstate(self, two_cores):
+        # The SVD kernel squares ~1e155 singular values in both shares; the
+        # grid's errstate(over="ignore") must reach the pool thread too.
+        T = generate(EnsembleSpec(Ginibre(8), seed=3))[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                brown_density_grid(T, bounds=(-1e155, 1e155, -1e155, 1e155),
+                                   resolution=32, eps=1e-8)
+        assert detbrown._pool is not None
+
+    def test_forked_child_builds_its_own_pool(self, two_cores):
+        brown_density_grid(random_matrix(1, 32), resolution=32)
+        assert detbrown._pool is not None
+        child = multiprocessing.get_context("fork").Process(target=grid_in_child)
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("grid in a forked child did not finish")
+        assert child.exitcode == 0
 
 
 class TestBlockDetIdentity:

@@ -164,6 +164,15 @@ class TestCli:
         assert out.read_text().startswith("# bounds=")
         assert "cholesky kernel, rho " in capsys.readouterr().out
 
+    def test_brown_solves_one_eigvals(self, tmp_path, eigvals_calls):
+        # The grid's default bounds cover the norm disk; the atom count needs one.
+        matrix_path = tmp_path / "m.json"
+        serialize.write_matrix(str(matrix_path), ensembles.generate(
+            ensembles.EnsembleSpec(ensembles.Ginibre(8), seed=4))[0])
+        assert self.run("brown", "--in", str(matrix_path), "--grid", "32",
+                        "--out", str(tmp_path / "grid.csv")) == 0
+        assert eigvals_calls == [(8, 8)]
+
     def test_hs_command(self, tmp_path):
         matrix_path = tmp_path / "m.json"
         serialize.write_matrix(str(matrix_path), np.array([[1, 1], [0, 2]], dtype=complex))

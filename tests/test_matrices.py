@@ -12,6 +12,7 @@ from specnest.matrices import (
     as_operator,
     cluster_eigenvalues,
     distribution_function,
+    eigenvalue_clusters,
     gemm,
     normalized_trace,
     operator_norm,
@@ -210,6 +211,14 @@ class TestClusterEigenvalues:
         eigs = np.array([2.0, 1j, 2.0, 0.0, 1j, 2.0])
         groups = cluster_eigenvalues(eigs, 0.0)
         assert [g.tolist() for g in groups] == [[0, 2, 5], [1, 4], [3]]
+
+
+    def test_representative_is_the_cluster_mean(self):
+        eigs = np.array([1.0, 2e-11, 3.0 - 1j, 0.0, 1.0 + 1e-12j, 1e-11])
+        clusters = eigenvalue_clusters(eigs, 1.0)
+        assert [ix.tolist() for _, ix in clusters] == [[0, 4], [1, 3, 5], [2]]
+        for rep, ix in clusters:
+            assert rep == complex(np.mean(eigs[ix]))
 
 
 class TestSpectrumDistance:
