@@ -18,43 +18,58 @@ DEEP_LEVEL = 32
 MODULUS_CONSTANT = 6.0  # see HilbertCurveMap.modulus (a sampled invariant)
 
 
+def _chunk_tables():
+    """Four curve levels per step: for key ``state << 8 | x_chunk << 4 | y_chunk``
+    the 8 index bits and ``next state << 8``, and the inverse map
+    ``state << 8 | index bits -> next state << 8 | x_chunk << 4 | y_chunk``.
+
+    A state is the frame of the remaining bits: bit 0 swaps x and y, bit 1
+    complements both (the per-bit Hilbert step applies one or both).
+    """
+    index, nxt, inverse = [0] * 1024, [0] * 1024, [0] * 1024
+    for key in range(1024):
+        state, d = key >> 8, 0
+        for b in (3, 2, 1, 0):
+            rx, ry = (key >> 4 + b) & 1, (key >> b) & 1
+            if state & 1:
+                rx, ry = ry, rx
+            rx, ry = rx ^ (state >> 1), ry ^ (state >> 1)
+            d = d << 2 | (3 * rx) ^ ry
+            if ry == 0:
+                state ^= 1 | rx << 1
+        index[key], nxt[key] = d, state << 8
+        inverse[key & 0x300 | d] = state << 8 | key & 0xFF
+    return index, nxt, inverse
+
+
+_XY2D_INDEX, _XY2D_NEXT, _D2XY = _chunk_tables()
+_D2XY_ARRAY = np.array(_D2XY, dtype=np.int64)
+
+
 def _d2xy(order: int, d):
     """Curve index -> cell coordinates on the 2**order grid.
 
-    Branch-free, so ``d`` may be a Python int (exact at any order) or an
-    int64 array (order <= 31).
+    ``d`` may be a Python int (exact at any order) or an int64 array
+    (order <= 31), which is left unmodified.
     """
+    table = _D2XY_ARRAY if isinstance(d, np.ndarray) else _D2XY
+    # The walk pads order to a multiple of 4 with leading zero bits, each of
+    # which swaps the frame; it starts in the frame those swaps undo.
     x = y = 0
-    t = d
-    for k in range(order):
-        s = 1 << k
-        rx = 1 & (t >> 1)
-        ry = 1 & (t ^ rx)
-        swap = 1 - ry
-        flip = swap & rx
-        x = x + flip * (s - 1 - 2 * x)
-        y = y + flip * (s - 1 - 2 * y)
-        x, y = x + swap * (y - x), y + swap * (x - y)
-        x = x + s * rx
-        y = y + s * ry
-        t = t >> 2
+    state = (-order % 4 & 1) << 8
+    for shift in range(8 * ((order + 3) // 4) - 8, -1, -8):
+        v = table[state | (d >> shift) & 0xFF]
+        x, y, state = x << 4 | (v >> 4) & 15, y << 4 | v & 15, v & 0x300
     return x, y
 
 
 def _xy2d(order: int, x: int, y: int) -> int:
     """Cell coordinates -> curve index (exact integers)."""
     d = 0
-    s = 1 << (order - 1)
-    while s > 0:
-        rx = 1 if (x & s) > 0 else 0
-        ry = 1 if (y & s) > 0 else 0
-        d += s * s * ((3 * rx) ^ ry)
-        if ry == 0:
-            if rx == 1:
-                x = s - 1 - x
-                y = s - 1 - y
-            x, y = y, x
-        s >>= 1
+    state = (-order % 4 & 1) << 8  # as in _d2xy
+    for shift in range(4 * ((order + 3) // 4) - 4, -1, -4):
+        key = state | (x >> shift & 15) << 4 | y >> shift & 15
+        d, state = d << 8 | _XY2D_INDEX[key], _XY2D_NEXT[key]
     return d
 
 
@@ -119,21 +134,6 @@ def curve_point(curve: HilbertCurveMap, t: float) -> complex:
     return complex(*_cell_center(curve, idx))
 
 
-def _candidate_cells(curve: HilbertCurveMap, coord: float) -> list:
-    """Cell indices along one axis whose closed cell contains the coordinate."""
-    R = curve.half_side
-    side = curve.cells_per_side
-    slack = 1e-12 * R
-    if coord < -R - slack or coord > R + slack:
-        raise ValueError(f"point with coordinate {coord} outside the square of half-side {R}")
-    frac = (min(max(coord, -R), R) + R) / curve.cell_side
-    i = min(side - 1, int(math.floor(frac)))
-    cells = [i]
-    if frac == math.floor(frac) and 1 <= frac <= side - 1:
-        cells.append(i - 1)  # point sits on a shared edge
-    return cells
-
-
 def hit_index(curve: HilbertCurveMap, z: complex, level: int | None = None) -> int:
     """Curve index of the cell containing z at the given level (default: map level).
 
@@ -141,12 +141,24 @@ def hit_index(curve: HilbertCurveMap, z: complex, level: int | None = None) -> i
     """
     if level is None:
         level = curve.level
-    base = dataclasses.replace(curve, level=level)
-    side = base.cells_per_side
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    R, side = curve.half_side, 1 << level
+    h, slack = 2.0 * R / side, 1e-12 * R
+    cells = []  # per axis, the cells whose closed cell contains the coordinate
+    for coord in (z.real, z.imag):
+        if not -R - slack <= coord <= R + slack:
+            raise ValueError(f"point with coordinate {coord} outside the square of half-side {R}")
+        frac = ((-R if coord < -R else R if coord > R else coord) + R) / h  # slack clamped
+        i = math.floor(frac)
+        if i >= side:  # coord = R, or a rounded subnormal cell side
+            i = side - 1
+        cells.append((i, i - 1) if frac == i >= 1 else (i,))  # i - 1: on a shared edge
+    xs, ys = cells
     inverse = -curve.anchor % 4  # the rotation that undoes the anchor's
-    return min(_xy2d(level, *_anchor_fwd(inverse, side, px, py))
-               for px in _candidate_cells(base, z.real)
-               for py in _candidate_cells(base, z.imag))
+    if len(xs) == len(ys) == 1:
+        return _xy2d(level, *_anchor_fwd(inverse, side, xs[0], ys[0]))
+    return min(_xy2d(level, *_anchor_fwd(inverse, side, px, py)) for px in xs for py in ys)
 
 
 def first_hit_time(curve: HilbertCurveMap, z: complex) -> float:

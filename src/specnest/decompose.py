@@ -220,6 +220,8 @@ def convergence_report(
     values |c_n - lam|. Only the pinch rows take the flag form (once) and
     SVDs (one per level, shared by every m).
     """
+    if not n_range:
+        raise ValueError("n_range must not be empty")
     T = as_operator(T)
     result = decompose(T)
     normT = result.diagnostics["operator_norm"]

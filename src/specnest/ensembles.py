@@ -10,15 +10,23 @@ from . import serialize
 from .matrices import as_operator
 
 
+class _Sized:
+    """An ensemble kind of n x n matrices, n >= 1."""
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+
+
 @dataclasses.dataclass(frozen=True)
-class Ginibre:
+class Ginibre(_Sized):
     """i.i.d. complex Gaussian entries, variance 1/n."""
 
     n: int
 
 
 @dataclasses.dataclass(frozen=True)
-class Jordan:
+class Jordan(_Sized):
     """Single Jordan block with eigenvalue lam."""
 
     lam: complex
@@ -26,7 +34,7 @@ class Jordan:
 
 
 @dataclasses.dataclass(frozen=True)
-class UpperTriangularRandom:
+class UpperTriangularRandom(_Sized):
     """Ginibre-style strict upper part; diagonal drawn from diagonal_law."""
 
     n: int
@@ -34,7 +42,7 @@ class UpperTriangularRandom:
 
 
 @dataclasses.dataclass(frozen=True)
-class NormalPlusNilpotent:
+class NormalPlusNilpotent(_Sized):
     """Random normal matrix plus a coupled nilpotent in the same flag."""
 
     n: int

@@ -329,6 +329,12 @@ class TestConvergenceReport:
         report = convergence_report(random_matrix(61, 8))
         assert report.all_ok, report.failures()[:5]
 
+    @pytest.mark.parametrize("n_range", [range(0), range(5, 2), []])
+    def test_empty_n_range_raises(self, n_range):
+        # No level would give no row, and an all-pass verdict on nothing.
+        with pytest.raises(ValueError, match="n_range"):
+            convergence_report(random_matrix(61, 4), n_range=n_range)
+
     def test_takes_one_svd_per_pinch_level(self, svd_calls):
         # The level rows read the flag diagonal; only the 11 pinch levels take
         # an SVD, shared by the 3 m.

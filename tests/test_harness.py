@@ -62,6 +62,17 @@ class TestEnsembles:
         with pytest.raises(ValueError):
             ensembles.EnsembleSpec(ensembles.Ginibre(4), count=0)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("make", [
+        ensembles.Ginibre,
+        lambda n: ensembles.Jordan(1.0, n),
+        ensembles.UpperTriangularRandom,
+        ensembles.NormalPlusNilpotent,
+    ], ids=["ginibre", "jordan", "upper-triangular", "normal-plus-nilpotent"])
+    def test_size_validation(self, make, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            make(n)
+
 
 class TestSerialize:
     def test_matrix_roundtrip(self):
@@ -196,6 +207,27 @@ class TestCli:
         T = (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))) / 4
         serialize.write_matrix(str(matrix_path), T)
         assert self.run("check", "lemmas", "--in", str(matrix_path), "--n-max", "6") == 0
+
+    def test_check_lemmas_rejects_empty_level_range(self, tmp_path, capsys):
+        matrix_path = tmp_path / "m.json"
+        serialize.write_matrix(str(matrix_path), np.array([[1, 1], [0, 2]], dtype=complex))
+        out = tmp_path / "lemmas.csv"
+        assert self.run("check", "lemmas", "--in", str(matrix_path), "--n-max", "-1",
+                        "--out", str(out)) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize("kind", ["ginibre", "jordan", "upper-triangular",
+                                      "normal-plus-nilpotent"])
+    def test_gen_rejects_nonpositive_size(self, tmp_path, capsys, kind, n):
+        # Runs with every RuntimeWarning an error: no numpy warning precedes the record.
+        out = tmp_path / "out"
+        assert self.run("gen", "--kind", kind, "--n", n, "--out", str(out)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"error": "ValueError", "message": "n must be >= 1"}]
+        assert not out.exists()
 
     def test_check_lemmas_decomposes_once(self, tmp_path, monkeypatch):
         module = importlib.import_module("specnest.decompose")

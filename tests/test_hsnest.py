@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specnest import curve as curve_module
 from specnest.curve import DEEP_LEVEL, HilbertCurveMap, deep_hit_index
-from specnest.ensembles import EnsembleSpec, Jordan, generate
+from specnest.ensembles import (
+    EnsembleSpec,
+    Ginibre,
+    Jordan,
+    NormalPlusNilpotent,
+    UpperTriangularRandom,
+    generate,
+)
 from specnest.hsnest import (
     AtomAtCurveStartError,
     Ball,
@@ -19,8 +27,29 @@ from specnest.hsnest import (
     power_limit_operator,
 )
 from specnest.matrices import operator_norm
+from test_curve import _xy2d_bits
 
 SHEAR = np.array([[1, 1], [0, 2]], dtype=complex)
+
+
+def _jordans(seed: int, corner: float = 0.0) -> list:
+    lams = np.random.default_rng(seed).uniform(-0.7, 0.7, (40, 2)) @ np.array([1.0, 1.0j])
+    mats = [generate(EnsembleSpec(Jordan(complex(lam), 16)))[0] for lam in lams]
+    for J in mats:
+        J[-1, 0] += corner
+    return mats
+
+
+# 40 inputs of each kind a batch of 16 x 16 decompositions mixes.
+BATCH_KINDS = {
+    "ginibre": lambda: generate(EnsembleSpec(Ginibre(16), seed=1, count=40)),
+    "upper-triangular": lambda: generate(EnsembleSpec(UpperTriangularRandom(16), seed=2,
+                                                      count=40)),
+    "normal-plus-nilpotent": lambda: generate(EnsembleSpec(NormalPlusNilpotent(16), seed=3,
+                                                           count=40)),
+    "jordan": lambda: _jordans(4),
+    "jordan-perturbed": lambda: _jordans(5, corner=1e-12),
+}
 
 
 def random_matrix(seed: int, n: int) -> np.ndarray:
@@ -234,6 +263,17 @@ class TestBuildNest:
         nest = build_nest(T, HilbertCurveMap(level, curve.half_side))
         assert nest.jumps == ref.jumps
         assert np.array_equal(nest.basis, ref.basis)
+
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    def test_nest_matches_per_bit_index_map(self, kind, monkeypatch):
+        for T in BATCH_KINDS[kind]():
+            curve = default_curve(T)
+            nest = build_nest(T, curve)
+            with monkeypatch.context() as patch:
+                patch.setattr(curve_module, "_xy2d", _xy2d_bits)
+                ref = build_nest(T, curve)
+            assert nest.jumps == ref.jumps
+            assert np.array_equal(nest.basis, ref.basis)
 
     def test_half_side_must_cover_norm(self):
         T = 3.0 * np.eye(2)
