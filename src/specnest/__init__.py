@@ -1,13 +1,12 @@
 """Curve-ordered normal + nilpotent matrix decomposition and its calculus."""
 
 from . import serialize
-from .curve import HilbertCurveMap, curve_point, first_hit_time
+from .curve import HilbertCurveMap
 from .decompose import (
     ConvergenceReport,
     DecompositionResult,
     convergence_report,
     decompose,
-    expectation_dyadic,
     expectation_full,
     pinch_commutant,
 )
@@ -32,7 +31,6 @@ from .ensembles import (
 from .hsnest import (
     Ball,
     CurveSegment,
-    Predicate,
     build_nest,
     default_curve,
     hs_projection,
@@ -43,25 +41,18 @@ from .majorize import (
     CustomGauge,
     LogShift,
     Power,
-    hlp_transfer,
     log_plus_equivalence_check,
     log_submajorizes,
     pinch_log_check,
     shift_lemma_check,
     submajorizes,
-    tau_log_plus,
     weyl_check,
 )
 from .matrices import (
     ProjectionNest,
-    StepFunction,
-    distribution_function,
-    normalized_trace,
     operator_norm,
     ordered_schur,
-    singular_value_function,
     singular_values,
-    spectral_nest,
 )
 
 __version__ = "0.1.0"

@@ -126,14 +126,6 @@ def _cell_center(curve: HilbertCurveMap, idx):
     return -curve.half_side + (px + 0.5) * h, -curve.half_side + (py + 0.5) * h
 
 
-def curve_point(curve: HilbertCurveMap, t: float) -> complex:
-    """Center of the level-m cell with curve index floor(t * 4**m); t=1 -> last cell."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    idx = min(curve.num_cells - 1, int(t * curve.num_cells))
-    return complex(*_cell_center(curve, idx))
-
-
 def hit_index(curve: HilbertCurveMap, z: complex, level: int | None = None) -> int:
     """Curve index of the cell containing z at the given level (default: map level).
 
@@ -161,20 +153,16 @@ def hit_index(curve: HilbertCurveMap, z: complex, level: int | None = None) -> i
     return min(_xy2d(level, *_anchor_fwd(inverse, side, px, py)) for px in xs for py in ys)
 
 
-def first_hit_time(curve: HilbertCurveMap, z: complex) -> float:
-    """Minimal t with z in the closed cell of curve index floor(t * 4**m)."""
-    return hit_index(curve, z) / curve.num_cells
-
-
 def deep_hit_index(curve: HilbertCurveMap, z: complex) -> int:
     """Hit index at the deep refinement level; refines the map-level index."""
     return hit_index(curve, z, level=DEEP_LEVEL)
 
 
 def curve_points_batch(curve: HilbertCurveMap, ts: np.ndarray) -> np.ndarray:
-    """Vectorized curve_point for sampling tests (map level must be <= 31)."""
+    """Centers of the level-m cells with curve indices floor(t * 4**m), t = 1 -> the
+    last cell, for an array of t (map level must be <= 31)."""
     if curve.level > 31:
-        raise ValueError("vectorized path supports level <= 31 only")
+        raise ValueError("map level must be <= 31 (int64 curve indices)")
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0) or np.any(ts > 1):
         raise ValueError("t values must lie in [0, 1]")

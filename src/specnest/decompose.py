@@ -1,9 +1,9 @@
 """Conditional expectations onto nest algebras and the normal + nilpotent split.
 
 The nest saturates at finitely many jumps, so the expectation onto the full
-nest algebra is computed directly from the jump increments; the dyadic
-expectations and block pinchings exist as testable approximants with explicit
-curve-modulus bounds.
+nest algebra is computed directly from the jump increments;
+``convergence_report`` checks the dyadic approximants against explicit
+curve-modulus bounds and the block pinchings for determinant monotonicity.
 """
 from __future__ import annotations
 
@@ -83,18 +83,6 @@ def _pinch(B: np.ndarray, groups: list) -> np.ndarray:
     for lo, hi in groups:
         P[lo:hi, lo:hi] = B[lo:hi, lo:hi]
     return P
-
-
-def expectation_dyadic(T, nest: ProjectionNest, n: int) -> np.ndarray:
-    """Expectation onto the algebra of the level-n dyadic nest projections.
-
-    Each dyadic increment f carries the block-average coefficient
-    trace(f T f) / trace(f); the result is a normal matrix, diagonal in the
-    flag basis and constant on each dyadic group.
-    """
-    T = as_operator(T)
-    B = _flag_form(T, nest, operator_norm(T))
-    return _average(nest.basis, _block_means(np.diag(B), _column_groups(nest, n)))
 
 
 def expectation_full(T, nest: ProjectionNest) -> np.ndarray:

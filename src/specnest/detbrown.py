@@ -90,8 +90,8 @@ def regularized_log_det(T, lam: complex = 0.0, eps: float = 1.0) -> float:
 
 def _regularized_log_det(sv: np.ndarray, eps: float) -> float:
     """``regularized_log_det`` from the singular values ``sv`` of T - lam."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     return float(np.mean(np.log(sv**2 + eps)))
 
 
@@ -283,8 +283,8 @@ def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> Den
     when phi is not finite (|T| too large for its squares to be represented).
     """
     T = as_operator(T)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     norm = operator_norm(T)
     if bounds is None:
         bounds = _square_bounds(norm)

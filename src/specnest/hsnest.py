@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 import scipy.linalg
@@ -32,8 +32,10 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not np.isfinite(self.center):
+            raise ValueError("center must be finite")
+        if not 0 <= self.radius < math.inf:
+            raise ValueError("radius must be nonnegative and finite")
 
     def contains(self, z: complex) -> bool:
         return abs(z - self.center) <= self.radius
@@ -54,15 +56,7 @@ class CurveSegment:
         return hit_index(self.curve, z) / self.curve.num_cells <= self.t
 
 
-@dataclasses.dataclass(frozen=True)
-class Predicate:
-    member: Callable[[complex], bool]
-
-    def contains(self, z: complex) -> bool:
-        return bool(self.member(z))
-
-
-BorelSet = Union[Ball, CurveSegment, Predicate]
+BorelSet = Union[Ball, CurveSegment]
 
 
 def hs_projection(T, region: BorelSet) -> np.ndarray:

@@ -27,8 +27,8 @@ class Power:
     p: float
 
     def __post_init__(self):
-        if self.p <= 0:
-            raise ValueError("p must be positive")
+        if not 0 < self.p < math.inf:
+            raise ValueError("p must be positive and finite")
 
     def __call__(self, t):
         return np.asarray(t, dtype=float) ** self.p
@@ -44,8 +44,8 @@ class LogShift:
     s: float
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError("s must be positive")
+        if not 0 < self.s < math.inf:
+            raise ValueError("s must be positive and finite")
 
     def __call__(self, t):
         return np.log1p(self.s * np.asarray(t, dtype=float))
@@ -87,11 +87,6 @@ DEFAULT_GAUGES = (Power(0.5), Power(1.0), Power(2.0), Power(4.0),
                   LogShift(1.0), LogShift(10.0))
 
 
-def gauge_trace(A, gauge) -> float:
-    """Normalized trace of gauge(|A|), via singular values."""
-    return float(np.mean(gauge(singular_values(A))))
-
-
 @dataclasses.dataclass(frozen=True)
 class MajorizationVerdict:
     ok: bool
@@ -104,11 +99,7 @@ class MajorizationVerdict:
 
 def submajorizes(A, B) -> MajorizationVerdict:
     """True iff every partial sum of B's singular values is below A's."""
-    return _submajorization(singular_values(A), singular_values(B))
-
-
-def _submajorization(svA: np.ndarray, svB: np.ndarray) -> MajorizationVerdict:
-    """Submajorization verdict on descending singular value arrays."""
+    svA, svB = singular_values(A), singular_values(B)
     if len(svA) != len(svB):
         raise ValueError("dimension mismatch")
     slack = 1e-10 * float(svA[0])
@@ -171,39 +162,11 @@ class CheckReport:
         return [r for r in self.rows if not r.ok]
 
 
-def hlp_transfer(A, B, gauges: Sequence) -> CheckReport:
-    """Submajorization transfers to trace inequalities for convex gauges.
-
-    Requires submajorizes(A, B); when the hypothesis fails the gauges are
-    reported as skipped rather than failed. Gauges here must themselves be
-    increasing and convex (Power with p >= 1, for instance).
-    """
-    svA = singular_values(A)
-    svB = singular_values(B)
-    if not _submajorization(svA, svB).ok:
-        return CheckReport((), skipped=tuple(g.label() for g in gauges))
-    rows = []
-    for gauge in gauges:
-        lhs = float(np.mean(gauge(svB)))
-        rhs = float(np.mean(gauge(svA)))
-        slack = 1e-10 * max(1.0, rhs)
-        rows.append(CheckRow("hlp", gauge.label(), lhs, rhs, rhs - lhs,
-                             lhs <= rhs + slack))
-    return CheckReport(tuple(rows))
-
-
 def _log_plus_traces(sv: np.ndarray, t) -> np.ndarray:
     """Mean of max(log(sv / t), 0) for a threshold t or an array of them."""
     with np.errstate(divide="ignore"):
         vals = np.log(sv / np.asarray(t, dtype=float)[..., None])
     return np.mean(np.maximum(vals, 0.0), axis=-1)
-
-
-def tau_log_plus(A, t: float) -> float:
-    """Normalized trace of max(log(|A| / t), 0)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return float(_log_plus_traces(singular_values(A), t))
 
 
 def log_plus_equivalence_check(A, B, t_grid=None) -> CheckReport:

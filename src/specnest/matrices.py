@@ -1,8 +1,8 @@
 """Dense complex matrix foundation.
 
-Normalized traces, singular value step functions, distribution functions,
-spectral nests of positive matrices, and Schur factorizations with a
-caller-supplied ordering of the eigenvalues on the diagonal.
+Operator validation, norms and singular values, projection nests,
+eigenvalue clusters, and Schur factorizations with a caller-supplied
+ordering of the eigenvalues on the diagonal.
 
 numpy and scipy each bundle their own OpenBLAS, each with its own thread
 pool, and two pools waking in turn compete for the cores. So the products
@@ -17,9 +17,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-
-# Acceptance tolerance for Hermitian / PSD inputs: ||A - A*||_F / ||A||_2.
-HERMITIAN_TOL = 1e-10
 
 # Two eigenvalues closer than this (relative to the operator norm) are
 # treated as one cluster with multiplicity.
@@ -70,81 +67,9 @@ def spectral_radius(T) -> float:
     return float(np.max(np.abs(eigs)))
 
 
-def normalized_trace(T) -> complex:
-    """Trace divided by dimension, so the identity has trace 1."""
-    A = as_operator(T)
-    return complex(np.trace(A) / A.shape[0])
-
-
-def _check_hermitian(A: np.ndarray) -> None:
-    gap = frobenius(A - A.conj().T)
-    if gap > HERMITIAN_TOL * operator_norm(A):
-        raise ValueError(f"matrix is not Hermitian within tolerance (gap {gap:.3e})")
-
-
-def psd_eigenvalues(A) -> np.ndarray:
-    """Eigenvalues of a Hermitian PSD matrix, descending, negatives clamped to 0.
-
-    Rejects non-Hermitian input; eigenvalues below -HERMITIAN_TOL * norm are
-    clamped rather than rejected, closing |T| = sqrt(T*T) under rounding.
-    """
-    A = as_operator(A)
-    _check_hermitian(A)
-    vals = np.linalg.eigvalsh(A)[::-1].copy()
-    vals[vals < 0.0] = 0.0
-    return vals
-
-
-@dataclasses.dataclass(frozen=True)
-class StepFunction:
-    """Right-continuous decreasing step function on (0, 1).
-
-    ``values[k]`` is the value on ``[breakpoints[k], breakpoints[k+1])``.
-    """
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if bp.ndim != 1 or vals.ndim != 1 or len(bp) != len(vals) + 1:
-            raise ValueError("need len(breakpoints) == len(values) + 1")
-        if bp[0] != 0.0 or bp[-1] != 1.0 or np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must increase strictly from 0 to 1")
-        if np.any(np.diff(vals) > 1e-12 * max(1.0, abs(vals[0]))) or np.any(vals < 0):
-            raise ValueError("values must be nonnegative and weakly decreasing")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
-
-    def __call__(self, t: float) -> float:
-        if not 0.0 <= t < 1.0:
-            raise ValueError(f"t must lie in [0, 1), got {t}")
-        k = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return float(self.values[min(k, len(self.values) - 1)])
-
-
 def singular_values(T) -> np.ndarray:
     """Singular values, descending."""
     return np.linalg.svd(as_operator(T), compute_uv=False)
-
-
-def singular_value_function(T) -> StepFunction:
-    """Decreasing rearrangement of the singular values as a step function.
-
-    Takes the value of the k-th largest singular value on [(k-1)/n, k/n).
-    """
-    sv = singular_values(T)
-    n = len(sv)
-    return StepFunction(np.arange(n + 1) / n, sv)
-
-
-def distribution_function(A, s: float) -> float:
-    """Normalized count of eigenvalues of a PSD matrix strictly above s."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    vals = psd_eigenvalues(A)
-    return float(np.count_nonzero(vals > s)) / len(vals)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -216,20 +141,6 @@ def _check_invariant_projection(T: np.ndarray, p: np.ndarray, norm: float) -> No
         raise ValueError("p is not an orthogonal projection")
     if frobenius(T @ p - p @ T @ p) > 1e-8 * norm:
         raise ValueError("range of p is not T-invariant")
-
-
-def spectral_nest(A) -> ProjectionNest:
-    """Nest of spectral projections of a PSD matrix, eigenvalues descending.
-
-    Jumps sit at t = k/n, so that A = sum_k mu((k-1)/n, A) * (rank-1 increment).
-    """
-    A = as_operator(A)
-    _check_hermitian(A)
-    vals, vecs = np.linalg.eigh(A)
-    order = np.argsort(-vals, kind="stable")
-    n = A.shape[0]
-    jumps = tuple((k / n, k) for k in range(n + 1))
-    return ProjectionNest(vecs[:, order], jumps)
 
 
 def cluster_eigenvalues(eigs: np.ndarray, tol: float) -> list:

@@ -1,4 +1,4 @@
-"""File formats: matrix JSON, step-function / grid / report CSV, nest JSON.
+"""File formats: matrix and decomposition JSON, density-grid and report CSV.
 
 All float output goes through repr() so that identical inputs produce
 byte-identical files.
@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from .matrices import ProjectionNest, StepFunction, as_operator
+from .matrices import ProjectionNest, as_operator
 
 
 def matrix_to_dict(T) -> dict:
@@ -21,12 +21,25 @@ def matrix_to_dict(T) -> dict:
 
 
 def matrix_from_dict(data: dict) -> np.ndarray:
-    n = int(data["dim"])
-    entries = data["entries"]
-    if len(entries) != n * n:
-        raise ValueError(f"expected {n * n} entries, got {len(entries)}")
+    """Matrix from ``{"dim": n, "entries": [[re, im], ...]}``: n * n pairs, row by row.
+
+    Any other shape or type (a JSON boolean included) raises ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("a matrix must be a JSON object")
+    n, entries = data["dim"], data["entries"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"dim must be a positive integer, got {n!r}")
+    if not isinstance(entries, list) or len(entries) != n * n:
+        raise ValueError(f"expected a list of {n * n} entries")
+    if not all(isinstance(e, list) and len(e) == 2 and all(map(_is_real, e)) for e in entries):
+        raise ValueError("each entry must be a pair [re, im] of real numbers")
     flat = np.array([complex(re, im) for re, im in entries])
     return as_operator(flat.reshape(n, n))
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def write_matrix(path: str, T) -> None:
@@ -36,19 +49,6 @@ def write_matrix(path: str, T) -> None:
 def read_matrix(path: str) -> np.ndarray:
     with open(path) as fh:
         return matrix_from_dict(json.load(fh))
-
-
-def step_function_csv(sf: StepFunction) -> str:
-    lines = ["t,value"]
-    # tolist() gives Python floats, whose repr numpy 2 does not wrap.
-    for t, v in zip(sf.breakpoints[:-1].tolist(), sf.values.tolist()):
-        lines.append(f"{t!r},{v!r}")
-    return "\n".join(lines) + "\n"
-
-
-def measure_to_json(measure) -> str:
-    rows = [{"re": z.real, "im": z.imag, "w": w} for z, w in measure.atoms]
-    return json.dumps(rows) + "\n"
 
 
 def density_grid_csv(grid) -> str:
@@ -73,12 +73,6 @@ def nest_to_dict(nest: ProjectionNest) -> dict:
         "basis": matrix_to_dict(nest.basis),
         "jumps": [{"t": t, "rank": r} for t, r in nest.jumps],
     }
-
-
-def nest_from_dict(data: dict) -> ProjectionNest:
-    basis = matrix_from_dict(data["basis"])
-    jumps = tuple((j["t"], j["rank"]) for j in data["jumps"])
-    return ProjectionNest(basis, jumps)
 
 
 def decomposition_to_dict(result) -> dict:

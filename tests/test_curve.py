@@ -11,11 +11,10 @@ from specnest.curve import (
     HilbertCurveMap,
     _anchor_fwd,
     _d2xy,
+    _cell_center,
     _xy2d,
-    curve_point,
     curve_points_batch,
     deep_hit_index,
-    first_hit_time,
     hit_index,
 )
 
@@ -144,22 +143,26 @@ class TestIndexMaps:
         assert 0 <= idx < 4**DEEP_LEVEL
 
 
+def _point(curve: HilbertCurveMap, idx: int) -> complex:
+    """Center of the cell with curve index ``idx``, on Python ints (exact at any level)."""
+    return complex(*_cell_center(curve, idx))
+
+
 class TestCurvePoint:
     def test_points_stay_in_square(self):
         curve = HilbertCurveMap(level=6, half_side=2.0)
-        for t in np.linspace(0, 1, 257):
-            z = curve_point(curve, float(t))
-            assert abs(z.real) <= 2.0 and abs(z.imag) <= 2.0
+        z = curve_points_batch(curve, np.linspace(0, 1, 257))
+        assert np.all(np.abs(z.real) <= 2.0) and np.all(np.abs(z.imag) <= 2.0)
 
     def test_start_is_entry_corner_cell(self):
         curve = HilbertCurveMap(level=8, half_side=1.0)
-        z = curve_point(curve, 0.0)
+        [z] = curve_points_batch(curve, [0.0])
         h = curve.cell_side
         assert z == pytest.approx(complex(-1 + h / 2, -1 + h / 2))
 
     def test_anchor_rotates_start(self):
         base = HilbertCurveMap(level=8, half_side=1.0)
-        starts = {curve_point(base.with_anchor(a), 0.0) for a in range(4)}
+        starts = {complex(curve_points_batch(base.with_anchor(a), [0.0])[0]) for a in range(4)}
         assert len(starts) == 4
 
     @settings(deadline=None)
@@ -168,14 +171,16 @@ class TestCurvePoint:
         curve = HilbertCurveMap(level=10, half_side=1.5)
         rng = np.random.default_rng(seed)
         t1, t2 = rng.uniform(0, 1, 2)
-        gap = abs(curve_point(curve, t1) - curve_point(curve, t2))
-        assert gap <= curve.modulus(t1 - t2)
+        z1, z2 = curve_points_batch(curve, [t1, t2])
+        assert abs(z1 - z2) <= curve.modulus(t1 - t2)
 
     def test_batch_matches_scalar(self):
+        # The int64 index arrays against the Python-int path, cell by cell.
         curve = HilbertCurveMap(level=9, half_side=0.7, anchor=3)
         ts = np.linspace(0, 1, 101)
         batch = curve_points_batch(curve, ts)
-        scalar = np.array([curve_point(curve, float(t)) for t in ts])
+        scalar = np.array([_point(curve, min(curve.num_cells - 1, int(t * curve.num_cells)))
+                           for t in ts])
         assert np.array_equal(batch, scalar)
 
 
@@ -184,25 +189,23 @@ class TestHitIndex:
         for anchor in range(4):
             curve = HilbertCurveMap(level=7, half_side=1.0, anchor=anchor)
             for idx in (0, 5, 1000, curve.num_cells - 1):
-                z = curve_point(curve, idx / curve.num_cells)
-                assert hit_index(curve, z) == idx
+                assert hit_index(curve, _point(curve, idx)) == idx
 
     def test_level_40_round_trip(self):
-        # 4**40 cells overflow int64, so this runs the Python-int index map;
-        # indices with at most 52 significant bits keep idx / 4**40 exact.
+        # 4**40 cells overflow int64, so this runs the Python-int index map.
         rng = np.random.default_rng(40)
         for anchor in range(4):
             curve = HilbertCurveMap(level=40, half_side=1.0, anchor=anchor)
             for high in rng.integers(0, 2**52, 5):
                 idx = int(high) << 28
-                z = curve_point(curve, idx / curve.num_cells)
-                assert hit_index(curve, z) == idx
+                assert hit_index(curve, _point(curve, idx)) == idx
 
     def test_first_hit_time_range(self):
+        # The first hit time of z is its hit index over the cell count.
         curve = HilbertCurveMap(level=7, half_side=1.0)
-        t = first_hit_time(curve, 0.3 + 0.4j)
-        assert 0.0 <= t < 1.0
-        assert abs(curve_point(curve, t) - (0.3 + 0.4j)) <= curve.cell_side
+        idx = hit_index(curve, 0.3 + 0.4j)
+        assert 0.0 <= idx / curve.num_cells < 1.0
+        assert abs(_point(curve, idx) - (0.3 + 0.4j)) <= curve.cell_side
 
     def test_shared_edge_resolves_to_smaller_index(self):
         curve = HilbertCurveMap(level=2, half_side=1.0)
@@ -291,5 +294,6 @@ class TestValidation:
 
     def test_rejects_t_outside_unit_interval(self):
         curve = HilbertCurveMap(level=4)
-        with pytest.raises(ValueError):
-            curve_point(curve, 1.5)
+        for t in (1.5, -0.25):
+            with pytest.raises(ValueError):
+                curve_points_batch(curve, [0.5, t])

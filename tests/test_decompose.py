@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specnest.decompose import (
+    _average,
+    _block_means,
+    _column_groups,
+    _flag_form,
     convergence_report,
     decompose,
-    expectation_dyadic,
     expectation_full,
     pinch_commutant,
 )
@@ -26,7 +29,8 @@ from specnest.ensembles import (
     generate,
 )
 from specnest.hsnest import build_nest, default_curve
-from specnest.matrices import CLUSTER_TOL, normalized_trace, operator_norm, spectrum_distance
+from specnest.matrices import (CLUSTER_TOL, ProjectionNest, as_operator, operator_norm,
+                               spectrum_distance)
 
 SHEAR = np.array([[1, 1], [0, 2]], dtype=complex)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -40,6 +44,14 @@ def block_means(res) -> np.ndarray:
 def random_matrix(seed: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+
+
+def expectation_dyadic(T, nest: ProjectionNest, n: int) -> np.ndarray:
+    """Dense reference: expectation onto the algebra of the level-n dyadic nest
+    projections, each dyadic increment f carrying trace(f T f) / trace(f)."""
+    T = as_operator(T)
+    B = _flag_form(T, nest, operator_norm(T))
+    return _average(nest.basis, _block_means(np.diag(B), _column_groups(nest, n)))
 
 
 class TestShearExample:
@@ -76,10 +88,10 @@ class TestExpectations:
         T = random_matrix(31, 6)
         nest = build_nest(T, default_curve(T))
         for n in range(0, 8):
-            En = expectation_dyadic(T, nest, n)
-            assert normalized_trace(En) == pytest.approx(normalized_trace(T), abs=1e-12)
-        assert normalized_trace(expectation_full(T, nest)) == pytest.approx(
-            normalized_trace(T), abs=1e-12
+            P = pinch_commutant(T, nest, n)
+            assert np.trace(P) / 6 == pytest.approx(np.trace(T) / 6, abs=1e-12)
+        assert np.trace(expectation_full(T, nest)) / 6 == pytest.approx(
+            np.trace(T) / 6, abs=1e-12
         )
 
     def test_full_expectation_fixes_its_own_output(self):
@@ -89,16 +101,15 @@ class TestExpectations:
         assert np.allclose(expectation_full(N, nest), N, atol=1e-10)
 
     def test_dyadic_saturates_to_full(self):
+        # At level 40 every dyadic group holds one nest increment.
         T = random_matrix(33, 5)
         nest = build_nest(T, default_curve(T))
-        N = expectation_full(T, nest)
-        deep = expectation_dyadic(T, nest, 40)
-        assert np.allclose(deep, N, atol=1e-10)
+        assert np.array_equal(pinch_commutant(T, nest, 40), pinch_commutant(T, nest, None))
 
     def test_expectation_output_is_normal(self):
         T = random_matrix(34, 6)
         nest = build_nest(T, default_curve(T))
-        E = expectation_dyadic(T, nest, 3)
+        E = expectation_full(T, nest)
         defect = np.linalg.norm(E @ E.conj().T - E.conj().T @ E, 2)
         assert defect < 1e-10 * max(1.0, operator_norm(E) ** 2)
 
@@ -110,10 +121,8 @@ class TestExpectations:
         assert gap <= 1e-12 * operator_norm(E)
 
     def test_rejects_negative_level(self):
-        T = random_matrix(35, 4)
-        nest = build_nest(T, default_curve(T))
-        with pytest.raises(ValueError):
-            expectation_dyadic(T, nest, -1)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            convergence_report(random_matrix(35, 4), n_range=range(-1, 2))
 
     def test_rejects_non_invariant_nest(self):
         T = random_matrix(36, 4)
@@ -142,7 +151,7 @@ class TestPinching:
         nest = build_nest(T, default_curve(T))
         for n in (1, 3, None):
             P = pinch_commutant(T, nest, n)
-            assert normalized_trace(P) == pytest.approx(normalized_trace(T), abs=1e-12)
+            assert np.trace(P) / 6 == pytest.approx(np.trace(T) / 6, abs=1e-12)
 
     def test_pinch_is_norm_contraction(self):
         T = random_matrix(44, 6)

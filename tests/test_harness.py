@@ -1,5 +1,6 @@
 """Ensembles, serialization round trips, the command-line interface and demos."""
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -9,14 +10,36 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import specnest
 from specnest import cli, ensembles, serialize
 from specnest.decompose import decompose
-from specnest.detbrown import brown_density_grid, brown_measure_exact
+from specnest.detbrown import brown_density_grid
 from specnest.hsnest import build_nest, default_curve
 from specnest.majorize import weyl_check
-from specnest.matrices import singular_value_function
 
 ROOT = Path(__file__).resolve().parents[1]
+
+PUBLIC_NAMES = [
+    "Ball", "ConvergenceReport", "CurveSegment", "CustomGauge", "DEFAULT_GAUGES",
+    "DecompositionResult", "DensityGrid", "EnsembleSpec", "FromFile", "Ginibre",
+    "HilbertCurveMap", "Jordan", "LogShift", "NormalPlusNilpotent", "Power",
+    "ProjectionNest", "SpectralMeasure", "UpperTriangularRandom",
+    "block_det_identity_check", "brown_density_grid", "brown_measure_exact", "build_nest",
+    "convergence_report", "decompose", "default_curve", "expectation_full",
+    "fk_determinant", "generate", "hs_projection", "log_plus_equivalence_check",
+    "log_submajorizes", "operator_norm", "ordered_schur", "pinch_commutant",
+    "pinch_log_check", "power_limit_operator", "regularized_log_det", "serialize",
+    "shift_lemma_check", "singular_values", "submajorizes", "weyl_check",
+]
+
+
+def test_package_exports_exactly_the_pinned_names():
+    # Importing a submodule binds its name on the package; serialize alone is
+    # exported as a module.
+    names = sorted(name for name, value in vars(specnest).items()
+                   if not name.startswith("_")
+                   and (name == "serialize" or not inspect.ismodule(value)))
+    assert names == PUBLIC_NAMES
 
 
 class TestEnsembles:
@@ -94,23 +117,9 @@ class TestSerialize:
         rng = np.random.default_rng(2)
         T = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / 3
         nest = build_nest(T, default_curve(T))
-        back = serialize.nest_from_dict(serialize.nest_to_dict(nest))
-        assert np.array_equal(back.basis, nest.basis)
-        assert back.jumps == nest.jumps
-
-    def test_step_function_csv(self):
-        sf = singular_value_function(np.diag([2.0, 1.0]))
-        text = serialize.step_function_csv(sf)
-        lines = text.strip().split("\n")
-        assert lines[0] == "t,value"
-        assert len(lines) == 3
-        assert [[float(x) for x in line.split(",")] for line in lines[1:]] == [
-            [0.0, 2.0], [0.5, 1.0]]
-
-    def test_measure_json(self):
-        m = brown_measure_exact(np.diag([1.0, 2.0]))
-        rows = json.loads(serialize.measure_to_json(m))
-        assert rows == [{"re": 1.0, "im": 0.0, "w": 0.5}, {"re": 2.0, "im": 0.0, "w": 0.5}]
+        data = json.loads(json.dumps(serialize.nest_to_dict(nest)))
+        assert np.array_equal(serialize.matrix_from_dict(data["basis"]), nest.basis)
+        assert tuple((j["t"], j["rank"]) for j in data["jumps"]) == nest.jumps
 
     def test_density_grid_csv_header_and_size(self):
         grid = brown_density_grid(np.diag([0.5, -0.5]), bounds=(-1, 1, -1, 1),
@@ -348,6 +357,48 @@ class TestCli:
                         "--out", str(out)) == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "OverflowError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        {"dim": 1, "entries": [[None, 0]]},
+        {"dim": 1, "entries": [["a", 0]]},
+        {"dim": 2.5, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]},
+        {"dim": True, "entries": [[1, 0]]},
+        {"dim": 1, "entries": [[False, 0]]},
+    ], ids=["list", "null-entry", "string-entry", "fractional-dim", "boolean-dim",
+            "boolean-entry"])
+    def test_malformed_matrix_file_is_usage_error(self, tmp_path, capsys, payload):
+        # Runs with every RuntimeWarning an error.
+        matrix_path = tmp_path / "m.json"
+        matrix_path.write_text(json.dumps(payload))
+        out = tmp_path / "dec.json"
+        assert self.run("decompose", "--in", str(matrix_path), "--out", str(out)) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "ValueError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["check", "weyl", "--gauges", "pow:nan"], "p"),
+        (["check", "weyl", "--gauges", "logshift:inf"], "s"),
+        (["hs", "--ball", "nan", "0", "1"], "center"),
+        (["hs", "--ball", "0", "inf", "1"], "center"),
+        (["hs", "--ball", "0", "0", "nan"], "radius"),
+        (["hs", "--ball", "0", "0", "inf"], "radius"),
+        (["brown", "--grid", "32", "--eps", "nan"], "eps"),
+        (["brown", "--grid", "32", "--eps", "inf"], "eps"),
+    ], ids=["pow-nan", "logshift-inf", "ball-center-nan", "ball-center-inf",
+            "ball-radius-nan", "ball-radius-inf", "eps-nan", "eps-inf"])
+    def test_nonfinite_argument_is_usage_error(self, tmp_path, capsys, argv, name):
+        # Runs with every RuntimeWarning an error.
+        matrix_path = tmp_path / "m.json"
+        serialize.write_matrix(str(matrix_path), np.array([[1, 1], [0, 2]], dtype=complex))
+        out = tmp_path / "out"
+        assert self.run(*argv, "--in", str(matrix_path), "--out", str(out)) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "ValueError"
+        assert name in record["message"].split()
         assert not out.exists()
 
     def test_bad_gauge_spec_is_usage_error(self, tmp_path):

@@ -20,7 +20,6 @@ from specnest.hsnest import (
     AtomAtCurveStartError,
     Ball,
     CurveSegment,
-    Predicate,
     build_nest,
     default_curve,
     hs_projection,
@@ -76,10 +75,6 @@ class TestRegions:
         assert seg.contains(complex(-1 + h / 2, -1 + h / 2))
         assert not seg.contains(0.5 + 0.5j)
 
-    def test_predicate(self):
-        left = Predicate(lambda z: z.real < 0)
-        assert left.contains(-1.0) and not left.contains(1.0)
-
 
 class TestHsProjection:
     def test_shear_ball_projection(self):
@@ -113,9 +108,13 @@ class TestHsProjection:
 
     def test_complement_projection_ranks_add(self):
         T = random_matrix(12, 5)
-        ball = Ball(0.0, 0.8)
-        inside = Predicate(ball.contains)
-        outside = Predicate(lambda z: not ball.contains(z))
+        inside = Ball(0.0, 0.8)
+
+        class Outside:  # any object with ``contains`` is a region
+            def contains(self, z):
+                return not inside.contains(z)
+
+        outside = Outside()
         k1 = round(np.trace(hs_projection(T, inside)).real)
         k2 = round(np.trace(hs_projection(T, outside)).real)
         assert k1 + k2 == 5

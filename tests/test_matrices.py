@@ -1,4 +1,4 @@
-"""Core matrix utilities: traces, step functions, nests, ordered Schur forms."""
+"""Core matrix utilities: norms, projection nests, clusters, ordered Schur forms."""
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,19 +8,13 @@ from hypothesis import strategies as st
 
 from specnest.matrices import (
     ProjectionNest,
-    StepFunction,
     as_operator,
     cluster_eigenvalues,
-    distribution_function,
     eigenvalue_clusters,
     gemm,
-    normalized_trace,
     operator_norm,
     ordered_schur,
-    psd_eigenvalues,
-    singular_value_function,
     singular_values,
-    spectral_nest,
     spectral_radius,
     spectrum_distance,
 )
@@ -54,11 +48,6 @@ class TestAsOperator:
 
 
 class TestTraceAndNorms:
-    def test_identity_trace_is_one(self):
-        # [TRIVIAL] tau(I) = 1 in every dimension.
-        for n in (1, 3, 7):
-            assert normalized_trace(np.eye(n)) == 1.0
-
     def test_singular_values_of_shear(self):
         # [DERIVED] sigma([[1,1],[0,2]])^2 are roots of x^2 - 6x + 4, so
         # sigma = sqrt(3 +- sqrt(5)).
@@ -89,51 +78,6 @@ class TestGemm:
             assert got.flags.c_contiguous
 
 
-class TestPsdEigenvalues:
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            psd_eigenvalues([[0, 1], [0, 0]])
-
-    def test_clamps_rounding_negatives(self):
-        A = np.diag([1.0, -1e-14])
-        vals = psd_eigenvalues(A)
-        assert vals[-1] == 0.0
-
-    def test_descending(self):
-        T = random_matrix(1, 5)
-        vals = psd_eigenvalues(T @ T.conj().T)
-        assert np.all(np.diff(vals) <= 0)
-
-
-class TestStepFunction:
-    def test_right_continuous_lookup(self):
-        sf = StepFunction([0.0, 0.5, 1.0], [2.0, 1.0])
-        assert sf(0.0) == 2.0
-        assert sf(0.49999) == 2.0
-        assert sf(0.5) == 1.0
-
-    def test_rejects_increasing_values(self):
-        with pytest.raises(ValueError):
-            StepFunction([0.0, 0.5, 1.0], [1.0, 2.0])
-
-    def test_rejects_bad_breakpoints(self):
-        with pytest.raises(ValueError):
-            StepFunction([0.0, 0.5, 0.9], [2.0, 1.0])
-
-    def test_singular_value_function_matches_list(self):
-        T = random_matrix(2, 4)
-        sv = singular_values(T)
-        mu = singular_value_function(T)
-        for k in range(4):
-            assert mu(k / 4) == pytest.approx(sv[k])
-
-    def test_distribution_function_inverts(self):
-        # [TRIVIAL] for diag(3, 2, 1): fraction above 1.5 is 2/3.
-        A = np.diag([3.0, 2.0, 1.0])
-        assert distribution_function(A, 1.5) == pytest.approx(2 / 3)
-        assert distribution_function(A, 3.5) == 0.0
-
-
 class TestProjectionNest:
     def test_rank_lookup(self):
         nest = ProjectionNest(np.eye(3), ((0.0, 0), (0.25, 1), (0.75, 3)))
@@ -158,20 +102,6 @@ class TestProjectionNest:
     def test_rejects_non_increasing_jumps(self):
         with pytest.raises(ValueError):
             ProjectionNest(np.eye(2), ((0.0, 0), (0.5, 2), (0.5, 2)))
-
-    def test_spectral_nest_reconstructs(self):
-        T = random_matrix(3, 5)
-        A = T @ T.conj().T
-        nest = spectral_nest(A)
-        vals = psd_eigenvalues(A)
-        n = 5
-        rebuilt = np.zeros_like(A)
-        prev = np.zeros_like(A)
-        for k in range(1, n + 1):
-            p = nest.projection_at(k / n)
-            rebuilt = rebuilt + vals[k - 1] * (p - prev)
-            prev = p
-        assert np.allclose(rebuilt, A, atol=1e-10)
 
 
 def reference_clusters(eigs: np.ndarray, tol: float) -> list:
