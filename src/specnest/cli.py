@@ -123,10 +123,8 @@ def _cmd_check_lemmas(args) -> int:
     normT = report.decomposition.diagnostics["operator_norm"]
     # Pinching inequality along the nest: coordinate cut at every jump rank.
     nest = report.decomposition.nest
-    for _, rank in nest.jumps[1:-1]:
-        V = nest.basis[:, :rank]
-        p = V @ V.conj().T
-        rows.extend(pinch_log_check(T, p).rows)
+    for t, _ in nest.jumps[1:-1]:
+        rows.extend(pinch_log_check(T, nest.projection_at(t)).rows)
     fails = [r for r in rows if not r.ok]
     print(f"{len(rows)} checks, {len(fails)} failures on {args.infile} "
           f"(dim {n}, norm {normT:.4g})")

@@ -95,8 +95,8 @@ class HilbertCurveMap:
     def __post_init__(self):
         if self.level < 1:
             raise ValueError("level must be >= 1")
-        if self.half_side <= 0:
-            raise ValueError("half_side must be positive")
+        if not 0 < self.half_side < math.inf:
+            raise ValueError("half_side must be positive and finite")
         if self.anchor not in (0, 1, 2, 3):
             raise ValueError("anchor must be 0..3")
 
@@ -164,7 +164,7 @@ def curve_points_batch(curve: HilbertCurveMap, ts: np.ndarray) -> np.ndarray:
     if curve.level > 31:
         raise ValueError("map level must be <= 31 (int64 curve indices)")
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0) or np.any(ts > 1):
+    if not np.all((0 <= ts) & (ts <= 1)):
         raise ValueError("t values must lie in [0, 1]")
     idx = np.minimum(curve.num_cells - 1, (ts * curve.num_cells).astype(np.int64))
     x, y = _cell_center(curve, idx)

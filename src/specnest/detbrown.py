@@ -11,7 +11,6 @@ import contextvars
 import dataclasses
 import math
 import os
-import threading
 
 import numpy as np
 
@@ -38,8 +37,10 @@ class SpectralMeasure:
 
     def __post_init__(self):
         atoms = tuple((complex(z), float(w)) for z, w in self.atoms)
-        if any(w <= 0 for _, w in atoms):
-            raise ValueError("weights must be positive")
+        if not all(0 < w < math.inf for _, w in atoms):
+            raise ValueError("weights must be positive and finite")
+        if not all(np.isfinite(z) for z, _ in atoms):
+            raise ValueError("locations must be finite")
         total = sum(w for _, w in atoms)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {total}")
@@ -164,22 +165,6 @@ GRAM_RHO_MAX = 2e-4
 # per-chunk Python work (which holds the interpreter lock) small.
 CHUNK_ENTRIES = 16 * 32 * 32
 
-# Runs all chunk shares but the caller's; made on first use (which imports
-# the executor's module), dropped in a forked child, whose copy would have no
-# threads.
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _run_share(fn, starts) -> None:
     for start in starts:
         fn(start)
@@ -189,30 +174,22 @@ def _map_chunks(fn, count: int, step: int) -> None:
     """Call ``fn(start)`` for every start in range(0, count, step), on every usable core.
 
     The starts are dealt round-robin into one share per core (at most one per
-    chunk); the calling thread runs the first share and a pool of cores - 1
-    threads the others, each in a copy of the caller's context (numpy's
-    errstate is a context variable). Each ``fn(start)`` must write only its own
-    chunk's output, so the result does not depend on the number of cores. With
-    one core, or one chunk, the chunks run in a plain loop.
+    chunk); the calling thread runs the first share and threads started and
+    joined within this call the others, each in a copy of the caller's context
+    (numpy's errstate is a context variable). Each ``fn(start)`` must write
+    only its own chunk's output, so the result does not depend on the number
+    of cores. With one core, or one chunk, the chunks run in a plain loop.
     """
-    global _pool
     starts = range(0, count, step)
-    cores = len(os.sched_getaffinity(0))
-    shares = min(cores, len(starts))
+    shares = min(len(os.sched_getaffinity(0)), len(starts))
     if shares <= 1:
         _run_share(fn, starts)
         return
-    with _pool_lock:
-        if _pool is None:
-            _pool = concurrent.futures.ThreadPoolExecutor(
-                cores - 1, thread_name_prefix="specnest-chunks")
-        pool = _pool
-    futures = [pool.submit(contextvars.copy_context().run, _run_share, fn, starts[i::shares])
-               for i in range(1, shares)]
-    try:
+    with concurrent.futures.ThreadPoolExecutor(
+            shares - 1, thread_name_prefix="specnest-chunks") as pool:
+        futures = [pool.submit(contextvars.copy_context().run, _run_share, fn, starts[i::shares])
+                   for i in range(1, shares)]
         _run_share(fn, starts[::shares])
-    finally:
-        concurrent.futures.wait(futures)
     for future in futures:
         future.result()
 
@@ -294,6 +271,8 @@ def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> Den
     if nx < 32 or ny < 32:
         raise ValueError("resolution must be at least 32 per axis")
     xmin, xmax, ymin, ymax = bounds
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError(f"bounds {bounds} must be finite")
 
     def covers(rad):
         return xmin <= -rad and xmax >= rad and ymin <= -rad and ymax >= rad

@@ -1,4 +1,5 @@
 """Determinants, spectral measures, density grids and block identities."""
+import math
 import multiprocessing
 import os
 import threading
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specnest import detbrown
+from specnest.curve import HilbertCurveMap, curve_points_batch
 from specnest.detbrown import (
     CHUNK_ENTRIES,
     SpectralMeasure,
@@ -78,6 +80,23 @@ class TestRegularizedLogDet:
             lhs = regularized_log_det(T, lam, 0.1)
             rhs = measure.regularized_potential(lam, 0.1)
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: curve_points_batch(HilbertCurveMap(level=4), [np.nan]), "t values"),
+    (lambda: HilbertCurveMap(half_side=math.inf), "half_side"),
+    (lambda: HilbertCurveMap(half_side=math.nan), "half_side"),
+    (lambda: brown_density_grid(np.eye(2), bounds=(-math.inf, math.inf, -math.inf, math.inf)),
+     "bounds"),
+    (lambda: SpectralMeasure(((0, math.nan),)), "weights"),
+    (lambda: SpectralMeasure(((math.nan, 1.0),)), "locations"),
+], ids=["curve-t-nan", "half-side-inf", "half-side-nan", "bounds-inf", "weight-nan",
+        "location-nan"])
+def test_nonfinite_input_raises_value_error_naming_it(build, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=name):
+            build()
 
 
 class TestSpectralMeasure:
@@ -215,12 +234,8 @@ def serial_map_chunks(fn, count, step):
 
 @pytest.fixture
 def two_cores(monkeypatch):
-    """Two usable cores and a fresh chunk pool, shut down afterwards."""
+    """Two usable cores."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(detbrown, "_pool", None)
-    yield
-    if detbrown._pool is not None:
-        detbrown._pool.shutdown()
 
 
 def grid_in_child():
@@ -258,26 +273,27 @@ class TestChunkMap:
 
     def test_one_core_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(detbrown, "_pool", None)
         before = threading.active_count()
         brown_density_grid(random_matrix(2, 32), resolution=64)
         assert threading.active_count() == before
-        assert detbrown._pool is None
+
+    def test_two_core_grid_joins_its_threads(self, two_cores):
+        before = threading.active_count()
+        brown_density_grid(random_matrix(2, 32), resolution=64)
+        assert threading.active_count() == before
 
     def test_worker_keeps_the_callers_errstate(self, two_cores):
         # The SVD kernel squares ~1e155 singular values in both shares; the
-        # grid's errstate(over="ignore") must reach the pool thread too.
+        # grid's errstate(over="ignore") must reach the worker thread too.
         T = generate(EnsembleSpec(Ginibre(8), seed=3))[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError):
                 brown_density_grid(T, bounds=(-1e155, 1e155, -1e155, 1e155),
                                    resolution=32, eps=1e-8)
-        assert detbrown._pool is not None
 
-    def test_forked_child_builds_its_own_pool(self, two_cores):
+    def test_forked_child_runs_a_grid_after_a_threaded_one(self, two_cores):
         brown_density_grid(random_matrix(1, 32), resolution=32)
-        assert detbrown._pool is not None
         child = multiprocessing.get_context("fork").Process(target=grid_in_child)
         child.start()
         child.join(timeout=60)
