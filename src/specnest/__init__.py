@@ -21,7 +21,6 @@ from .detbrown import (
 )
 from .ensembles import (
     EnsembleSpec,
-    FromFile,
     Ginibre,
     Jordan,
     NormalPlusNilpotent,
@@ -38,7 +37,6 @@ from .hsnest import (
 )
 from .majorize import (
     DEFAULT_GAUGES,
-    CustomGauge,
     LogShift,
     Power,
     log_plus_equivalence_check,

@@ -93,6 +93,11 @@ class HilbertCurveMap:
     anchor: int = 0
 
     def __post_init__(self):
+        for name in ("level", "anchor"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.level < 1:
             raise ValueError("level must be >= 1")
         if not 0 < self.half_side < math.inf:

@@ -222,6 +222,8 @@ def convergence_report(
         lam_peak = max((z for z, _ in measure.atoms), key=abs)
         lam_list = (0.0, 1.0 + 1.0j, lam_peak)
 
+    potentials = [[measure.regularized_potential(lam, eps) for eps in eps_list]
+                  for lam in lam_list]
     rows = []
     for n in n_range:
         cn = _block_means(eigs, _column_groups(nest, n))
@@ -231,10 +233,9 @@ def convergence_report(
         rad = float(np.max(np.abs(eigs - cn)))
         rows.append(ConvergenceRow("remainder_radius", n, (), rad, bound, rad <= bound))
         bound_det = DET_TOL if n == max(n_range) else math.inf
-        for lam in lam_list:
-            for eps in eps_list:
+        for lam, rhs_row in zip(lam_list, potentials):
+            for eps, rhs in zip(eps_list, rhs_row):
                 lhs = _regularized_log_det(np.abs(cn - lam), eps)
-                rhs = measure.regularized_potential(lam, eps)
                 gap_det = abs(lhs - rhs)
                 rows.append(
                     ConvergenceRow(

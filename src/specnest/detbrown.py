@@ -54,12 +54,6 @@ class SpectralMeasure:
     def weights(self) -> np.ndarray:
         return np.array([w for _, w in self.atoms])
 
-    def log_potential(self, lam: complex) -> float:
-        """Integral of log|z - lam| against the measure (may be -inf)."""
-        dist = np.abs(self.locations - lam)
-        with np.errstate(divide="ignore"):
-            return float(np.sum(self.weights * np.log(dist)))
-
     def regularized_potential(self, lam: complex, eps: float) -> float:
         """Integral of log(|z - lam|^2 + eps) against the measure."""
         dist2 = np.abs(self.locations - lam) ** 2
@@ -145,16 +139,6 @@ class DensityGrid:
         dx2 = (self.x_centers[:, None] - center.real) ** 2
         mask = dx2 + (self.y_centers[None, :] - center.imag) ** 2 <= radius**2
         return float(np.sum(self.cell_mass[mask]))
-
-
-def _square_bounds(norm: float) -> tuple:
-    half = default_half_side(norm)
-    return (-half, half, -half, half)
-
-
-def default_bounds(T) -> tuple:
-    """Square of half-side HALF_SIDE_FACTOR * norm(T) (1 for T = 0), centered at the origin."""
-    return _square_bounds(operator_norm(T))
 
 
 # The Gram kernel runs when rho = n u (|T|_2 + max|lam|)^2 / eps is at most
@@ -264,7 +248,8 @@ def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> Den
         raise ValueError("eps must be positive and finite")
     norm = operator_norm(T)
     if bounds is None:
-        bounds = _square_bounds(norm)
+        half = default_half_side(norm)
+        bounds = (-half, half, -half, half)
     if isinstance(resolution, int):
         resolution = (resolution, resolution)
     nx, ny = resolution
@@ -338,11 +323,13 @@ def _range_basis(p: np.ndarray) -> np.ndarray:
     return vecs[:, vals > 0.5]
 
 
-def block_det_identity_check(T, p, tol: float = 1e-8) -> BlockDetReport:
+def block_det_identity_check(T, p) -> BlockDetReport:
     """Check the block factorization of Delta and the Brown measure split.
 
-    Requires ||Tp - pTp||_F <= 1e-8 * norm(T). Uses the convention that the
-    determinant of an empty corner, raised to the power 0, is 1.
+    Requires ||Tp - pTp||_F <= 1e-8 * norm(T), and passes when the relative
+    determinant gap is at most 1e-8 and the spectra match within 1e-8 * norm(T).
+    Uses the convention that the determinant of an empty corner, raised to the
+    power 0, is 1.
     """
     T = as_operator(T)
     p = as_operator(p)
@@ -370,5 +357,5 @@ def block_det_identity_check(T, p, tol: float = 1e-8) -> BlockDetReport:
     else:
         det_gap = abs(lhs - rhs) / max(lhs, rhs)
     measure_gap = spectrum_distance(np.linalg.eigvals(T), np.array(corner_eigs))
-    ok = det_gap <= tol and measure_gap <= tol * normT
+    ok = det_gap <= 1e-8 and measure_gap <= 1e-8 * normT
     return BlockDetReport(lhs, rhs, det_gap, measure_gap, tau_p, ok)

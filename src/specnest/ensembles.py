@@ -6,7 +6,6 @@ from typing import Union
 
 import numpy as np
 
-from . import serialize
 from .matrices import as_operator
 
 
@@ -35,10 +34,9 @@ class Jordan(_Sized):
 
 @dataclasses.dataclass(frozen=True)
 class UpperTriangularRandom(_Sized):
-    """Ginibre-style strict upper part; diagonal drawn from diagonal_law."""
+    """Ginibre-style strict upper part; diagonal uniform on the unit disk."""
 
     n: int
-    diagonal_law: str = "uniform_disk"  # or "gaussian"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,12 +46,7 @@ class NormalPlusNilpotent(_Sized):
     n: int
 
 
-@dataclasses.dataclass(frozen=True)
-class FromFile:
-    path: str
-
-
-Kind = Union[Ginibre, Jordan, UpperTriangularRandom, NormalPlusNilpotent, FromFile]
+Kind = Union[Ginibre, Jordan, UpperTriangularRandom, NormalPlusNilpotent]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,16 +65,6 @@ def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
-def _diagonal(rng: np.random.Generator, n: int, law: str) -> np.ndarray:
-    if law == "uniform_disk":
-        r = np.sqrt(rng.uniform(0.0, 1.0, n))
-        phase = rng.uniform(0.0, 2.0 * np.pi, n)
-        return r * np.exp(1j * phase)
-    if law == "gaussian":
-        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-    raise ValueError(f"unknown diagonal law {law!r}")
-
-
 def _one(rng: np.random.Generator, kind: Kind) -> np.ndarray:
     if isinstance(kind, Ginibre):
         return _ginibre(rng, kind.n)
@@ -92,16 +75,15 @@ def _one(rng: np.random.Generator, kind: Kind) -> np.ndarray:
     if isinstance(kind, UpperTriangularRandom):
         n = kind.n
         T = np.triu(_ginibre(rng, n), 1)
-        T[np.diag_indices(n)] = _diagonal(rng, n, kind.diagonal_law)
+        r = np.sqrt(rng.uniform(0.0, 1.0, n))
+        T[np.diag_indices(n)] = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
         return T
     if isinstance(kind, NormalPlusNilpotent):
         n = kind.n
-        d = _diagonal(rng, n, "gaussian")
+        d = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
         U, _ = np.linalg.qr(_ginibre(rng, n))
         strict = np.triu(_ginibre(rng, n), 1)
         return U @ (np.diag(d) + strict) @ U.conj().T
-    if isinstance(kind, FromFile):
-        return serialize.read_matrix(kind.path)
     raise TypeError(f"unknown ensemble kind {kind!r}")
 
 

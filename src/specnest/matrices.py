@@ -105,10 +105,6 @@ class ProjectionNest:
         object.__setattr__(self, "basis", U)
         object.__setattr__(self, "jumps", jumps)
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
     def rank_at(self, t: float) -> int:
         rank = 0
         for tj, rj in self.jumps:
@@ -129,9 +125,6 @@ class ProjectionNest:
             out.append((t, prev, r))
             prev = r
         return out
-
-    def trace_at(self, t: float) -> float:
-        return self.rank_at(t) / self.dim
 
 
 def _check_invariant_projection(T: np.ndarray, p: np.ndarray, norm: float) -> None:

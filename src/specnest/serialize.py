@@ -43,7 +43,7 @@ def _is_real(x) -> bool:
 
 
 def write_matrix(path: str, T) -> None:
-    _atomic_write(path, json.dumps(matrix_to_dict(T)) + "\n")
+    write_text(path, json.dumps(matrix_to_dict(T)) + "\n")
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -92,8 +92,12 @@ def decomposition_to_dict(result) -> dict:
 
 
 def report_rows_csv(rows) -> str:
-    """CheckRow / ConvergenceRow sequences to CSV; schema version in the header."""
-    lines = ["# schemaVersion=1", "check,n_or_params,lhs_or_value,rhs_or_bound,margin,pass"]
+    """CheckRow / ConvergenceRow sequences to CSV; schema version in the header.
+
+    A ConvergenceRow's margin is bound - value, so on every inequality row a
+    margin >= 0 means the value is within its bound.
+    """
+    lines = ["# schemaVersion=2", "check,n_or_params,lhs_or_value,rhs_or_bound,margin,pass"]
     for r in rows:
         if hasattr(r, "params") and hasattr(r, "lhs"):
             params = r.params if isinstance(r.params, str) else _fmt_params(r.params)
@@ -103,7 +107,7 @@ def report_rows_csv(rows) -> str:
         else:
             params = f"n={r.n}" + ("" if not r.params else ";" + _fmt_params(r.params))
             lines.append(
-                f"{r.check},{params},{r.value!r},{r.bound!r},{r.value - r.bound!r},{int(r.ok)}"
+                f"{r.check},{params},{r.value!r},{r.bound!r},{r.bound - r.value!r},{int(r.ok)}"
             )
     return "\n".join(lines) + "\n"
 
@@ -112,13 +116,9 @@ def _fmt_params(params) -> str:
     return ";".join(str(p) for p in params)
 
 
-def _atomic_write(path: str, text: str) -> None:
+def write_text(path: str, text: str) -> None:
     """Write via a temp file and rename; a failed run never leaves a partial file."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
     os.replace(tmp, path)
-
-
-def write_text(path: str, text: str) -> None:
-    _atomic_write(path, text)

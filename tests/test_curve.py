@@ -292,6 +292,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             HilbertCurveMap(anchor=4)
 
+    @pytest.mark.parametrize("field, value", [
+        ("level", 2.5), ("level", 2.0), ("level", True), ("level", "3"),
+        ("level", np.float64(4.0)), ("anchor", 1.0), ("anchor", False),
+        ("anchor", np.True_), ("anchor", None),
+    ], ids=["level-2.5", "level-2.0", "level-true", "level-str", "level-np-float",
+            "anchor-1.0", "anchor-false", "anchor-np-bool", "anchor-none"])
+    def test_rejects_non_integer_parameter(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            HilbertCurveMap(**{field: value})
+
+    @pytest.mark.parametrize("to_int", [int, np.int32, np.int64, np.uint8],
+                             ids=["int", "np-int32", "np-int64", "np-uint8"])
+    def test_accepts_numpy_integers_as_python_ints(self, to_int):
+        curve = HilbertCurveMap(level=to_int(3), anchor=to_int(2))
+        assert curve == HilbertCurveMap(level=3, anchor=2)
+        assert type(curve.level) is int and type(curve.anchor) is int
+
     def test_rejects_t_outside_unit_interval(self):
         curve = HilbertCurveMap(level=4)
         for t in (1.5, -0.25):

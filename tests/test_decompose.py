@@ -19,7 +19,7 @@ from specnest.decompose import (
     expectation_full,
     pinch_commutant,
 )
-from specnest.detbrown import _counting_measure, regularized_log_det
+from specnest.detbrown import SpectralMeasure, _counting_measure, regularized_log_det
 from specnest.ensembles import (
     EnsembleSpec,
     Ginibre,
@@ -353,6 +353,20 @@ class TestConvergenceReport:
         svd_calls.clear()
         convergence_report(T, lam_list=(), m_list=())
         assert svd_calls == []
+
+    def test_evaluates_each_potential_once(self, monkeypatch):
+        # One regularized_potential per (lam, eps), shared by the 11 levels.
+        original = SpectralMeasure.regularized_potential
+        calls = []
+
+        def counting(self, lam, eps):
+            calls.append((lam, eps))
+            return original(self, lam, eps)
+
+        monkeypatch.setattr(SpectralMeasure, "regularized_potential", counting)
+        report = convergence_report(random_matrix(68, 8))
+        assert len(calls) == len(set(calls)) == 9
+        assert sum(r.check == "det_gap" for r in report.rows) == 99
 
     def test_calls_nothing_in_numpy_linalg_without_pinch_rows(self, monkeypatch,
                                                               two_norm_calls):

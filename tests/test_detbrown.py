@@ -19,13 +19,12 @@ from specnest.detbrown import (
     block_det_identity_check,
     brown_density_grid,
     brown_measure_exact,
-    default_bounds,
     fk_determinant,
     regularized_log_det,
 )
 from specnest.ensembles import EnsembleSpec, Ginibre, Jordan, generate
 from specnest.hsnest import Ball, hs_projection
-from specnest.matrices import operator_norm
+from specnest.matrices import default_half_side, operator_norm
 
 
 def random_matrix(seed: int, n: int) -> np.ndarray:
@@ -113,10 +112,6 @@ class TestSpectralMeasure:
         assert m.mass_within(0.0, 0.5) == 0.25
         assert m.mass_within(0.5, 1.0) == 1.0
 
-    def test_log_potential_at_atom_is_minus_inf(self):
-        m = SpectralMeasure(((1.0, 1.0),))
-        assert m.log_potential(1.0) == -np.inf
-
     def test_exact_measure_of_shear(self):
         # [DERIVED] eigenvalues of [[1,1],[0,2]] are 1 and 2, weight 1/2 each.
         m = brown_measure_exact([[1, 1], [0, 2]])
@@ -165,7 +160,7 @@ class TestDensityGrid:
 
     def test_default_bounds_scale_with_norm(self):
         T = 4.0 * np.eye(2)
-        xmin, xmax, ymin, ymax = default_bounds(T)
+        xmin, xmax, ymin, ymax = brown_density_grid(T, resolution=32).bounds
         assert xmax == pytest.approx(5.0)
         assert (xmin, ymin, ymax) == (-xmax, -xmax, xmax)
 
@@ -179,10 +174,10 @@ class TestDensityGrid:
 
 
 def grid_points(T, resolution: int) -> np.ndarray:
-    xmin, xmax, ymin, ymax = default_bounds(T)
-    xs = np.linspace(xmin, xmax, resolution)
-    ys = np.linspace(ymin, ymax, resolution)
-    return (xs[:, None] + 1j * ys[None, :]).ravel()
+    """Points spanning the default square of brown_density_grid."""
+    half = default_half_side(operator_norm(T))
+    xs = np.linspace(-half, half, resolution)
+    return (xs[:, None] + 1j * xs[None, :]).ravel()
 
 
 class TestLogPhiKernel:
@@ -213,9 +208,8 @@ class TestLogPhiKernel:
                                                   (1e-8, "cholesky", 1e-10)])
     def test_cell_mass_is_scale_invariant(self, c, eps, kernel, tol):
         T = generate(EnsembleSpec(Ginibre(16), seed=2))[0]
-        bounds = default_bounds(T)
-        grid = brown_density_grid(T, bounds, resolution=64, eps=eps)
-        scaled = brown_density_grid(c * T, tuple(c * b for b in bounds),
+        grid = brown_density_grid(T, resolution=64, eps=eps)
+        scaled = brown_density_grid(c * T, tuple(c * b for b in grid.bounds),
                                     resolution=64, eps=c * c * eps)
         assert scaled.kernel == grid.kernel == kernel
         assert scaled.rho == pytest.approx(grid.rho, rel=1e-12)

@@ -1,4 +1,5 @@
 """Ensembles, serialization round trips, the command-line interface and demos."""
+import dataclasses
 import importlib
 import inspect
 import json
@@ -12,16 +13,16 @@ import pytest
 
 import specnest
 from specnest import cli, ensembles, serialize
-from specnest.decompose import decompose
+from specnest.decompose import ConvergenceRow, convergence_report, decompose
 from specnest.detbrown import brown_density_grid
 from specnest.hsnest import build_nest, default_curve
-from specnest.majorize import weyl_check
+from specnest.majorize import DEFAULT_GAUGES, weyl_check
 
 ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC_NAMES = [
-    "Ball", "ConvergenceReport", "CurveSegment", "CustomGauge", "DEFAULT_GAUGES",
-    "DecompositionResult", "DensityGrid", "EnsembleSpec", "FromFile", "Ginibre",
+    "Ball", "ConvergenceReport", "CurveSegment", "DEFAULT_GAUGES",
+    "DecompositionResult", "DensityGrid", "EnsembleSpec", "Ginibre",
     "HilbertCurveMap", "Jordan", "LogShift", "NormalPlusNilpotent", "Power",
     "ProjectionNest", "SpectralMeasure", "UpperTriangularRandom",
     "block_det_identity_check", "brown_density_grid", "brown_measure_exact", "build_nest",
@@ -32,6 +33,59 @@ PUBLIC_NAMES = [
     "shift_lemma_check", "singular_values", "submajorizes", "weyl_check",
 ]
 
+# The fields of each exported dataclass and the parameters of each exported
+# function (serialize's included): a new option shows up here as a test edit.
+PUBLIC_PARAMETERS = {
+    "Ball": ("center", "radius"),
+    "ConvergenceReport": ("rows", "decomposition"),
+    "CurveSegment": ("t", "curve"),
+    "DecompositionResult": ("N", "Q", "nest", "ordering", "diagnostics", "eigenvalues"),
+    "DensityGrid": ("bounds", "resolution", "cell_mass", "epsilon", "total_mass",
+                    "negative_cells_flagged", "kernel", "rho"),
+    "EnsembleSpec": ("kind", "seed", "count"),
+    "Ginibre": ("n",),
+    "HilbertCurveMap": ("level", "half_side", "anchor"),
+    "Jordan": ("lam", "n"),
+    "LogShift": ("s",),
+    "NormalPlusNilpotent": ("n",),
+    "Power": ("p",),
+    "ProjectionNest": ("basis", "jumps"),
+    "SpectralMeasure": ("atoms",),
+    "UpperTriangularRandom": ("n",),
+    "block_det_identity_check": ("T", "p"),
+    "brown_density_grid": ("T", "bounds", "resolution", "eps"),
+    "brown_measure_exact": ("T",),
+    "build_nest": ("T", "curve"),
+    "convergence_report": ("T", "n_range", "eps_list", "lam_list", "m_list"),
+    "decompose": ("T",),
+    "default_curve": ("T",),
+    "expectation_full": ("T", "nest"),
+    "fk_determinant": ("T",),
+    "generate": ("spec",),
+    "hs_projection": ("T", "region"),
+    "log_plus_equivalence_check": ("A", "B"),
+    "log_submajorizes": ("A", "B"),
+    "operator_norm": ("T",),
+    "ordered_schur": ("T", "key"),
+    "pinch_commutant": ("T", "nest", "n"),
+    "pinch_log_check": ("T", "p"),
+    "power_limit_operator": ("T", "n"),
+    "regularized_log_det": ("T", "lam", "eps"),
+    "shift_lemma_check": ("A", "B"),
+    "singular_values": ("T",),
+    "submajorizes": ("A", "B"),
+    "weyl_check": ("T", "gauges"),
+    "serialize.decomposition_to_dict": ("result",),
+    "serialize.density_grid_csv": ("grid",),
+    "serialize.matrix_from_dict": ("data",),
+    "serialize.matrix_to_dict": ("T",),
+    "serialize.nest_to_dict": ("nest",),
+    "serialize.read_matrix": ("path",),
+    "serialize.report_rows_csv": ("rows",),
+    "serialize.write_matrix": ("path", "T"),
+    "serialize.write_text": ("path", "text"),
+}
+
 
 def test_package_exports_exactly_the_pinned_names():
     # Importing a submodule binds its name on the package; serialize alone is
@@ -40,6 +94,17 @@ def test_package_exports_exactly_the_pinned_names():
                    if not name.startswith("_")
                    and (name == "serialize" or not inspect.ismodule(value)))
     assert names == PUBLIC_NAMES
+    public = {name: getattr(specnest, name) for name in PUBLIC_NAMES}
+    public.update((f"serialize.{name}", value) for name, value in vars(serialize).items()
+                  if inspect.isfunction(value) and value.__module__ == serialize.__name__
+                  and not name.startswith("_"))
+    parameters = {}
+    for name, value in public.items():
+        if dataclasses.is_dataclass(value):
+            parameters[name] = tuple(f.name for f in dataclasses.fields(value))
+        elif inspect.isfunction(value):
+            parameters[name] = tuple(inspect.signature(value).parameters)
+    assert parameters == PUBLIC_PARAMETERS
 
 
 class TestEnsembles:
@@ -66,21 +131,6 @@ class TestEnsembles:
         assert np.linalg.norm(np.tril(T, -1)) == 0.0
         assert np.all(np.abs(np.diag(T)) <= 1.0 + 1e-12)
 
-    def test_gaussian_diagonal_law(self):
-        spec = ensembles.EnsembleSpec(
-            ensembles.UpperTriangularRandom(5, diagonal_law="gaussian"), seed=1
-        )
-        [T] = ensembles.generate(spec)
-        assert np.linalg.norm(np.tril(T, -1)) == 0.0
-
-    def test_from_file_roundtrip(self, tmp_path):
-        T = np.array([[1, 2j], [0, 3]], dtype=complex)
-        path = tmp_path / "m.json"
-        serialize.write_matrix(str(path), T)
-        spec = ensembles.EnsembleSpec(ensembles.FromFile(str(path)))
-        [back] = ensembles.generate(spec)
-        assert np.array_equal(back, T)
-
     def test_count_validation(self):
         with pytest.raises(ValueError):
             ensembles.EnsembleSpec(ensembles.Ginibre(4), count=0)
@@ -102,6 +152,12 @@ class TestSerialize:
         T = np.array([[1 + 2j, -0.5], [0.25j, 3]], dtype=complex)
         back = serialize.matrix_from_dict(serialize.matrix_to_dict(T))
         assert np.array_equal(back, T)
+
+    def test_write_read_matrix_roundtrip_is_bit_exact(self, tmp_path):
+        T = np.array([[1, 2j], [0, 3]], dtype=complex)
+        path = tmp_path / "m.json"
+        serialize.write_matrix(str(path), T)
+        assert np.array_equal(serialize.read_matrix(str(path)), T)
 
     def test_matrix_dict_shape(self):
         d = serialize.matrix_to_dict(np.eye(2))
@@ -145,10 +201,20 @@ class TestSerialize:
     def test_report_csv_covers_both_row_kinds(self):
         rng = np.random.default_rng(5)
         T = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / 3
-        text = serialize.report_rows_csv(weyl_check(T).rows)
+        failing = ConvergenceRow("norm_gap", 3, (), 2.0, 1.5, False)
+        conv_rows = convergence_report(T).rows + (failing,)
+        text = serialize.report_rows_csv(weyl_check(T).rows + conv_rows)
         lines = text.strip().split("\n")
-        assert lines[0] == "# schemaVersion=1"
-        assert all(line.count(",") == 5 for line in lines[1:])
+        assert lines[0] == "# schemaVersion=2"
+        assert lines[1] == "check,n_or_params,lhs_or_value,rhs_or_bound,margin,pass"
+        cells = [line.split(",") for line in lines[2:]]
+        assert all(len(row) == 6 for row in cells)
+        assert len(cells) == 1 + 2 * len(DEFAULT_GAUGES) + len(conv_rows)
+        for row, conv in zip(cells[-len(conv_rows):], conv_rows):
+            assert float(row[4]) == conv.bound - conv.value
+        # Margin >= 0 means pass, on both row kinds.
+        assert cells[-1] == ["norm_gap", "n=3", "2.0", "1.5", "-0.5", "0"]
+        assert all(row[5] == "1" for row in cells if float(row[4]) >= 0)
 
     def test_atomic_write_replaces(self, tmp_path):
         path = tmp_path / "out.txt"
@@ -173,7 +239,7 @@ class TestCli:
                         "--report", str(report)) == 0
         data = json.loads(out.read_text())
         assert data["schemaVersion"] == 1
-        assert report.read_text().startswith("# schemaVersion=1")
+        assert report.read_text().startswith("# schemaVersion=2")
 
     def test_brown_command(self, tmp_path, capsys):
         matrix_path = tmp_path / "m.json"
@@ -255,14 +321,14 @@ class TestCli:
         assert self.run("check", "lemmas", "--in", str(matrix_path)) == 0
         assert len(calls) == 1
 
-    def test_check_lemmas_takes_nine_two_norms(self, tmp_path, two_norm_calls):
-        # Two in decompose, reused for the printed norm, and one per
-        # pinch_log_check cut at the 7 inner jumps.
+    def test_check_lemmas_takes_two_two_norms(self, tmp_path, two_norm_calls):
+        # Two in decompose, reused for the printed norm; pinch_log_check takes
+        # ||T||_2 from the singular values of its verdict.
         matrix_path = tmp_path / "m.json"
         serialize.write_matrix(str(matrix_path), ensembles.generate(
             ensembles.EnsembleSpec(ensembles.Ginibre(8), seed=4))[0])
         assert self.run("check", "lemmas", "--in", str(matrix_path)) == 0
-        assert two_norm_calls == [(8, 8)] * 9
+        assert two_norm_calls == [(8, 8)] * 2
 
     def test_decompose_report_decomposes_once(self, tmp_path, monkeypatch):
         module = importlib.import_module("specnest.decompose")

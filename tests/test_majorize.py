@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from specnest.majorize import (
     DEFAULT_GAUGES,
-    CustomGauge,
     LogShift,
     Power,
     log_plus_equivalence_check,
@@ -91,21 +90,6 @@ class TestGauges:
         with pytest.raises(ValueError):
             Power(0.0)
 
-    def test_custom_gauge_accepts_sqrt(self):
-        g = CustomGauge(np.sqrt)
-        assert g.label() == "custom"
-        assert g(4.0) == pytest.approx(2.0)
-
-    def test_custom_gauge_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            CustomGauge(lambda t: -np.asarray(t))
-
-    def test_custom_gauge_rejects_concave_after_exp(self):
-        # log(t) composed with exp is linear; log(log(1 + t) + 1) is concave
-        # enough after exp to fail the certificate.
-        with pytest.raises(ValueError):
-            CustomGauge(lambda t: np.log1p(np.log1p(t)))
-
 
 class TestLogPlus:
     @settings(deadline=None, max_examples=40)
@@ -113,11 +97,15 @@ class TestLogPlus:
     def test_equivalence_on_random_pairs(self, seed):
         A = random_matrix(seed, 5)
         B = random_matrix(seed + 1, 5)
-        assert log_plus_equivalence_check(A, B).all_ok
-        grid = np.geomspace(1e-3, 2.0, 40)
+        report = log_plus_equivalence_check(A, B)
+        assert report.all_ok
+        # The default grid: A's singular values and 64 log-spaced values up to
+        # the larger norm.
+        svA, svB = singular_values(A), singular_values(B)
+        top = max(svA[0], svB[0])
+        grid = np.unique(np.concatenate([svA, np.geomspace(1e-8 * top, top, 64)]))
         failing = sum(tau_log_plus(B, t) > tau_log_plus(A, t) + 1e-10 for t in grid)
-        row = log_plus_equivalence_check(A, B, grid).rows[0]
-        assert row.params == f"grid:40;failing:{failing}"
+        assert report.rows[0].params == f"grid:{len(grid)};failing:{failing}"
 
 
 class TestShiftLemma:
@@ -157,10 +145,16 @@ class TestPinchLogCheck:
         with pytest.raises(ValueError, match="not an orthogonal projection"):
             pinch_log_check(SHEAR, p)
 
-    def test_takes_one_two_norm(self, two_norm_calls):
-        # ||T||_2 scales the invariance check; the projection checks use nrm2.
+    def test_takes_two_svds_and_no_two_norm(self, svd_calls, two_norm_calls):
+        # The singular values of T and S serve the verdict, ||T||_2 (the
+        # invariance check's scale) and both determinants.
         pinch_log_check(SHEAR, np.diag([1.0, 0.0]).astype(complex))
-        assert two_norm_calls == [(2, 2)]
+        assert svd_calls == [(2, 2), (2, 2)]
+        assert two_norm_calls == []
+
+    def test_huge_matrix_raises_overflow_error(self):
+        with pytest.raises(OverflowError, match="not finite"):
+            pinch_log_check(1e200 * SHEAR, np.diag([1.0, 0.0]).astype(complex))
 
 
 class TestWeylCheck:
