@@ -49,7 +49,6 @@ from .majorize import (
 from .matrices import (
     ProjectionNest,
     operator_norm,
-    ordered_schur,
     singular_values,
 )
 

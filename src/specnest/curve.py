@@ -1,8 +1,8 @@
 """Hilbert curve filling the square [-R, R]^2.
 
 Used to linearly order the complex spectrum: the curve index of the cell
-containing a point gives its first hit time. The entry corner can be
-re-anchored (rotating the square) when a spectral atom sits in the first cell.
+containing a point gives its first hit time. The anchor picks the entry corner
+(quarter turns of the square); a nest follows the anchor it is given.
 """
 from __future__ import annotations
 

@@ -206,7 +206,8 @@ def convergence_report(
     E_n = U diag(c_n) U* and N = U diag(c) U*: ||E_n - N||_2 = max|c_n - c|,
     T - E_n (triangular in U) has spectrum eigs - c_n and E_n - lam singular
     values |c_n - lam|. Only the pinch rows take the flag form (once) and
-    SVDs (one per level, shared by every m).
+    SVDs (one per level, shared by every m). Raises OverflowError when a
+    det_gap side or a pinch determinant is not finite.
     """
     if not n_range:
         raise ValueError("n_range must not be empty")
@@ -222,33 +223,40 @@ def convergence_report(
         lam_peak = max((z for z, _ in measure.atoms), key=abs)
         lam_list = (0.0, 1.0 + 1.0j, lam_peak)
 
-    potentials = [[measure.regularized_potential(lam, eps) for eps in eps_list]
-                  for lam in lam_list]
     rows = []
-    for n in n_range:
-        cn = _block_means(eigs, _column_groups(nest, n))
-        bound = curve.modulus(2.0**-n)
-        gap = float(np.max(np.abs(cn - c)))
-        rows.append(ConvergenceRow("norm_gap", n, (), gap, bound, gap <= bound))
-        rad = float(np.max(np.abs(eigs - cn)))
-        rows.append(ConvergenceRow("remainder_radius", n, (), rad, bound, rad <= bound))
-        bound_det = DET_TOL if n == max(n_range) else math.inf
-        for lam, rhs_row in zip(lam_list, potentials):
-            for eps, rhs in zip(eps_list, rhs_row):
-                lhs = _regularized_log_det(np.abs(cn - lam), eps)
-                gap_det = abs(lhs - rhs)
-                rows.append(
-                    ConvergenceRow(
-                        "det_gap", n, (complex(lam), float(eps)), gap_det,
-                        bound_det, gap_det <= bound_det,
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        potentials = [[measure.regularized_potential(lam, eps) for eps in eps_list]
+                      for lam in lam_list]
+        for n in n_range:
+            cn = _block_means(eigs, _column_groups(nest, n))
+            bound = curve.modulus(2.0**-n)
+            gap = float(np.max(np.abs(cn - c)))
+            rows.append(ConvergenceRow("norm_gap", n, (), gap, bound, gap <= bound))
+            rad = float(np.max(np.abs(eigs - cn)))
+            rows.append(ConvergenceRow("remainder_radius", n, (), rad, bound, rad <= bound))
+            bound_det = DET_TOL if n == max(n_range) else math.inf
+            for lam, rhs_row in zip(lam_list, potentials):
+                for eps, rhs in zip(eps_list, rhs_row):
+                    lhs = _regularized_log_det(np.abs(cn - lam), eps)
+                    if not math.isfinite(lhs) or not math.isfinite(rhs):
+                        raise OverflowError(
+                            f"regularized log-determinant is not finite (|T| = {normT:.3g})")
+                    gap_det = abs(lhs - rhs)
+                    rows.append(
+                        ConvergenceRow(
+                            "det_gap", n, (complex(lam), float(eps)), gap_det,
+                            bound_det, gap_det <= bound_det,
+                        )
                     )
-                )
-    pinch_svs = []
-    if m_list:
-        B = _flag_form(T, nest, normT)
-        pinch_svs = [singular_values(_pinch(B, _column_groups(nest, n))) for n in n_range]
-    for m in m_list:
-        seq = [np.exp(_regularized_log_det(sv, 1.0 / m)) for sv in pinch_svs]
+        pinch_svs = []
+        if m_list:
+            B = _flag_form(T, nest, normT)
+            pinch_svs = [singular_values(_pinch(B, _column_groups(nest, n))) for n in n_range]
+        seqs = [[np.exp(_regularized_log_det(sv, 1.0 / m)) for sv in pinch_svs]
+                for m in m_list]
+    if not np.all(np.isfinite(seqs)):
+        raise OverflowError(f"pinch determinant is not finite (|T| = {normT:.3g})")
+    for m, seq in zip(m_list, seqs):
         for n, prev, cur in zip(list(n_range)[1:], seq, seq[1:]):
             rows.append(
                 ConvergenceRow(

@@ -21,7 +21,6 @@ from .matrices import (
     default_half_side,
     eigenvalue_clusters,
     operator_norm,
-    ordered_schur,
     reorder_schur,
 )
 
@@ -68,10 +67,10 @@ def hs_projection(T, region: BorelSet) -> np.ndarray:
     is monotone under region inclusion.
     """
     T = as_operator(T)
-    U, R, _ = ordered_schur(T, key=lambda z: 0 if region.contains(z) else 1)
-    diag = np.diag(R)
-    k = int(sum(1 for z in diag if region.contains(complex(z))))
-    V = U[:, :k]
+    R, U = scipy.linalg.schur(T, output="complex")
+    keys = [0 if region.contains(complex(z)) else 1 for z in np.diag(R)]
+    U, _, _ = reorder_schur(T, R, U, keys, operator_norm(T))
+    V = U[:, :keys.count(0)]
     return V @ V.conj().T
 
 
@@ -131,18 +130,14 @@ def power_limit_operator(T, n: int) -> np.ndarray:
     return scale * 0.5 * (A + A.conj().T)
 
 
-class AtomAtCurveStartError(ValueError):
-    """An eigenvalue cluster occupies the curve's first cell for every anchor."""
-
-
 def build_nest(T, curve: HilbertCurveMap) -> ProjectionNest:
     """Curve-ordered nest of invariant projections for T.
 
     Clusters the diagonal of T's complex Schur form, orders the clusters by
     deep-level first hit time (ties broken by (Re, Im)), and reorders the
     Schur form into that order, with jumps at (hit time, cumulative
-    multiplicity). If a cluster sits in the curve's first cell, the curve
-    entry corner is rotated; all four corners failing is an error.
+    multiplicity). The nest follows the given curve: its square and anchor.
+    Hit times are taken at DEEP_LEVEL, so the curve's level does not enter.
     """
     T = as_operator(T)
     norm = operator_norm(T)
@@ -150,16 +145,7 @@ def build_nest(T, curve: HilbertCurveMap) -> ProjectionNest:
         raise ValueError("curve half_side must be at least the operator norm")
     R, U = scipy.linalg.schur(T, output="complex")
     clusters = eigenvalue_clusters(np.diag(R), norm)
-    for shift in range(4):
-        anchored = curve.with_anchor((curve.anchor + shift) % 4)
-        deeps = [deep_hit_index(anchored, rep) for rep, _ in clusters]
-        # No atom in cell 0; a curve finer than DEEP_LEVEL tests deep cell 0,
-        # which a square of half-side >= ||T||_2 keeps clear of the spectrum.
-        if min(deeps) >> (2 * max(DEEP_LEVEL - curve.level, 0)):
-            break
-    else:
-        raise AtomAtCurveStartError("all four curve anchors have an eigenvalue "
-                                    "atom at the start")
+    deeps = [deep_hit_index(curve, rep) for rep, _ in clusters]
     order = sorted(range(len(clusters)), key=lambda c: (
         deeps[c], clusters[c][0].real, clusters[c][0].imag))
     # Schur key: each diagonal slot's cluster position in curve order.

@@ -13,7 +13,6 @@ elementwise work.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -220,11 +219,3 @@ def reorder_schur(T: np.ndarray, R: np.ndarray, U: np.ndarray, keys, norm: float
         )
     return U, R, np.array(labels)
 
-
-def ordered_schur(T, key: Callable[[complex], object]):
-    """Schur factorization T = U R U* with diag(R) sorted by ``key`` of the
-    unordered Schur diagonal; ties and (U, R, perm) as in ``reorder_schur``."""
-    T = as_operator(T)
-    R, U = scipy.linalg.schur(T, output="complex")
-    keys = [key(complex(z)) for z in np.diag(R)]
-    return reorder_schur(T, R, U, keys, operator_norm(T))

@@ -344,6 +344,18 @@ class TestConvergenceReport:
         with pytest.raises(ValueError, match="n_range"):
             convergence_report(random_matrix(61, 4), n_range=n_range)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("spec, scale, match", [
+        (EnsembleSpec(Ginibre(8), seed=3), 1e154, "log-determinant"),
+        (EnsembleSpec(Jordan(0.0, 8)), 1e160, "pinch determinant"),
+    ], ids=["ginibre-det-gap", "jordan-pinch-det"])
+    def test_overflow_raises_instead_of_nan_rows(self, spec, scale, match):
+        # Squared singular values overflow: an error, not failing NaN rows and
+        # numpy overflow warnings. The Jordan block's eigenvalues are all 0, so
+        # only its pinch determinants overflow.
+        with pytest.raises(OverflowError, match=match):
+            convergence_report(scale * generate(spec)[0])
+
     def test_takes_one_svd_per_pinch_level(self, svd_calls):
         # The level rows read the flag diagonal; only the 11 pinch levels take
         # an SVD, shared by the 3 m.

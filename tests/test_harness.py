@@ -28,7 +28,7 @@ PUBLIC_NAMES = [
     "block_det_identity_check", "brown_density_grid", "brown_measure_exact", "build_nest",
     "convergence_report", "decompose", "default_curve", "expectation_full",
     "fk_determinant", "generate", "hs_projection", "log_plus_equivalence_check",
-    "log_submajorizes", "operator_norm", "ordered_schur", "pinch_commutant",
+    "log_submajorizes", "operator_norm", "pinch_commutant",
     "pinch_log_check", "power_limit_operator", "regularized_log_det", "serialize",
     "shift_lemma_check", "singular_values", "submajorizes", "weyl_check",
 ]
@@ -66,7 +66,6 @@ PUBLIC_PARAMETERS = {
     "log_plus_equivalence_check": ("A", "B"),
     "log_submajorizes": ("A", "B"),
     "operator_norm": ("T",),
-    "ordered_schur": ("T", "key"),
     "pinch_commutant": ("T", "nest", "n"),
     "pinch_log_check": ("T", "p"),
     "power_limit_operator": ("T", "n"),
@@ -424,6 +423,20 @@ class TestCli:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "OverflowError"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_report_overflow_is_numerical_error(self, tmp_path, capsys):
+        # The report's squared singular values overflow at 1e154: exit 2 with
+        # the error record, not exit 1 with NaN rows, and no file written.
+        matrix_path = tmp_path / "m.json"
+        T = ensembles.generate(ensembles.EnsembleSpec(ensembles.Ginibre(8), seed=3))[0]
+        serialize.write_matrix(str(matrix_path), 1e154 * T)
+        out, report = tmp_path / "dec.json", tmp_path / "report.csv"
+        assert self.run("decompose", "--in", str(matrix_path), "--out", str(out),
+                        "--report", str(report)) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "OverflowError"
+        assert not out.exists() and not report.exists()
 
     @pytest.mark.parametrize("payload", [
         [1, 2],

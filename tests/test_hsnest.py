@@ -17,7 +17,6 @@ from specnest.ensembles import (
     generate,
 )
 from specnest.hsnest import (
-    AtomAtCurveStartError,
     Ball,
     CurveSegment,
     build_nest,
@@ -254,7 +253,7 @@ class TestBuildNest:
             mean = complex(np.mean(diag[lo:hi]))
             assert t == deep_hit_index(curve, mean) / float(1 << (2 * DEEP_LEVEL))
 
-    @pytest.mark.parametrize("level", [33, 40])
+    @pytest.mark.parametrize("level", [1, 2, 33, 40])
     def test_levels_past_deep_level_give_the_level_16_nest(self, level):
         T = random_matrix(23, 16)
         curve = default_curve(T)
@@ -279,30 +278,27 @@ class TestBuildNest:
         with pytest.raises(ValueError):
             build_nest(T, HilbertCurveMap(level=8, half_side=1.0))
 
-    def test_atom_at_start_raises_for_single_anchor(self):
-        # At level 1 the entry quadrant of the anchor-0 curve is [-1,0]^2, which
-        # holds an atom: that anchor alone is blocked, so build_nest must not
-        # keep it (an anchor-0 nest would jump before 1/num_cells).
-        T = np.diag([-0.5 - 0.5j, 0.5 + 0.5j])
-        curve = HilbertCurveMap(level=1, half_side=1.0)
-        assert curve.anchor == 0
-        cell_shift = 2 * (DEEP_LEVEL - curve.level)
-        assert deep_hit_index(curve, -0.5 - 0.5j) >> cell_shift == 0
-        nest = build_nest(T, curve)
-        assert all(t >= 1 / curve.num_cells for t, _ in nest.jumps[1:])
+    @pytest.mark.parametrize("anchor", [0, 1, 2, 3])
+    def test_nest_is_the_projections_of_curve_segments(self, anchor):
+        # The paper's nest P(T, gamma([0, t])): at each inner jump of a level-32
+        # curve, the nest projection is the Haagerup-Schultz projection of the
+        # curve segment, within the nest-unitarity tolerance 1e-10.
+        mats = [T for kind in (Ginibre(8), UpperTriangularRandom(8), NormalPlusNilpotent(8),
+                               Ginibre(32))
+                for T in generate(EnsembleSpec(kind, seed=5, count=10))]
+        for T in mats:
+            curve = HilbertCurveMap(DEEP_LEVEL, default_curve(T).half_side, anchor)
+            nest = build_nest(T, curve)
+            for t, rank in nest.jumps[1:-1]:
+                P = hs_projection(T, CurveSegment(t, curve))
+                assert round(float(np.trace(P).real)) == rank
+                assert np.linalg.norm(nest.projection_at(t) - P) <= 1e-10
 
     def test_anchor_rotation_rescues_build(self):
         T = np.diag([-0.5 - 0.5j, 0.5 + 0.5j])
         curve = HilbertCurveMap(level=1, half_side=1.0)
         nest = build_nest(T, curve)
         assert nest.jumps[-1][1] == 2
-
-    def test_all_anchors_blocked_raises(self):
-        # One eigenvalue per quadrant: every rotation starts on an atom.
-        T = np.diag([0.5 + 0.5j, -0.5 + 0.5j, -0.5 - 0.5j, 0.5 - 0.5j])
-        curve = HilbertCurveMap(level=1, half_side=1.0)
-        with pytest.raises(AtomAtCurveStartError):
-            build_nest(np.asarray(T, dtype=complex), curve)
 
     def test_default_curve_scales_with_norm(self):
         T = 2.0 * np.eye(3)

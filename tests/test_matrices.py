@@ -13,7 +13,7 @@ from specnest.matrices import (
     eigenvalue_clusters,
     gemm,
     operator_norm,
-    ordered_schur,
+    reorder_schur,
     singular_values,
     spectral_radius,
     spectrum_distance,
@@ -162,6 +162,12 @@ class TestSpectrumDistance:
     def test_shared_nearest_value_takes_the_cheaper_pairing(self):
         # Both points are nearest 0.05; pairing 0.1 with 10 costs less in total.
         assert spectrum_distance(np.array([0.0, 0.1]), np.array([0.05, 10.0])) == 9.9
+
+
+def ordered_schur(T, key):
+    """reorder_schur of T's complex Schur form, keyed by ``key`` of its diagonal."""
+    R, U = scipy.linalg.schur(T, output="complex")
+    return reorder_schur(T, R, U, [key(complex(z)) for z in np.diag(R)], operator_norm(T))
 
 
 class TestOrderedSchur:
