@@ -1,7 +1,7 @@
 """Acceptance battery: ten desk-scale property checks with stated tolerances.
 
 Each criterion is a function returning a CriterionResult; ``run_all`` executes
-the whole battery (this is what ``specnest verify --suite full`` runs). Seeds
+the whole battery (this is what ``specnest verify`` runs). Seeds
 are fixed so that reruns are bit-identical.
 """
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .curve import MODULUS_CONSTANT, HilbertCurveMap, curve_points_batch
 from .decompose import Q_DIAGONAL_TOL, convergence_report, decompose, pinch_commutant
 from .detbrown import brown_density_grid, fk_determinant
 from .ensembles import EnsembleSpec, Ginibre, UpperTriangularRandom, generate
-from .hsnest import Ball, hs_projection, power_limit_operator
+from .hsnest import Ball, CurveSegment, default_curve, hs_projection, power_limit_operator
 from .majorize import (
     DEFAULT_GAUGES,
     log_plus_equivalence_check,
@@ -195,20 +195,29 @@ def criterion_curve_nest_bounds(seed: int) -> CriterionResult:
     def run():
         bound_fails = 0
         worst_ratio = 0.0
+        rank_fails, worst_gap = 0, 0.0
         for T in _ginibre(8, seed, 50):
             report = convergence_report(T, n_range=range(2, 11), lam_list=(), m_list=())
             worst_ratio = max([worst_ratio] + [r.value / r.bound for r in report.rows])
             bound_fails += len({r.n for r in report.failures()})
+            # The paper's nest: P(T, gamma([0, t])) at every inner jump t.
+            nest, curve = report.decomposition.nest, default_curve(T)
+            for t, rank in nest.jumps[1:-1]:
+                P = hs_projection(T, CurveSegment(t, curve))
+                rank_fails += round(float(np.trace(P).real)) != rank
+                worst_gap = max(worst_gap, frobenius(nest.projection_at(t) - P))
         # Curve modulus on sampled pairs.
-        curve = HilbertCurveMap(level=16, half_side=1.0)
+        curve = HilbertCurveMap(half_side=1.0)
         rng = np.random.default_rng(seed)
         t1 = rng.uniform(0.0, 1.0, 100_000)
         t2 = rng.uniform(0.0, 1.0, 100_000)
         d = np.abs(curve_points_batch(curve, t1) - curve_points_batch(curve, t2))
         bound = MODULUS_CONSTANT * curve.half_side * np.sqrt(np.abs(t1 - t2))
         modulus_fails = int(np.count_nonzero(d > bound))
-        ok = bound_fails == 0 and modulus_fails == 0
+        # Segment projections within the nest-unitarity tolerance.
+        ok = bound_fails == rank_fails == modulus_fails == 0 and worst_gap <= 1e-10
         return ok, {"bound_failures": bound_fails, "worst_bound_ratio": worst_ratio,
+                    "segment_rank_failures": rank_fails, "worst_segment_gap": worst_gap,
                     "modulus_failures": modulus_fails}
 
     return _timed("5 curve and nest bounds (50 Ginibre 8x8, 1e5 pairs)", run)

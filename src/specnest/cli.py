@@ -133,8 +133,6 @@ def _cmd_check_lemmas(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite != "full":
-        raise ValueError(f"unknown suite {args.suite!r}")
     results = acceptance.run_all(seed=args.seed, out_dir=args.out)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -199,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.set_defaults(func=_cmd_check_lemmas)
 
     p = sub.add_parser("verify", help="run the full acceptance battery")
-    p.add_argument("--suite", default="full")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default=None, help="directory for report artifacts")
     p.set_defaults(func=_cmd_verify)

@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 import scipy.linalg
 
-from .curve import DEEP_LEVEL, HilbertCurveMap, deep_hit_index, hit_index
+from .curve import DEEP_LEVEL, HilbertCurveMap, hit_index
 from .matrices import (
     ProjectionNest,
     as_operator,
@@ -42,7 +42,7 @@ class Ball:
 
 @dataclasses.dataclass(frozen=True)
 class CurveSegment:
-    """The image of [0, t] under the curve, at the curve's cell resolution."""
+    """The image of [0, t] under the curve: the cells with hit time at most t."""
 
     t: float
     curve: HilbertCurveMap
@@ -52,7 +52,7 @@ class CurveSegment:
             raise ValueError("t must lie in [0, 1]")
 
     def contains(self, z: complex) -> bool:
-        return hit_index(self.curve, z) / self.curve.num_cells <= self.t
+        return hit_index(self.curve, z) / 4.0**DEEP_LEVEL <= self.t
 
 
 BorelSet = Union[Ball, CurveSegment]
@@ -134,10 +134,10 @@ def build_nest(T, curve: HilbertCurveMap) -> ProjectionNest:
     """Curve-ordered nest of invariant projections for T.
 
     Clusters the diagonal of T's complex Schur form, orders the clusters by
-    deep-level first hit time (ties broken by (Re, Im)), and reorders the
-    Schur form into that order, with jumps at (hit time, cumulative
-    multiplicity). The nest follows the given curve: its square and anchor.
-    Hit times are taken at DEEP_LEVEL, so the curve's level does not enter.
+    first hit time (ties broken by (Re, Im)), and reorders the Schur form into
+    that order, with jumps at (hit time, cumulative multiplicity). The nest
+    follows the given curve, its square and anchor: its projection at each
+    jump time t is ``hs_projection(T, CurveSegment(t, curve))`` up to rounding.
     """
     T = as_operator(T)
     norm = operator_norm(T)
@@ -145,9 +145,9 @@ def build_nest(T, curve: HilbertCurveMap) -> ProjectionNest:
         raise ValueError("curve half_side must be at least the operator norm")
     R, U = scipy.linalg.schur(T, output="complex")
     clusters = eigenvalue_clusters(np.diag(R), norm)
-    deeps = [deep_hit_index(curve, rep) for rep, _ in clusters]
+    hits = [hit_index(curve, rep) for rep, _ in clusters]
     order = sorted(range(len(clusters)), key=lambda c: (
-        deeps[c], clusters[c][0].real, clusters[c][0].imag))
+        hits[c], clusters[c][0].real, clusters[c][0].imag))
     # Schur key: each diagonal slot's cluster position in curve order.
     keys = np.empty(T.shape[0], dtype=int)
     for rank, c in enumerate(order):
@@ -156,14 +156,14 @@ def build_nest(T, curve: HilbertCurveMap) -> ProjectionNest:
 
     jumps = [(0.0, 0)]
     for c in order:
-        # Clusters sharing a deep cell get the next float, so times increase.
-        t = deeps[c] / float(1 << (2 * DEEP_LEVEL))
+        # Clusters sharing a cell get the next float, so times increase.
+        t = hits[c] / 4.0**DEEP_LEVEL
         t = max(t, math.nextafter(jumps[-1][0], 2.0))
         jumps.append((min(t, 1.0), jumps[-1][1] + len(clusters[c][1])))
     return ProjectionNest(U, tuple(jumps))
 
 
 def default_curve(T) -> HilbertCurveMap:
-    """``decompose``'s curve: level 16 on [-R, R]^2, R = HALF_SIDE_FACTOR * ||T||_2,
-    a square that contains T's spectral disk."""
+    """``decompose``'s curve: [-R, R]^2, R = HALF_SIDE_FACTOR * ||T||_2, a square
+    that contains T's spectral disk."""
     return HilbertCurveMap(half_side=default_half_side(operator_norm(T)))

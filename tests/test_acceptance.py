@@ -51,7 +51,9 @@ def test_criterion_4_power_limit(battery):
 
 def test_criterion_5_curve_and_nest_bounds(battery):
     """50 Ginibre 8x8, n = 2..10: dyadic expectation gap and remainder radius
-    both below 6R sqrt(2^-n); curve modulus verified on 1e5 sampled pairs."""
+    both below 6R sqrt(2^-n); at every inner jump t the nest projection is
+    hs_projection(T, CurveSegment(t, curve)) (same rank, Frobenius gap
+    <= 1e-10); curve modulus verified on 1e5 sampled pairs."""
     _assert_criterion(battery[4])
 
 

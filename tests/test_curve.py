@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specnest.curve import (
@@ -14,13 +14,12 @@ from specnest.curve import (
     _cell_center,
     _xy2d,
     curve_points_batch,
-    deep_hit_index,
     hit_index,
 )
 
 
 def _d2xy_bits(order: int, d):
-    """Reference index map, one level per step (branch-free: ints or int64 arrays)."""
+    """Reference index map, one level per step (branch-free: ints or uint64 arrays)."""
     x = y = 0
     t = d
     for k in range(order):
@@ -55,19 +54,19 @@ def _xy2d_bits(order: int, x: int, y: int) -> int:
     return d
 
 
-def _hit_bits(curve: HilbertCurveMap, z: complex, level: int) -> int:
+def _hit_bits(curve: HilbertCurveMap, z: complex) -> int:
     """Reference hit index on ``_xy2d_bits``: the candidate cells of each axis
     (two on a shared edge, coordinates clamped within 1e-12 R), smallest index."""
-    R, side = curve.half_side, 1 << level
+    R, side = curve.half_side, 1 << DEEP_LEVEL
     axes = []
     for coord in (z.real, z.imag):
         if coord < -R - 1e-12 * R or coord > R + 1e-12 * R or math.isnan(coord):
             raise ValueError("outside")
-        frac = (min(max(coord, -R), R) + R) / (2.0 * R / side)
+        frac = math.ldexp((0.5 * min(max(coord, -R), R) + 0.5 * R) / R, DEEP_LEVEL)
         i = min(side - 1, int(math.floor(frac)))
         edge = frac == math.floor(frac) and 1 <= frac <= side - 1
         axes.append([i, i - 1] if edge else [i])
-    return min(_xy2d_bits(level, *_anchor_fwd(-curve.anchor % 4, side, px, py))
+    return min(_xy2d_bits(DEEP_LEVEL, *_anchor_fwd(-curve.anchor % 4, side, px, py))
                for px in axes[0] for py in axes[1])
 
 
@@ -79,10 +78,12 @@ def _or_error(fn, *args):
         return ValueError
 
 
-HIT_LEVELS = (1, 2, 5, 16, 32, 33, 40)
-# At a power-of-two half-side, -R + k * cell_side is exact, so those points sit
-# on shared cell edges; the others span the double range (at 1e-305 the deep
-# cells are subnormal, and rounded).
+# Test points on the lines of the 2**grid grid: shared cell edges and corners
+# for grid <= DEEP_LEVEL, and points between them for finer grids.
+GRID_LEVELS = (1, 2, 5, 16, 32, 33, 40)
+# At a power-of-two half-side, -R + k * 2R / 2**grid is exact, so those points
+# sit on grid lines; the others span the double range (at 1e-305 the cell side
+# is subnormal).
 HIT_HALF_SIDES = (2.0**-664, 2.0**-20, 1.0, 2.0**7, 2.0**498, 1e-305, 1e-200, 0.7, 3e150)
 
 
@@ -106,7 +107,7 @@ class TestIndexMaps:
         assert abs(x1 - x2) + abs(y1 - y2) == 1
 
     def test_d2xy_array_matches_scalar_and_keeps_input(self):
-        idx = np.arange(4**5, dtype=np.int64)
+        idx = np.arange(4**5, dtype=np.uint64)
         x, y = _d2xy(5, idx)
         assert [(int(a), int(b)) for a, b in zip(x, y)] == [_d2xy(5, d) for d in range(4**5)]
         assert np.array_equal(idx, np.arange(4**5))
@@ -126,14 +127,15 @@ class TestIndexMaps:
         assert _xy2d(order, x, y) == _xy2d_bits(order, x, y)
         assert _d2xy(order, d) == _d2xy_bits(order, d)
 
-    @given(st.integers(1, 31), st.integers(0, 2**32 - 1))
-    def test_int64_arrays_match_per_bit_loop(self, order, seed):
-        idx = np.concatenate([[0, 4**order - 1], np.random.default_rng(seed).integers(
-            0, 4**order, 64)]).astype(np.int64)
+    @given(st.integers(1, DEEP_LEVEL), st.integers(0, 2**32 - 1))
+    def test_uint64_arrays_match_per_bit_loop(self, order, seed):
+        idx = np.concatenate([np.array([0, 4**order - 1], dtype=np.uint64),
+                              np.random.default_rng(seed).integers(
+                                  0, 4**order, 64, dtype=np.uint64)])
         keep = idx.copy()
         x, y = _d2xy(order, idx)
         ref_x, ref_y = _d2xy_bits(order, idx)
-        assert x.dtype == y.dtype == np.int64
+        assert x.dtype == y.dtype == np.uint64
         assert np.array_equal(x, ref_x) and np.array_equal(y, ref_y)
         assert np.array_equal(idx, keep)
 
@@ -144,109 +146,110 @@ class TestIndexMaps:
 
 
 def _point(curve: HilbertCurveMap, idx: int) -> complex:
-    """Center of the cell with curve index ``idx``, on Python ints (exact at any level)."""
+    """Center of the cell with curve index ``idx``, on Python ints (exact)."""
     return complex(*_cell_center(curve, idx))
 
 
 class TestCurvePoint:
     def test_points_stay_in_square(self):
-        curve = HilbertCurveMap(level=6, half_side=2.0)
+        curve = HilbertCurveMap(half_side=2.0)
         z = curve_points_batch(curve, np.linspace(0, 1, 257))
         assert np.all(np.abs(z.real) <= 2.0) and np.all(np.abs(z.imag) <= 2.0)
 
     def test_start_is_entry_corner_cell(self):
-        curve = HilbertCurveMap(level=8, half_side=1.0)
+        curve = HilbertCurveMap(half_side=1.0)
         [z] = curve_points_batch(curve, [0.0])
         h = curve.cell_side
         assert z == pytest.approx(complex(-1 + h / 2, -1 + h / 2))
 
     def test_anchor_rotates_start(self):
-        base = HilbertCurveMap(level=8, half_side=1.0)
+        base = HilbertCurveMap(half_side=1.0)
         starts = {complex(curve_points_batch(base.with_anchor(a), [0.0])[0]) for a in range(4)}
         assert len(starts) == 4
 
     @settings(deadline=None)
     @given(st.integers(0, 10_000))
     def test_modulus_bound_on_random_pairs(self, seed):
-        curve = HilbertCurveMap(level=10, half_side=1.5)
+        curve = HilbertCurveMap(half_side=1.5)
         rng = np.random.default_rng(seed)
         t1, t2 = rng.uniform(0, 1, 2)
         z1, z2 = curve_points_batch(curve, [t1, t2])
         assert abs(z1 - z2) <= curve.modulus(t1 - t2)
 
     def test_batch_matches_scalar(self):
-        # The int64 index arrays against the Python-int path, cell by cell.
-        curve = HilbertCurveMap(level=9, half_side=0.7, anchor=3)
-        ts = np.linspace(0, 1, 101)
+        # The uint64 index arrays against the Python-int path, cell by cell.
+        curve = HilbertCurveMap(half_side=0.7, anchor=3)
+        ts = np.append(np.linspace(0, 1, 101), np.nextafter(1.0, 0.0))
         batch = curve_points_batch(curve, ts)
-        scalar = np.array([_point(curve, min(curve.num_cells - 1, int(t * curve.num_cells)))
+        scalar = np.array([_point(curve, min(4**DEEP_LEVEL - 1, int(t * 4**DEEP_LEVEL)))
                            for t in ts])
         assert np.array_equal(batch, scalar)
 
 
 class TestHitIndex:
     def test_inverts_curve_point(self):
+        rng = np.random.default_rng(32)
         for anchor in range(4):
-            curve = HilbertCurveMap(level=7, half_side=1.0, anchor=anchor)
-            for idx in (0, 5, 1000, curve.num_cells - 1):
-                assert hit_index(curve, _point(curve, idx)) == idx
-
-    def test_level_40_round_trip(self):
-        # 4**40 cells overflow int64, so this runs the Python-int index map.
-        rng = np.random.default_rng(40)
-        for anchor in range(4):
-            curve = HilbertCurveMap(level=40, half_side=1.0, anchor=anchor)
-            for high in rng.integers(0, 2**52, 5):
-                idx = int(high) << 28
+            curve = HilbertCurveMap(half_side=1.0, anchor=anchor)
+            for idx in (0, 5, 1000, 4**DEEP_LEVEL - 1,
+                        *(int(i) for i in rng.integers(0, 2**64, 5, dtype=np.uint64))):
                 assert hit_index(curve, _point(curve, idx)) == idx
 
     def test_first_hit_time_range(self):
         # The first hit time of z is its hit index over the cell count.
-        curve = HilbertCurveMap(level=7, half_side=1.0)
+        curve = HilbertCurveMap(half_side=1.0)
         idx = hit_index(curve, 0.3 + 0.4j)
-        assert 0.0 <= idx / curve.num_cells < 1.0
+        assert 0.0 <= idx / 4**DEEP_LEVEL < 1.0
         assert abs(_point(curve, idx) - (0.3 + 0.4j)) <= curve.cell_side
 
     def test_shared_edge_resolves_to_smaller_index(self):
-        curve = HilbertCurveMap(level=2, half_side=1.0)
-        # x = -0.5 is the shared edge between cell columns 0 and 1.
+        curve = HilbertCurveMap(half_side=1.0)
+        # x = -0.5 and y = -0.75 are cell edges, so the point is a corner of four cells.
+        h = curve.cell_side
         idx = hit_index(curve, complex(-0.5, -0.75))
-        left = hit_index(curve, complex(-0.6, -0.75))
-        right = hit_index(curve, complex(-0.4, -0.75))
-        assert idx == min(left, right)
+        assert idx == min(hit_index(curve, complex(-0.5 + dx, -0.75 + dy))
+                          for dx in (-h / 2, h / 2) for dy in (-h / 2, h / 2))
 
     def test_outside_square_rejected(self):
-        curve = HilbertCurveMap(level=4, half_side=1.0)
+        curve = HilbertCurveMap(half_side=1.0)
         with pytest.raises(ValueError):
             hit_index(curve, 2.0 + 0.0j)
 
     @pytest.mark.parametrize("z", [-0.5j - 1.001, complex(math.nan, 0.0),
                                    complex(0.0, math.nan), complex(math.inf, 0.0)])
     def test_nonfinite_or_outside_point_rejected_at_every_level(self, z):
-        curve = HilbertCurveMap(level=4, half_side=1.0)
+        curve = HilbertCurveMap(half_side=1.0)
         with pytest.raises(ValueError):
             hit_index(curve, z)
-        with pytest.raises(ValueError):
-            deep_hit_index(curve, z)
-
-    def test_level_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            hit_index(HilbertCurveMap(level=4), 0.1j, level=0)
 
     @settings(max_examples=300)
-    @given(st.sampled_from(HIT_HALF_SIDES), st.integers(0, 3), st.sampled_from(HIT_LEVELS),
+    @given(st.sampled_from(HIT_HALF_SIDES), st.integers(0, 3),
            st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
-    def test_random_points_match_per_bit_reference(self, R, anchor, level, u, v):
-        curve = HilbertCurveMap(level=level, half_side=R, anchor=anchor)
+    def test_random_points_match_per_bit_reference(self, R, anchor, u, v):
+        curve = HilbertCurveMap(half_side=R, anchor=anchor)
         z = complex(u * R, v * R)
-        assert hit_index(curve, z) == _hit_bits(curve, z, level)
-        assert hit_index(curve, z, level=DEEP_LEVEL + 1) == _hit_bits(curve, z, DEEP_LEVEL + 1)
-        assert deep_hit_index(curve, z) == _hit_bits(curve, z, DEEP_LEVEL)
+        assert hit_index(curve, z) == _hit_bits(curve, z)
 
-    @pytest.mark.parametrize("level", HIT_LEVELS)
-    def test_edges_corners_and_slack_match_per_bit_reference(self, level):
-        rng = np.random.default_rng(level)
-        side = 1 << level
+    @settings(max_examples=300)
+    @given(st.sampled_from(HIT_HALF_SIDES), st.integers(0, 3),
+           st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.data())
+    def test_power_of_two_scaling_keeps_the_cell(self, R, anchor, u, v, data):
+        # Scaling by 2**k is exact while R, z and their halves stay normal, so
+        # the point must stay in the same cell of the scaled square.
+        e = math.frexp(R)[1]
+        k = data.draw(st.integers(-1020 - e, 1024 - e))
+        z = complex(u * R, v * R)
+        normal = 2.0 * np.finfo(float).tiny
+        assume(all(c == 0.0 or min(abs(c), math.ldexp(abs(c), k)) >= normal
+                   for c in (z.real, z.imag)))
+        scaled = HilbertCurveMap(half_side=math.ldexp(R, k), anchor=anchor)
+        zk = complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+        assert hit_index(scaled, zk) == hit_index(HilbertCurveMap(R, anchor), z)
+
+    @pytest.mark.parametrize("grid", GRID_LEVELS)
+    def test_edges_corners_and_slack_match_per_bit_reference(self, grid):
+        rng = np.random.default_rng(grid)
+        side = 1 << grid
         ks = sorted({0, 1, side // 2, side - 1, side, *(int(k) for k in rng.integers(
             0, side + 1, 6, dtype=np.uint64))})
         for R in HIT_HALF_SIDES:
@@ -254,63 +257,37 @@ class TestHitIndex:
             coords = [-R + k * h for k in ks] + [
                 R + 0.5 * slack, R + slack, -R - 0.5 * slack, -R - slack, 0.3 * R]
             for anchor in range(4):
-                curve = HilbertCurveMap(level=level, half_side=R, anchor=anchor)
+                curve = HilbertCurveMap(half_side=R, anchor=anchor)
                 for a in coords:
                     for b in coords[::3]:
                         for z in (complex(a, b), complex(b, a)):
                             assert _or_error(hit_index, curve, z) == \
-                                _or_error(_hit_bits, curve, z, level)
-                            assert _or_error(deep_hit_index, curve, z) == \
-                                _or_error(_hit_bits, curve, z, DEEP_LEVEL)
+                                _or_error(_hit_bits, curve, z)
             for coord in (R + 2 * slack, -R - 2 * slack):
                 with pytest.raises(ValueError):
                     hit_index(curve, complex(coord, 0.0))
 
-    def test_deep_index_refines_coarse(self):
-        curve = HilbertCurveMap(level=5, half_side=1.0)
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            z = complex(*rng.uniform(-0.99, 0.99, 2))
-            deep = deep_hit_index(curve, z)
-            coarse = hit_index(curve, z)
-            assert deep >> (2 * (DEEP_LEVEL - curve.level)) == coarse
-
-    def test_deep_index_separates_close_points(self):
-        curve = HilbertCurveMap(level=4, half_side=1.0)
-        z1 = 0.123456 + 0.5j
-        z2 = z1 + 1e-7
-        assert hit_index(curve, z1) == hit_index(curve, z2)
-        assert deep_hit_index(curve, z1) != deep_hit_index(curve, z2)
-
 
 class TestValidation:
-    def test_rejects_bad_level(self):
-        with pytest.raises(ValueError):
-            HilbertCurveMap(level=0)
-
     def test_rejects_bad_anchor(self):
         with pytest.raises(ValueError):
             HilbertCurveMap(anchor=4)
 
-    @pytest.mark.parametrize("field, value", [
-        ("level", 2.5), ("level", 2.0), ("level", True), ("level", "3"),
-        ("level", np.float64(4.0)), ("anchor", 1.0), ("anchor", False),
-        ("anchor", np.True_), ("anchor", None),
-    ], ids=["level-2.5", "level-2.0", "level-true", "level-str", "level-np-float",
-            "anchor-1.0", "anchor-false", "anchor-np-bool", "anchor-none"])
-    def test_rejects_non_integer_parameter(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            HilbertCurveMap(**{field: value})
+    @pytest.mark.parametrize("value", [1.0, False, np.True_, None],
+                             ids=["anchor-1.0", "anchor-false", "anchor-np-bool", "anchor-none"])
+    def test_rejects_non_integer_parameter(self, value):
+        with pytest.raises(ValueError, match="anchor must be an integer"):
+            HilbertCurveMap(anchor=value)
 
     @pytest.mark.parametrize("to_int", [int, np.int32, np.int64, np.uint8],
                              ids=["int", "np-int32", "np-int64", "np-uint8"])
     def test_accepts_numpy_integers_as_python_ints(self, to_int):
-        curve = HilbertCurveMap(level=to_int(3), anchor=to_int(2))
-        assert curve == HilbertCurveMap(level=3, anchor=2)
-        assert type(curve.level) is int and type(curve.anchor) is int
+        curve = HilbertCurveMap(anchor=to_int(2))
+        assert curve == HilbertCurveMap(anchor=2)
+        assert type(curve.anchor) is int
 
     def test_rejects_t_outside_unit_interval(self):
-        curve = HilbertCurveMap(level=4)
+        curve = HilbertCurveMap()
         for t in (1.5, -0.25):
             with pytest.raises(ValueError):
                 curve_points_batch(curve, [0.5, t])

@@ -306,6 +306,15 @@ class TestScaling:
                     failures[f"{name}@{scale:g}"] = failed
         assert failures == {}
 
+    def test_extreme_scales_keep_the_jump_times(self):
+        # At 2**-1008 and 1e-307 a cell side 2R / 2**32 is subnormal, and
+        # dividing by it moved jump times; at ||T||_2 = 1e308, coord + R overflowed.
+        U = generate(EnsembleSpec(UpperTriangularRandom(8), seed=3))[0]
+        assert decompose(np.ldexp(1.0, -1008) * U).nest.jumps == decompose(U).nest.jumps
+        G = generate(EnsembleSpec(Ginibre(8), seed=3))[0]
+        for scaled in (1e-307 * G, 1e308 / operator_norm(G) * G):
+            assert decompose(scaled).nest.jumps == decompose(G).nest.jumps
+
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 2000), st.integers(3, 16), st.booleans(),
            st.floats(-250.0, 250.0))

@@ -82,7 +82,7 @@ class TestRegularizedLogDet:
 
 
 @pytest.mark.parametrize("build, name", [
-    (lambda: curve_points_batch(HilbertCurveMap(level=4), [np.nan]), "t values"),
+    (lambda: curve_points_batch(HilbertCurveMap(), [np.nan]), "t values"),
     (lambda: HilbertCurveMap(half_side=math.inf), "half_side"),
     (lambda: HilbertCurveMap(half_side=math.nan), "half_side"),
     (lambda: brown_density_grid(np.eye(2), bounds=(-math.inf, math.inf, -math.inf, math.inf)),

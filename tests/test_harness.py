@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import specnest
-from specnest import cli, ensembles, serialize
+from specnest import acceptance, cli, ensembles, serialize
 from specnest.decompose import ConvergenceRow, convergence_report, decompose
 from specnest.detbrown import brown_density_grid
 from specnest.hsnest import build_nest, default_curve
@@ -44,7 +44,7 @@ PUBLIC_PARAMETERS = {
                     "negative_cells_flagged", "kernel", "rho"),
     "EnsembleSpec": ("kind", "seed", "count"),
     "Ginibre": ("n",),
-    "HilbertCurveMap": ("level", "half_side", "anchor"),
+    "HilbertCurveMap": ("half_side", "anchor"),
     "Jordan": ("lam", "n"),
     "LogShift": ("s",),
     "NormalPlusNilpotent": ("n",),
@@ -368,6 +368,21 @@ class TestCli:
                      str(tmp_path / "dec.json"), "--curve-level", "16")
         assert exit_info.value.code == 2
         assert "--curve-level" in capsys.readouterr().err
+
+    def test_verify_takes_no_suite(self, monkeypatch, capsys):
+        calls = []
+
+        def run_all(seed, out_dir):
+            calls.append((seed, out_dir))
+            return []
+
+        monkeypatch.setattr(acceptance, "run_all", run_all)
+        assert self.run("verify") == 0
+        assert calls == [(7, None)]
+        with pytest.raises(SystemExit) as exit_info:
+            self.run("verify", "--suite", "full")
+        assert exit_info.value.code == 2
+        assert "--suite" in capsys.readouterr().err
 
     def test_huge_matrix_decomposes_to_strict_json(self, tmp_path):
         matrix_path = tmp_path / "m.json"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specnest import curve as curve_module
-from specnest.curve import DEEP_LEVEL, HilbertCurveMap, deep_hit_index
+from specnest.curve import DEEP_LEVEL, HilbertCurveMap, hit_index
 from specnest.ensembles import (
     EnsembleSpec,
     Ginibre,
@@ -67,7 +67,7 @@ class TestRegions:
             Ball(0.0, -1.0)
 
     def test_curve_segment_membership(self):
-        curve = HilbertCurveMap(level=6, half_side=1.0)
+        curve = HilbertCurveMap(half_side=1.0)
         seg = CurveSegment(0.0, curve)
         # Only the entry cell is hit at t = 0.
         h = curve.cell_side
@@ -251,16 +251,7 @@ class TestBuildNest:
         diag = np.diag(nest.basis.conj().T @ T @ nest.basis)
         for t, lo, hi in nest.increments():
             mean = complex(np.mean(diag[lo:hi]))
-            assert t == deep_hit_index(curve, mean) / float(1 << (2 * DEEP_LEVEL))
-
-    @pytest.mark.parametrize("level", [1, 2, 33, 40])
-    def test_levels_past_deep_level_give_the_level_16_nest(self, level):
-        T = random_matrix(23, 16)
-        curve = default_curve(T)
-        ref = build_nest(T, curve)
-        nest = build_nest(T, HilbertCurveMap(level, curve.half_side))
-        assert nest.jumps == ref.jumps
-        assert np.array_equal(nest.basis, ref.basis)
+            assert t == hit_index(curve, mean) / float(1 << (2 * DEEP_LEVEL))
 
     @pytest.mark.parametrize("kind", BATCH_KINDS)
     def test_nest_matches_per_bit_index_map(self, kind, monkeypatch):
@@ -276,18 +267,18 @@ class TestBuildNest:
     def test_half_side_must_cover_norm(self):
         T = 3.0 * np.eye(2)
         with pytest.raises(ValueError):
-            build_nest(T, HilbertCurveMap(level=8, half_side=1.0))
+            build_nest(T, HilbertCurveMap(half_side=1.0))
 
     @pytest.mark.parametrize("anchor", [0, 1, 2, 3])
     def test_nest_is_the_projections_of_curve_segments(self, anchor):
-        # The paper's nest P(T, gamma([0, t])): at each inner jump of a level-32
-        # curve, the nest projection is the Haagerup-Schultz projection of the
-        # curve segment, within the nest-unitarity tolerance 1e-10.
+        # The paper's nest P(T, gamma([0, t])): at each inner jump, the nest
+        # projection is the Haagerup-Schultz projection of the curve segment,
+        # within the nest-unitarity tolerance 1e-10.
         mats = [T for kind in (Ginibre(8), UpperTriangularRandom(8), NormalPlusNilpotent(8),
                                Ginibre(32))
                 for T in generate(EnsembleSpec(kind, seed=5, count=10))]
         for T in mats:
-            curve = HilbertCurveMap(DEEP_LEVEL, default_curve(T).half_side, anchor)
+            curve = HilbertCurveMap(default_curve(T).half_side, anchor)
             nest = build_nest(T, curve)
             for t, rank in nest.jumps[1:-1]:
                 P = hs_projection(T, CurveSegment(t, curve))
@@ -296,7 +287,7 @@ class TestBuildNest:
 
     def test_anchor_rotation_rescues_build(self):
         T = np.diag([-0.5 - 0.5j, 0.5 + 0.5j])
-        curve = HilbertCurveMap(level=1, half_side=1.0)
+        curve = HilbertCurveMap(half_side=1.0)
         nest = build_nest(T, curve)
         assert nest.jumps[-1][1] == 2
 
@@ -304,4 +295,3 @@ class TestBuildNest:
         T = 2.0 * np.eye(3)
         curve = default_curve(T)
         assert curve.half_side == pytest.approx(2.5)
-        assert curve.level == 16
