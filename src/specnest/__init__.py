@@ -13,7 +13,6 @@ from .decompose import (
 from .detbrown import (
     DensityGrid,
     SpectralMeasure,
-    block_det_identity_check,
     brown_density_grid,
     brown_measure_exact,
     fk_determinant,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import time
 
 import numpy as np
@@ -115,6 +116,7 @@ def criterion_hs_contract(seed: int) -> CriterionResult:
         mats = _ginibre(8, seed, 200)
         spectra = [(np.linalg.eigvals(T), operator_norm(T)) for T in mats]
         bad = []
+        worst_split = 0.0
         for idx, (T, (eigs, normT)) in enumerate(zip(mats, spectra)):
             ball = _random_ball(rng, eigs, normT)
             p = hs_projection(T, ball)
@@ -125,16 +127,18 @@ def criterion_hs_contract(seed: int) -> CriterionResult:
             if frobenius(T @ p - p @ T @ p) > 1e-9 * normT:
                 bad.append((idx, "invariance"))
             vals, vecs = np.linalg.eigh(p)
-            V = vecs[:, vals > 0.5]
-            W = vecs[:, vals <= 0.5]
-            if V.shape[1]:
-                comp = np.linalg.eigvals(V.conj().T @ T @ V)
-                if np.any(np.abs(comp - ball.center) > ball.radius + 1e-8):
-                    bad.append((idx, "inside-spectrum"))
-            if W.shape[1]:
-                comp = np.linalg.eigvals(W.conj().T @ T @ W)
-                if np.any(np.abs(comp - ball.center) < ball.radius - 1e-8):
-                    bad.append((idx, "outside-spectrum"))
+            # Spectra of the compression pTp and the co-compression p'Tp'.
+            comp, cocomp = (np.linalg.eigvals(X.conj().T @ T @ X)
+                            for X in (vecs[:, vals > 0.5], vecs[:, vals <= 0.5]))
+            if np.any(np.abs(comp - ball.center) > ball.radius + 1e-8):
+                bad.append((idx, "inside-spectrum"))
+            if np.any(np.abs(cocomp - ball.center) < ball.radius - 1e-8):
+                bad.append((idx, "outside-spectrum"))
+            # The Brown measure splits: mu_T = tau(p) mu_pTp + tau(p') mu_p'Tp'.
+            split = spectrum_distance(eigs, np.concatenate([comp, cocomp])) / normT
+            worst_split = max(worst_split, split)
+            if split > 1e-8:
+                bad.append((idx, "spectrum-split"))
         mono_bad = 0
         for T, (eigs, normT) in zip(mats[:100], spectra):
             ball = _random_ball(rng, eigs, normT)
@@ -146,7 +150,8 @@ def criterion_hs_contract(seed: int) -> CriterionResult:
             if frobenius(p2 @ p1 - p1) > 1e-8:
                 mono_bad += 1
         ok = not bad and mono_bad == 0
-        return ok, {"contract_failures": bad[:10], "monotonicity_failures": mono_bad}
+        return ok, {"contract_failures": bad[:10], "worst_split_gap": worst_split,
+                    "monotonicity_failures": mono_bad}
 
     return _timed("3 projection contract (200 pairs + 100 nested)", run)
 
@@ -250,8 +255,11 @@ def criterion_det_monotonicity(seed: int) -> CriterionResult:
                               if r.check == "pinch_det_monotone")
             dT = fk_determinant(T)
             dP = fk_determinant(pinch_commutant(T, report.decomposition.nest, None))
-            full_pinch_worst = max(full_pinch_worst,
-                                   abs(dT - dP) / max(1.0, dT))
+            # Delta(T) = prod_k Delta(B_k)^tau(p_k) over the pinch's blocks B_k,
+            # relative to the smaller side: 0 when both vanish, inf when one does.
+            low = min(dT, dP)
+            rel = 0.0 if dT == dP else abs(dT - dP) / low if low else math.inf
+            full_pinch_worst = max(full_pinch_worst, rel)
         rng = np.random.default_rng(seed)
         pinch_fails = 0
         for _ in range(500):

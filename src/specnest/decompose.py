@@ -150,7 +150,10 @@ def decompose(T) -> DecompositionResult:
     q_radius = float(np.max(np.abs(np.diag(BQ))))
     if q_radius > Q_DIAGONAL_TOL * normT:
         raise ArithmeticError(f"Q's flag diagonal is not zero (|Q diag| {q_radius:.3e})")
-    Ns = N / (normT or 1.0)
+    # N / ||T||_2 through the binary exponent of ||T||_2: exact where the plain
+    # quotient is, and finite when ||T||_2 is subnormal.
+    mant, e = math.frexp(normT or 1.0)
+    Ns = np.ldexp(N.view(float), -e).view(complex) / mant
     diagnostics = {
         "reconstruction_error": frobenius(T - (N + Q)),
         "normality_defect": frobenius(gemm(Ns, Ns, adj_b=True) - gemm(Ns, Ns, adj_a=True)),

@@ -15,14 +15,12 @@ import os
 import numpy as np
 
 from .matrices import (
-    _check_invariant_projection,
     as_operator,
     default_half_side,
     eigenvalue_clusters,
     operator_norm,
     singular_values,
     spectral_radius,
-    spectrum_distance,
 )
 
 # Singular values at or below this fraction of the norm make Delta vanish.
@@ -304,58 +302,3 @@ def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> Den
         rho=rho,
     )
 
-
-@dataclasses.dataclass(frozen=True)
-class BlockDetReport:
-    """Both sides of the determinant and measure identities for T = [[A, B], [0, C]]."""
-
-    lhs_det: float
-    rhs_det: float
-    det_gap: float
-    measure_gap: float
-    trace_p: float
-    ok: bool
-
-
-def _range_basis(p: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the range of an orthogonal projection."""
-    vals, vecs = np.linalg.eigh(p)
-    return vecs[:, vals > 0.5]
-
-
-def block_det_identity_check(T, p) -> BlockDetReport:
-    """Check the block factorization of Delta and the Brown measure split.
-
-    Requires ||Tp - pTp||_F <= 1e-8 * norm(T), and passes when the relative
-    determinant gap is at most 1e-8 and the spectra match within 1e-8 * norm(T).
-    Uses the convention that the determinant of an empty corner, raised to the
-    power 0, is 1.
-    """
-    T = as_operator(T)
-    p = as_operator(p)
-    n = T.shape[0]
-    normT = operator_norm(T)
-    _check_invariant_projection(T, p, normT)
-
-    V = _range_basis(p)
-    W = _range_basis(np.eye(n) - p)
-    k = V.shape[1]
-    tau_p = k / n
-    lhs = fk_determinant(T)
-    rhs = 1.0
-    corner_eigs = []
-    if k > 0:
-        A = V.conj().T @ T @ V
-        rhs *= fk_determinant(A) ** tau_p
-        corner_eigs.extend(np.linalg.eigvals(A))
-    if k < n:
-        C = W.conj().T @ T @ W
-        rhs *= fk_determinant(C) ** (1.0 - tau_p)
-        corner_eigs.extend(np.linalg.eigvals(C))
-    if lhs == 0.0 and rhs == 0.0:
-        det_gap = 0.0
-    else:
-        det_gap = abs(lhs - rhs) / max(lhs, rhs)
-    measure_gap = spectrum_distance(np.linalg.eigvals(T), np.array(corner_eigs))
-    ok = det_gap <= 1e-8 and measure_gap <= 1e-8 * normT
-    return BlockDetReport(lhs, rhs, det_gap, measure_gap, tau_p, ok)

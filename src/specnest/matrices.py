@@ -26,8 +26,15 @@ HALF_SIDE_FACTOR = 1.25
 
 
 def default_half_side(norm: float) -> float:
-    """Half-side of the default square for a matrix of 2-norm ``norm`` (1 if it is 0)."""
-    return HALF_SIDE_FACTOR * norm if norm else 1.0
+    """Half-side of the default square for a matrix of 2-norm ``norm`` (1 if it is 0).
+
+    Raises OverflowError when HALF_SIDE_FACTOR * norm exceeds the largest double.
+    """
+    half = HALF_SIDE_FACTOR * norm if norm else 1.0
+    if half == np.inf:
+        raise OverflowError(f"the default square's half-side {HALF_SIDE_FACTOR} * ||T||_2 "
+                            f"overflows (||T||_2 = {norm:.4g})")
+    return half
 
 
 def as_operator(matrix) -> np.ndarray:

@@ -37,7 +37,8 @@ def test_criterion_2_weyl_inequality(battery):
 
 def test_criterion_3_projection_contract(battery):
     """200 (matrix, ball) pairs 8x8: exact trace fraction, invariance leak
-    <= 1e-9 ||T||, compression spectra split with 1e-8 boundary slack;
+    <= 1e-9 ||T||, compression spectra split with 1e-8 boundary slack, and
+    together they are T's spectrum within 1e-8 ||T||_2 (spectrum-split);
     monotonicity under ball inclusion on 100 nested pairs (<= 1e-8)."""
     _assert_criterion(battery[2])
 
@@ -65,7 +66,8 @@ def test_criterion_6_determinant_convergence(battery):
 
 def test_criterion_7_determinant_monotonicity(battery):
     """Pinching determinants weakly decreasing in n (slack 1e-10) for
-    m in {1, 10, 100}; full pinch matches Delta(T) within 1e-8 relative;
+    m in {1, 10, 100}; Delta of the full pinch matches Delta(T) within 1e-8
+    of the smaller side (0 when both vanish, a failure when one does);
     500 pinch inequality trials with zero failures."""
     _assert_criterion(battery[6])
 

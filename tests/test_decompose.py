@@ -19,7 +19,8 @@ from specnest.decompose import (
     expectation_full,
     pinch_commutant,
 )
-from specnest.detbrown import SpectralMeasure, _counting_measure, regularized_log_det
+from specnest.detbrown import (SpectralMeasure, _counting_measure, brown_density_grid,
+                               fk_determinant, regularized_log_det)
 from specnest.ensembles import (
     EnsembleSpec,
     Ginibre,
@@ -158,6 +159,24 @@ class TestPinching:
         nest = build_nest(T, default_curve(T))
         for n in (1, 2, None):
             assert operator_norm(pinch_commutant(T, nest, n)) <= operator_norm(T) + 1e-10
+
+    def test_shear_pinch_factors_the_determinant(self):
+        nest = ProjectionNest(np.eye(2), ((0.0, 0), (0.5, 1), (1.0, 2)))
+        # [DERIVED] Delta of diag(1, 2) is 1^(1/2) * 2^(1/2) = sqrt(2).
+        assert fk_determinant(pinch_commutant(SHEAR, nest, None)) == pytest.approx(
+            np.sqrt(2), rel=1e-10)
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(0, 500), st.integers(1, 5))
+    def test_triangular_pinch_keeps_the_determinant(self, seed, k):
+        # Delta(T) = Delta(pTp)^tau(p) Delta(p'Tp')^tau(p') for the invariant p
+        # onto the first k coordinates.
+        n = 6
+        rng = np.random.default_rng(seed)
+        T = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        nest = ProjectionNest(np.eye(n), ((0.0, 0), (0.5, k), (1.0, n)))
+        assert fk_determinant(pinch_commutant(T, nest, None)) == pytest.approx(
+            fk_determinant(T), rel=1e-8)
 
 
 class TestDecomposeInvariants:
@@ -309,11 +328,22 @@ class TestScaling:
     def test_extreme_scales_keep_the_jump_times(self):
         # At 2**-1008 and 1e-307 a cell side 2R / 2**32 is subnormal, and
         # dividing by it moved jump times; at ||T||_2 = 1e308, coord + R overflowed.
+        # At 1e-310 ||T||_2 is subnormal, and N / ||T||_2 overflowed (a
+        # RuntimeWarning, an error under this suite's warning filter).
         U = generate(EnsembleSpec(UpperTriangularRandom(8), seed=3))[0]
         assert decompose(np.ldexp(1.0, -1008) * U).nest.jumps == decompose(U).nest.jumps
         G = generate(EnsembleSpec(Ginibre(8), seed=3))[0]
-        for scaled in (1e-307 * G, 1e308 / operator_norm(G) * G):
+        for scaled in (1e-307 * G, 1e-310 * G, 1e308 / operator_norm(G) * G):
             assert decompose(scaled).nest.jumps == decompose(G).nest.jumps
+
+    @pytest.mark.parametrize("call", [
+        decompose, default_curve, lambda T: brown_density_grid(T, resolution=32)],
+        ids=["decompose", "default_curve", "brown_density_grid"])
+    def test_default_square_overflow_names_the_norm(self, call):
+        # 1.25 * ||T||_2 is not a double at ||T||_2 = 1.44e308.
+        G = generate(EnsembleSpec(Ginibre(8), seed=3))[0]
+        with pytest.raises(OverflowError, match=r"1\.25 \* \|\|T\|\|_2 overflows"):
+            call(1.44e308 / operator_norm(G) * G)
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 2000), st.integers(3, 16), st.booleans(),

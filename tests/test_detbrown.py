@@ -1,4 +1,4 @@
-"""Determinants, spectral measures, density grids and block identities."""
+"""Determinants, spectral measures and density grids."""
 import math
 import multiprocessing
 import os
@@ -16,14 +16,12 @@ from specnest.detbrown import (
     CHUNK_ENTRIES,
     SpectralMeasure,
     _batched_log_phi,
-    block_det_identity_check,
     brown_density_grid,
     brown_measure_exact,
     fk_determinant,
     regularized_log_det,
 )
 from specnest.ensembles import EnsembleSpec, Ginibre, Jordan, generate
-from specnest.hsnest import Ball, hs_projection
 from specnest.matrices import default_half_side, operator_norm
 
 
@@ -296,48 +294,3 @@ class TestChunkMap:
             child.join()
             pytest.fail("grid in a forked child did not finish")
         assert child.exitcode == 0
-
-
-class TestBlockDetIdentity:
-    def test_invariant_coordinate_split(self):
-        T = np.array([[1, 1], [0, 2]], dtype=complex)
-        p = np.diag([1.0, 0.0]).astype(complex)
-        report = block_det_identity_check(T, p)
-        assert report.ok
-        # [DERIVED] Delta factors as 1^(1/2) * 2^(1/2) = sqrt(2).
-        assert report.rhs_det == pytest.approx(np.sqrt(2), rel=1e-10)
-
-    def test_rejects_non_invariant_projection(self):
-        T = np.array([[0, 1], [1, 0]], dtype=complex)
-        p = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError):
-            block_det_identity_check(T, p)
-
-    def test_rejects_non_projection(self):
-        with pytest.raises(ValueError):
-            block_det_identity_check(np.eye(2), 0.5 * np.eye(2))
-
-    def test_takes_one_two_norm(self, two_norm_calls):
-        # ||T||_2 scales the invariance and measure checks; the rest use nrm2.
-        T = np.array([[1, 1], [0, 2]], dtype=complex)
-        block_det_identity_check(T, np.diag([1.0, 0.0]).astype(complex))
-        assert two_norm_calls == [(2, 2)]
-
-    @settings(deadline=None, max_examples=20)
-    @given(st.integers(0, 500), st.integers(1, 5))
-    def test_random_triangular_splits(self, seed, k):
-        n = 6
-        rng = np.random.default_rng(seed)
-        T = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        p = np.zeros((n, n), dtype=complex)
-        p[np.arange(k), np.arange(k)] = 1.0
-        report = block_det_identity_check(T, p)
-        assert report.ok, (report.det_gap, report.measure_gap)
-
-    def test_real_input_ball_split(self):
-        # A real T has conjugate eigenvalue pairs; the measure gap must pair
-        # them by distance, not by sort order.
-        for seed in range(4):
-            T = np.random.default_rng(seed).standard_normal((6, 6)) / np.sqrt(6)
-            report = block_det_identity_check(T, hs_projection(T, Ball(0, 0.7)))
-            assert report.ok, report.measure_gap

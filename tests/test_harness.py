@@ -25,7 +25,7 @@ PUBLIC_NAMES = [
     "DecompositionResult", "DensityGrid", "EnsembleSpec", "Ginibre",
     "HilbertCurveMap", "Jordan", "LogShift", "NormalPlusNilpotent", "Power",
     "ProjectionNest", "SpectralMeasure", "UpperTriangularRandom",
-    "block_det_identity_check", "brown_density_grid", "brown_measure_exact", "build_nest",
+    "brown_density_grid", "brown_measure_exact", "build_nest",
     "convergence_report", "decompose", "default_curve", "expectation_full",
     "fk_determinant", "generate", "hs_projection", "log_plus_equivalence_check",
     "log_submajorizes", "operator_norm", "pinch_commutant",
@@ -52,7 +52,6 @@ PUBLIC_PARAMETERS = {
     "ProjectionNest": ("basis", "jumps"),
     "SpectralMeasure": ("atoms",),
     "UpperTriangularRandom": ("n",),
-    "block_det_identity_check": ("T", "p"),
     "brown_density_grid": ("T", "bounds", "resolution", "eps"),
     "brown_measure_exact": ("T",),
     "build_nest": ("T", "curve"),
@@ -395,6 +394,18 @@ class TestCli:
             raise ValueError(f"non-finite JSON constant {name}")
 
         json.loads(out.read_text(), parse_constant=reject)
+
+    def test_default_square_overflow_is_numerical_error(self, tmp_path, capsys):
+        # 1.25 * ||T||_2 is not a double at ||T||_2 = 1.44e308.
+        matrix_path = tmp_path / "m.json"
+        T = ensembles.generate(ensembles.EnsembleSpec(ensembles.Ginibre(8), seed=3))[0]
+        serialize.write_matrix(str(matrix_path), 1.44e308 / specnest.operator_norm(T) * T)
+        out = tmp_path / "dec.json"
+        assert self.run("decompose", "--in", str(matrix_path), "--out", str(out)) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "OverflowError"
+        assert "1.25 * ||T||_2 overflows (||T||_2 = 1.44e+308)" in record["message"]
+        assert not out.exists()
 
     def test_nonzero_flag_diagonal_is_numerical_error(self, tmp_path, capsys):
         # A chained cluster too wide for Q's flag diagonal to vanish.
