@@ -19,7 +19,7 @@ from .curve import MODULUS_CONSTANT, HilbertCurveMap, curve_points_batch
 from .decompose import Q_DIAGONAL_TOL, convergence_report, decompose, pinch_commutant
 from .detbrown import brown_density_grid, fk_determinant
 from .ensembles import EnsembleSpec, Ginibre, UpperTriangularRandom, generate
-from .hsnest import Ball, CurveSegment, default_curve, hs_projection, power_limit_operator
+from .hsnest import Ball, CurveSegment, hs_projection, power_limit_operator
 from .majorize import (
     DEFAULT_GAUGES,
     log_plus_equivalence_check,
@@ -29,7 +29,7 @@ from .majorize import (
     submajorizes,
     weyl_check,
 )
-from .matrices import frobenius, operator_norm, spectrum_distance
+from .matrices import default_half_side, frobenius, operator_norm, spectrum_distance
 
 
 @dataclasses.dataclass(frozen=True)
@@ -206,7 +206,9 @@ def criterion_curve_nest_bounds(seed: int) -> CriterionResult:
             worst_ratio = max([worst_ratio] + [r.value / r.bound for r in report.rows])
             bound_fails += len({r.n for r in report.failures()})
             # The paper's nest: P(T, gamma([0, t])) at every inner jump t.
-            nest, curve = report.decomposition.nest, default_curve(T)
+            nest = report.decomposition.nest
+            curve = HilbertCurveMap(half_side=default_half_side(
+                report.decomposition.diagnostics["operator_norm"]))
             for t, rank in nest.jumps[1:-1]:
                 P = hs_projection(T, CurveSegment(t, curve))
                 rank_fails += round(float(np.trace(P).real)) != rank

@@ -14,7 +14,7 @@ import numpy as np
 
 from .curve import HilbertCurveMap
 from .detbrown import _counting_measure, _regularized_log_det
-from .hsnest import build_nest
+from .hsnest import _build_nest
 from .matrices import (ProjectionNest, as_operator, default_half_side, frobenius, gemm,
                        operator_norm, singular_values)
 
@@ -122,8 +122,9 @@ def decompose(T) -> DecompositionResult:
     """Split T into its curve-ordered normal part and nilpotent remainder.
 
     The nest follows ``hsnest.default_curve(T)``; other curves go through
-    ``build_nest`` and ``expectation_full``. ||T||_2 serves that curve and every
-    check. Residuals are Frobenius norms; the normality defect is that of
+    ``build_nest`` and ``expectation_full``. One ||T||_2 serves that curve, the
+    nest builder (its clustering scale and reordering check) and every check
+    here. Residuals are Frobenius norms; the normality defect is that of
     N / ||T||_2, so it is relative to ||T||_2^2 and finite for every finite T.
 
     T's spectrum is the diagonal of the flag form B = U*TU: exact eigenvalues
@@ -134,7 +135,7 @@ def decompose(T) -> DecompositionResult:
     """
     T = as_operator(T)
     normT = operator_norm(T)
-    nest = build_nest(T, HilbertCurveMap(half_side=default_half_side(normT)))
+    nest = _build_nest(T, HilbertCurveMap(half_side=default_half_side(normT)), normT)
     U = nest.basis
     B = _flag_form(T, nest, normT)
     eigs = np.diag(B).copy()

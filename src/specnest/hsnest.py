@@ -67,7 +67,7 @@ def hs_projection(T, region: BorelSet) -> np.ndarray:
     is monotone under region inclusion.
     """
     T = as_operator(T)
-    R, U = scipy.linalg.schur(T, output="complex")
+    R, U = scipy.linalg.schur(T, output="complex", check_finite=False)
     keys = [0 if region.contains(complex(z)) else 1 for z in np.diag(R)]
     U, _, _ = reorder_schur(T, R, U, keys, operator_norm(T))
     V = U[:, :keys.count(0)]
@@ -138,12 +138,21 @@ def build_nest(T, curve: HilbertCurveMap) -> ProjectionNest:
     that order, with jumps at (hit time, cumulative multiplicity). The nest
     follows the given curve, its square and anchor: its projection at each
     jump time t is ``hs_projection(T, CurveSegment(t, curve))`` up to rounding.
+    Takes ||T||_2 for the clustering scale and to check that the curve's square
+    covers T's spectral disk; ``decompose`` hands its own ||T||_2 to the same
+    builder.
     """
     T = as_operator(T)
     norm = operator_norm(T)
     if curve.half_side < norm * (1 - 1e-12):
         raise ValueError("curve half_side must be at least the operator norm")
-    R, U = scipy.linalg.schur(T, output="complex")
+    return _build_nest(T, curve, norm)
+
+
+def _build_nest(T: np.ndarray, curve: HilbertCurveMap, norm: float) -> ProjectionNest:
+    """``build_nest`` for T from ``as_operator``, ``norm`` = ||T||_2 and a curve
+    whose square covers T's spectral disk."""
+    R, U = scipy.linalg.schur(T, output="complex", check_finite=False)
     clusters = eigenvalue_clusters(np.diag(R), norm)
     hits = [hit_index(curve, rep) for rep, _ in clusters]
     order = sorted(range(len(clusters)), key=lambda c: (

@@ -42,7 +42,7 @@ def as_operator(matrix) -> np.ndarray:
     A = np.array(matrix, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     return A
 

@@ -117,8 +117,14 @@ def _fmt_params(params) -> str:
 
 
 def write_text(path: str, text: str) -> None:
-    """Write via a temp file and rename; a failed run never leaves a partial file."""
+    """Write via a temp file and rename; a failed write or rename leaves neither
+    a partial file nor the temp file."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise

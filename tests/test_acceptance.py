@@ -58,6 +58,22 @@ def test_criterion_5_curve_and_nest_bounds(battery):
     _assert_criterion(battery[4])
 
 
+def test_criterion_5_takes_one_two_norm_per_matrix(monkeypatch, two_norm_calls):
+    """decompose's ||T||_2 also sizes the criterion's curve: one values-only SVD
+    per matrix, besides the one each hs_projection call takes."""
+    original = acceptance.hs_projection
+    projections = []
+
+    def counting(T, region):
+        projections.append(region.t)
+        return original(T, region)
+
+    monkeypatch.setattr(acceptance, "hs_projection", counting)
+    assert acceptance.criterion_curve_nest_bounds(SEED).passed
+    assert len(projections) == 350  # the inner jumps at this seed
+    assert len(two_norm_calls) == 50 + len(projections)
+
+
 def test_criterion_6_determinant_convergence(battery):
     """20 Ginibre 8x8, eps = 0.1, lambda in {0, 1+i}: regularized
     log-determinant within 1e-3 of the exact-measure integral at n = 12."""

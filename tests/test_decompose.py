@@ -212,11 +212,11 @@ class TestDecomposeInvariants:
             assert res.diagnostics["spectrum_gap"] <= 1e-8
             assert spectrum_distance(np.linalg.eigvals(T), block_means(res)) <= 1e-8
 
-    def test_decompose_takes_two_two_norms(self, two_norm_calls):
-        # One ||T||_2 for the default curve and the diagnostics, one inside
-        # build_nest (scipy SVDs); the guards and residual diagnostics use nrm2.
+    def test_decompose_takes_one_two_norm(self, two_norm_calls):
+        # One ||T||_2 (a scipy SVD) for the default curve, the nest builder and
+        # the diagnostics; the guards and residual diagnostics use nrm2.
         decompose(random_matrix(65, 8))
-        assert two_norm_calls == [(8, 8), (8, 8)]
+        assert two_norm_calls == [(8, 8)]
 
     def test_spectrum_is_the_flag_diagonal(self):
         T = random_matrix(66, 8)
@@ -428,7 +428,7 @@ class TestConvergenceReport:
         for name in ("norm", "svd", "eigvals", "qr"):
             monkeypatch.setattr(np.linalg, name, refuse)
         convergence_report(T, lam_list=(), m_list=())
-        assert two_norm_calls == [(8, 8), (8, 8)]
+        assert two_norm_calls == [(8, 8)]
 
     def test_row_families_present(self):
         report = convergence_report(random_matrix(62, 6), n_range=range(0, 5))

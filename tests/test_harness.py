@@ -221,6 +221,24 @@ class TestSerialize:
         assert path.read_text() == "two\n"
         assert not (tmp_path / "out.txt.tmp").exists()
 
+    def test_failed_encode_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(UnicodeEncodeError):
+            serialize.write_text(str(path), "abc\ud800")  # a lone surrogate
+        assert not path.exists()
+        assert not (tmp_path / "out.csv.tmp").exists()
+
+    def test_failed_rename_leaves_no_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        path = tmp_path / "out.csv"
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            serialize.write_text(str(path), "abc\n")
+        assert not path.exists()
+        assert not (tmp_path / "out.csv.tmp").exists()
+
 
 class TestCli:
     def run(self, *argv):
@@ -319,14 +337,14 @@ class TestCli:
         assert self.run("check", "lemmas", "--in", str(matrix_path)) == 0
         assert len(calls) == 1
 
-    def test_check_lemmas_takes_two_two_norms(self, tmp_path, two_norm_calls):
-        # Two in decompose, reused for the printed norm; pinch_log_check takes
-        # ||T||_2 from the singular values of its verdict.
+    def test_check_lemmas_takes_one_two_norm(self, tmp_path, two_norm_calls):
+        # The one in decompose, reused for the printed norm; pinch_log_check
+        # takes ||T||_2 from the singular values of its verdict.
         matrix_path = tmp_path / "m.json"
         serialize.write_matrix(str(matrix_path), ensembles.generate(
             ensembles.EnsembleSpec(ensembles.Ginibre(8), seed=4))[0])
         assert self.run("check", "lemmas", "--in", str(matrix_path)) == 0
-        assert two_norm_calls == [(8, 8)] * 2
+        assert two_norm_calls == [(8, 8)]
 
     def test_decompose_report_decomposes_once(self, tmp_path, monkeypatch):
         module = importlib.import_module("specnest.decompose")
@@ -350,14 +368,14 @@ class TestCli:
         assert len(calls) == 1
         assert with_report.read_bytes() == plain.read_bytes()
 
-    def test_decompose_takes_two_two_norms(self, tmp_path, two_norm_calls):
-        # One ||T||_2 in decompose for the curve and the checks, one in build_nest.
+    def test_decompose_takes_one_two_norm(self, tmp_path, two_norm_calls):
+        # One ||T||_2 in decompose for the curve, the nest builder and the checks.
         matrix_path = tmp_path / "m.json"
         serialize.write_matrix(str(matrix_path), ensembles.generate(
             ensembles.EnsembleSpec(ensembles.Ginibre(8), seed=3))[0])
         assert self.run("decompose", "--in", str(matrix_path),
                         "--out", str(tmp_path / "dec.json")) == 0
-        assert two_norm_calls == [(8, 8), (8, 8)]
+        assert two_norm_calls == [(8, 8)]
 
     def test_curve_level_is_not_an_option(self, tmp_path, capsys):
         matrix_path = tmp_path / "m.json"

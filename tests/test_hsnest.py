@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from specnest import curve as curve_module
 from specnest.curve import DEEP_LEVEL, HilbertCurveMap, hit_index
+from specnest.decompose import decompose
 from specnest.ensembles import (
     EnsembleSpec,
     Ginibre,
@@ -263,6 +264,20 @@ class TestBuildNest:
                 ref = build_nest(T, curve)
             assert nest.jumps == ref.jumps
             assert np.array_equal(nest.basis, ref.basis)
+
+    @pytest.mark.parametrize("kind, corner", [
+        (Ginibre(8), 0.0), (UpperTriangularRandom(8), 0.0), (NormalPlusNilpotent(8), 0.0),
+        (Jordan(0.3 - 0.4j, 8), 1e-12)],
+        ids=["ginibre", "upper-triangular", "normal-plus-nilpotent", "jordan-perturbed"])
+    def test_public_build_nest_matches_decompose_nest(self, kind, corner):
+        # The public builder takes its own ||T||_2; decompose hands its own to
+        # the same builder, so the two nests agree to the byte.
+        T = generate(EnsembleSpec(kind, seed=6))[0]
+        T[-1, 0] += corner
+        nest = build_nest(T, default_curve(T))
+        ref = decompose(T).nest
+        assert nest.basis.tobytes() == ref.basis.tobytes()
+        assert nest.jumps == ref.jumps
 
     def test_half_side_must_cover_norm(self):
         T = 3.0 * np.eye(2)
