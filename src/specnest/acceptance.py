@@ -29,7 +29,8 @@ from .majorize import (
     submajorizes,
     weyl_check,
 )
-from .matrices import default_half_side, frobenius, operator_norm, spectrum_distance
+from .matrices import (NEST_UNITARY_TOL, default_half_side, frobenius, operator_norm,
+                       spectrum_distance)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,10 +56,20 @@ def _ginibre(n: int, seed: int, count: int):
 def criterion_decomposition(seed: int = 42) -> CriterionResult:
     def run():
         worst = {"reconstruction": 0.0, "normality": 0.0, "spectrum": 0.0,
-                 "strict_upper": 0.0, "q_diag": 0.0}
+                 "strict_upper": 0.0, "q_diag": 0.0, "orthogonality": 0.0}
         ok = True
         t0 = time.perf_counter()
-        for T in _ginibre(16, seed, 200):
+        n = 16
+        # N is the trace-preserving expectation of T, so tr(N*Q) = 0 exactly.
+        # With U the nest basis, W = U*U, B^ the computed flag form U*TU and
+        # C = diag(c) the block means of its diagonal:
+        # tr(N*Q) = sum_k conj(c_k) (B - B^)_kk + tr(C*C) - tr(C*WCW).
+        # eta = ||W - I||_F <= NEST_UNITARY_TOL and ||C||_F <= (1 + eta)||T||_F
+        # bound the last two terms by 3 eta ||T||_F^2. Rounding (unit roundoff
+        # u) in B^, in N = UCU* and Q = T - N and in the trace sum adds at
+        # most (2 n^1.5 + 3 n^2 + 2 n^2 + 2) u ||T||_F^2 <= 8 n^2 u ||T||_F^2.
+        ortho_tol = 3 * NEST_UNITARY_TOL + 8 * n**2 * np.finfo(float).eps / 2
+        for T in _ginibre(n, seed, 200):
             res = decompose(T)
             d = res.diagnostics
             normT = d["operator_norm"]
@@ -73,6 +84,8 @@ def criterion_decomposition(seed: int = 42) -> CriterionResult:
                 "spectrum": spectrum_distance(np.linalg.eigvals(T), means) / 1e-8,
                 "strict_upper": d["strict_upper_defect"] / (1e-8 * normT),
                 "q_diag": d["q_spectral_radius"] / (Q_DIAGONAL_TOL * normT),
+                "orthogonality": float(abs(np.vdot(res.N, res.Q)))
+                / (ortho_tol * frobenius(T) ** 2),
             }
             for key, ratio in checks.items():
                 worst[key] = max(worst[key], ratio)
@@ -204,7 +217,7 @@ def criterion_curve_nest_bounds(seed: int) -> CriterionResult:
         for T in _ginibre(8, seed, 50):
             report = convergence_report(T, n_range=range(2, 11), lam_list=(), m_list=())
             worst_ratio = max([worst_ratio] + [r.value / r.bound for r in report.rows])
-            bound_fails += len({r.n for r in report.failures()})
+            bound_fails += len({r.params for r in report.failures()})
             # The paper's nest: P(T, gamma([0, t])) at every inner jump t.
             nest = report.decomposition.nest
             curve = HilbertCurveMap(half_side=default_half_side(

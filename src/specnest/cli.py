@@ -110,7 +110,7 @@ def _cmd_check_weyl(args) -> int:
     report = weyl_check(T, gauges)
     for row in report.rows:
         status = "pass" if row.ok else "FAIL"
-        print(f"{row.check} {row.params} lhs={row.lhs:.6g} rhs={row.rhs:.6g} {status}")
+        print(f"{row.check} {row.params} value={row.value:.6g} bound={row.bound:.6g} {status}")
     _write_check_report(report.rows, args.out)
     return 0 if report.all_ok else 1
 

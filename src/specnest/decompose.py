@@ -169,19 +169,32 @@ def decompose(T) -> DecompositionResult:
 
 
 @dataclasses.dataclass(frozen=True)
-class ConvergenceRow:
+class CheckRow:
+    """One checked instance of an inequality: it passes iff value <= bound.
+
+    The check's tolerance is inside ``bound``, so ``margin`` = bound - value
+    is >= 0 exactly on the passing rows.
+    """
+
     check: str
-    n: int
-    params: tuple
+    params: str
     value: float
     bound: float
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.value <= self.bound
+
+    @property
+    def margin(self) -> float:
+        return self.bound - self.value
 
 
 @dataclasses.dataclass(frozen=True)
-class ConvergenceReport:
+class Report:
+    """Check rows; the report passes when every row does."""
+
     rows: tuple
-    decomposition: DecompositionResult
 
     @property
     def all_ok(self) -> bool:
@@ -189,6 +202,11 @@ class ConvergenceReport:
 
     def failures(self) -> list:
         return [r for r in self.rows if not r.ok]
+
+
+@dataclasses.dataclass(frozen=True)
+class ConvergenceReport(Report):
+    decomposition: DecompositionResult
 
 
 def convergence_report(
@@ -235,9 +253,9 @@ def convergence_report(
             cn = _block_means(eigs, _column_groups(nest, n))
             bound = curve.modulus(2.0**-n)
             gap = float(np.max(np.abs(cn - c)))
-            rows.append(ConvergenceRow("norm_gap", n, (), gap, bound, gap <= bound))
+            rows.append(CheckRow("norm_gap", f"n={n}", gap, bound))
             rad = float(np.max(np.abs(eigs - cn)))
-            rows.append(ConvergenceRow("remainder_radius", n, (), rad, bound, rad <= bound))
+            rows.append(CheckRow("remainder_radius", f"n={n}", rad, bound))
             bound_det = DET_TOL if n == max(n_range) else math.inf
             for lam, rhs_row in zip(lam_list, potentials):
                 for eps, rhs in zip(eps_list, rhs_row):
@@ -245,13 +263,8 @@ def convergence_report(
                     if not math.isfinite(lhs) or not math.isfinite(rhs):
                         raise OverflowError(
                             f"regularized log-determinant is not finite (|T| = {normT:.3g})")
-                    gap_det = abs(lhs - rhs)
-                    rows.append(
-                        ConvergenceRow(
-                            "det_gap", n, (complex(lam), float(eps)), gap_det,
-                            bound_det, gap_det <= bound_det,
-                        )
-                    )
+                    rows.append(CheckRow("det_gap", f"n={n};{complex(lam)};{float(eps)}",
+                                         abs(lhs - rhs), bound_det))
         pinch_svs = []
         if m_list:
             B = _flag_form(T, nest, normT)
@@ -262,10 +275,6 @@ def convergence_report(
         raise OverflowError(f"pinch determinant is not finite (|T| = {normT:.3g})")
     for m, seq in zip(m_list, seqs):
         for n, prev, cur in zip(list(n_range)[1:], seq, seq[1:]):
-            rows.append(
-                ConvergenceRow(
-                    "pinch_det_monotone", n, (float(m),), float(cur), float(prev),
-                    prev - cur >= -MONO_SLACK * max(1.0, abs(prev)),
-                )
-            )
+            rows.append(CheckRow("pinch_det_monotone", f"n={n};{float(m)}", float(cur),
+                                 float(prev + MONO_SLACK * max(1.0, abs(prev)))))
     return ConvergenceReport(tuple(rows), result)

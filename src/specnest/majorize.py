@@ -12,9 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .decompose import decompose
-from .matrices import (_check_invariant_projection, as_operator, frobenius, operator_norm,
-                       singular_values)
+from .decompose import CheckRow, Report, decompose
+from .matrices import _check_invariant_projection, as_operator, frobenius, singular_values
 
 LOG_SLACK = 1e-10
 
@@ -110,26 +109,13 @@ def log_submajorizes(A, B) -> MajorizationVerdict:
 
 
 @dataclasses.dataclass(frozen=True)
-class CheckRow:
-    check: str
-    params: str
-    lhs: float
-    rhs: float
-    margin: float
-    ok: bool
-
-
-@dataclasses.dataclass(frozen=True)
-class CheckReport:
-    rows: tuple
+class CheckReport(Report):
     skipped: tuple = ()
 
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.rows)
 
-    def failures(self) -> list:
-        return [r for r in self.rows if not r.ok]
+def _logmaj_row(check: str, params: str, verdict: MajorizationVerdict) -> CheckRow:
+    """The worst log partial-sum shortfall against LOG_SLACK."""
+    return CheckRow(check, params, -verdict.worst_margin, LOG_SLACK)
 
 
 def _log_plus_traces(sv: np.ndarray, t) -> np.ndarray:
@@ -153,13 +139,9 @@ def log_plus_equivalence_check(A, B) -> CheckReport:
     lhs_verdict = _log_majorization(svA, svB).ok
     failing = int(np.count_nonzero(
         _log_plus_traces(svB, t_grid) > _log_plus_traces(svA, t_grid) + 1e-10))
-    rhs_verdict = not failing
-    row = CheckRow(
-        "log_plus_equivalence",
-        f"grid:{len(t_grid)};failing:{failing}",
-        float(lhs_verdict), float(rhs_verdict), 0.0,
-        lhs_verdict == rhs_verdict,
-    )
+    disagree = lhs_verdict != (failing == 0)
+    row = CheckRow("log_plus_equivalence", f"grid:{len(t_grid)};failing:{failing}",
+                   float(disagree), 0.0)
     return CheckReport((row,))
 
 
@@ -168,20 +150,18 @@ def shift_lemma_check(A, B) -> CheckReport:
     for n = 1, 2, 4, 8."""
     A = as_operator(A)
     B = as_operator(B)
+    svA, svB = singular_values(A), singular_values(B)
     herm_gap = max(frobenius(A - A.conj().T), frobenius(B - B.conj().T))
-    if herm_gap > 1e-10 * max(operator_norm(A), operator_norm(B)):
+    if herm_gap > 1e-10 * max(svA[0], svB[0]):
         return CheckReport((), skipped=("non-hermitian input",))
     if np.min(np.linalg.eigvalsh(A)) < -1e-10 or np.min(np.linalg.eigvalsh(B)) < -1e-10:
         return CheckReport((), skipped=("non-psd input",))
-    if not log_submajorizes(A, B).ok:
+    if not _log_majorization(svA, svB).ok:
         return CheckReport((), skipped=("hypothesis B <<_log A fails",))
     eye = np.eye(A.shape[0])
-    rows = []
-    for c in (1, 2, 4, 8):
-        verdict = log_submajorizes(c * A + eye, c * B + eye)
-        rows.append(CheckRow("shift", f"n:{c}", 0.0, 0.0,
-                             verdict.worst_margin, verdict.ok))
-    return CheckReport(tuple(rows))
+    rows = tuple(_logmaj_row("shift", f"n:{c}", log_submajorizes(c * A + eye, c * B + eye))
+                 for c in (1, 2, 4, 8))
+    return CheckReport(rows)
 
 
 def pinch_log_check(T, p) -> CheckReport:
@@ -203,10 +183,9 @@ def pinch_log_check(T, p) -> CheckReport:
         lhs, rhs = (float(np.exp(np.mean(np.log1p(sv**2)))) for sv in (svS, svT))
     if not math.isfinite(lhs) or not math.isfinite(rhs):
         raise OverflowError(f"Delta(1 + T*T) is not finite (|T| = {svT[0]:.3g})")
-    det_ok = lhs <= rhs * (1 + 1e-10)
     rows = (
-        CheckRow("pinch_logmaj", "", 0.0, 0.0, verdict.worst_margin, verdict.ok),
-        CheckRow("pinch_det", "", lhs, rhs, rhs - lhs, det_ok),
+        _logmaj_row("pinch_logmaj", "", verdict),
+        CheckRow("pinch_det", "", lhs, rhs * (1 + 1e-10)),
     )
     return CheckReport(rows)
 
@@ -220,16 +199,14 @@ def weyl_check(T, gauges: Sequence = DEFAULT_GAUGES) -> CheckReport:
     svT = singular_values(T)
     svN = singular_values(result.N)
     verdict = _log_majorization(svT, svN)
-    rows = [CheckRow("weyl_logmaj", "", 0.0, 0.0, verdict.worst_margin, verdict.ok)]
+    rows = [_logmaj_row("weyl_logmaj", "", verdict)]
     moduli = np.abs(result.eigenvalues)
     for gauge in gauges:
         lhs = float(np.mean(gauge(svN)))
         from_eigs = float(np.mean(gauge(moduli)))
         rhs = float(np.mean(gauge(svT)))
-        eq_ok = abs(lhs - from_eigs) <= 1e-9 * max(1.0, abs(from_eigs))
-        ineq_ok = lhs <= rhs + 1e-10 * max(1.0, rhs)
-        rows.append(CheckRow("weyl_equality", gauge.label(), lhs, from_eigs,
-                             lhs - from_eigs, eq_ok))
-        rows.append(CheckRow("weyl_inequality", gauge.label(), lhs, rhs,
-                             rhs - lhs, ineq_ok))
+        rows.append(CheckRow("weyl_equality", gauge.label(), abs(lhs - from_eigs),
+                             1e-9 * max(1.0, abs(from_eigs))))
+        rows.append(CheckRow("weyl_inequality", gauge.label(), lhs,
+                             rhs + 1e-10 * max(1.0, rhs)))
     return CheckReport(tuple(rows))

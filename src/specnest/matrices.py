@@ -21,6 +21,9 @@ import scipy.linalg
 # treated as one cluster with multiplicity.
 CLUSTER_TOL = 1e-10
 
+# Bound on ||U*U - I||_F for the basis U of a projection nest.
+NEST_UNITARY_TOL = 1e-10
+
 # Half-side of the default squares (curve, Brown grid) relative to ||T||_2.
 HALF_SIDE_FACTOR = 1.25
 
@@ -83,8 +86,9 @@ class ProjectionNest:
     """Increasing family of projections stored as a flag plus jump times.
 
     ``basis`` is unitary; the projection at time t is onto the span of the
-    first ``rank_at(t)`` columns. ``jumps`` is a tuple of (t, rank) pairs with
-    strictly increasing t and rank, starting at (0, 0) and ending with rank n;
+    first ``rank_at(t)`` columns. ``jumps`` is a tuple of (t, rank) pairs, t in
+    [0, 1] and rank an integer, with strictly increasing t and rank, starting
+    at (0, 0) and ending with rank n;
     the family is right-continuous: rank_at(t) is the rank of the last jump
     with jump time <= t.
     """
@@ -95,19 +99,22 @@ class ProjectionNest:
     def __post_init__(self):
         U = as_operator(self.basis)
         n = U.shape[0]
-        if frobenius(gemm(U, U, adj_a=True) - np.eye(n)) > 1e-10:
+        if frobenius(gemm(U, U, adj_a=True) - np.eye(n)) > NEST_UNITARY_TOL:
             raise ValueError("nest basis is not unitary")
+        if any(isinstance(r, bool) or not isinstance(r, (int, np.integer))
+               for _, r in self.jumps):
+            raise ValueError("jump ranks must be integers")
         jumps = tuple((float(t), int(r)) for t, r in self.jumps)
         ts = [t for t, _ in jumps]
         ranks = [r for _, r in jumps]
+        if not all(0.0 <= t <= 1.0 for t in ts):  # NaN included
+            raise ValueError("jump times must lie in [0, 1]")
         if jumps[0] != (0.0, 0) or ranks[-1] != n:
             raise ValueError("jumps must start at (0, 0) and end at full rank")
         if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
             raise ValueError("jump times must increase strictly")
         if any(r2 <= r1 for r1, r2 in zip(ranks, ranks[1:])):
             raise ValueError("jump ranks must increase strictly")
-        if ts[-1] > 1.0:
-            raise ValueError("jump times must lie in [0, 1]")
         object.__setattr__(self, "basis", U)
         object.__setattr__(self, "jumps", jumps)
 

@@ -92,28 +92,14 @@ def decomposition_to_dict(result) -> dict:
 
 
 def report_rows_csv(rows) -> str:
-    """CheckRow / ConvergenceRow sequences to CSV; schema version in the header.
+    """Check rows to CSV; schema version in the header.
 
-    A ConvergenceRow's margin is bound - value, so on every inequality row a
-    margin >= 0 means the value is within its bound.
+    A row passes iff value <= bound, iff its margin bound - value is >= 0.
     """
-    lines = ["# schemaVersion=2", "check,n_or_params,lhs_or_value,rhs_or_bound,margin,pass"]
-    for r in rows:
-        if hasattr(r, "params") and hasattr(r, "lhs"):
-            params = r.params if isinstance(r.params, str) else _fmt_params(r.params)
-            lines.append(
-                f"{r.check},{params},{r.lhs!r},{r.rhs!r},{r.margin!r},{int(r.ok)}"
-            )
-        else:
-            params = f"n={r.n}" + ("" if not r.params else ";" + _fmt_params(r.params))
-            lines.append(
-                f"{r.check},{params},{r.value!r},{r.bound!r},{r.bound - r.value!r},{int(r.ok)}"
-            )
+    lines = ["# schemaVersion=3", "check,params,value,bound,margin,pass"]
+    lines += [f"{r.check},{r.params},{r.value!r},{r.bound!r},{r.margin!r},{int(r.ok)}"
+              for r in rows]
     return "\n".join(lines) + "\n"
-
-
-def _fmt_params(params) -> str:
-    return ";".join(str(p) for p in params)
 
 
 def write_text(path: str, text: str) -> None:

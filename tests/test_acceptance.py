@@ -25,8 +25,9 @@ def _assert_criterion(result):
 def test_criterion_1_decomposition_soundness(battery):
     """200 Ginibre 16x16 (seed 42): reconstruction <= 1e-12 ||T||, normality
     defect <= 1e-10 ||N||^2, spectrum gap <= 1e-8, strict-upper and Q-diagonal
-    defects <= 1e-8 ||T||, under 30 s."""
+    defects <= 1e-8 ||T||, |tr(N*Q)| <= (3e-10 + 8 n^2 u) ||T||_F^2, under 30 s."""
     _assert_criterion(battery[0])
+    assert 0.0 < battery[0].details["worst_tolerance_ratios"]["orthogonality"] <= 1.0
 
 
 def test_criterion_2_weyl_inequality(battery):

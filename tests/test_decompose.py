@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specnest.decompose import (
+    MONO_SLACK,
     _average,
     _block_means,
     _column_groups,
@@ -438,8 +439,9 @@ class TestConvergenceReport:
     def test_det_gap_binds_only_at_finest_level(self):
         report = convergence_report(random_matrix(63, 6), n_range=range(0, 5))
         rows = [r for r in report.rows if r.check == "det_gap"]
-        assert all(np.isinf(r.bound) for r in rows if r.n < 4)
-        assert all(np.isfinite(r.bound) for r in rows if r.n == 4)
+        levels = [int(r.params.split(";")[0].removeprefix("n=")) for r in rows]
+        assert all(np.isinf(r.bound) for r, n in zip(rows, levels) if n < 4)
+        assert all(np.isfinite(r.bound) for r, n in zip(rows, levels) if n == 4)
 
     @pytest.mark.parametrize("T, peak_failures", [
         (random_matrix(64, 6), ()),
@@ -472,22 +474,23 @@ class TestConvergenceReport:
             En = expectation_dyadic(T, res.nest, n)
             bound = curve.modulus(2.0**-n)
             rad = np.max(np.abs(np.diag(U.conj().T @ (T - En) @ U)))
-            rows.append(("norm_gap", n, (), np.linalg.norm(En - res.N, 2), bound))
-            rows.append(("remainder_radius", n, (), rad, bound))
+            rows.append(("norm_gap", f"n={n}", np.linalg.norm(En - res.N, 2), bound))
+            rows.append(("remainder_radius", f"n={n}", rad, bound))
             for lam in lams:
                 for eps in (1.0, 0.1, 0.01):
                     gap = abs(regularized_log_det(En, lam, eps)
                               - measure.regularized_potential(lam, eps))
-                    rows.append(("det_gap", n, (lam, eps), gap,
+                    rows.append(("det_gap", f"n={n};{complex(lam)};{eps}", gap,
                                  1e-3 if n == 10 else np.inf))
         pinches = [pinch_commutant(T, res.nest, n) for n in range(0, 11)]
         for m in (1, 10, 100):
             seq = [np.exp(regularized_log_det(P, 0.0, 1.0 / m)) for P in pinches]
-            rows.extend(("pinch_det_monotone", n, (float(m),), seq[n], seq[n - 1])
+            rows.extend(("pinch_det_monotone", f"n={n};{float(m)}", seq[n],
+                         seq[n - 1] + MONO_SLACK * max(1.0, abs(seq[n - 1])))
                         for n in range(1, 11))
-        assert [(r.check, r.n, r.params) for r in report.rows] == [row[:3] for row in rows]
-        for field, i in (("value", 3), ("bound", 4)):
+        assert [(r.check, r.params) for r in report.rows] == [row[:2] for row in rows]
+        for field, i in (("value", 2), ("bound", 3)):
             assert [getattr(r, field) for r in report.rows] == pytest.approx(
                 [row[i] for row in rows], rel=1e-12, abs=1e-13)
-        assert [(r.check, r.n, r.params) for r in report.failures()] == [
-            ("det_gap", 10, (lams[2], eps)) for eps in peak_failures]
+        assert [(r.check, r.params) for r in report.failures()] == [
+            ("det_gap", f"n=10;{complex(lams[2])};{eps}") for eps in peak_failures]

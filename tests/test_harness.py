@@ -10,13 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specnest
 from specnest import acceptance, cli, ensembles, serialize
-from specnest.decompose import ConvergenceRow, convergence_report, decompose
+from specnest.decompose import CheckRow, convergence_report, decompose
 from specnest.detbrown import brown_density_grid
 from specnest.hsnest import build_nest, default_curve
-from specnest.majorize import DEFAULT_GAUGES, weyl_check
+from specnest.majorize import (DEFAULT_GAUGES, log_plus_equivalence_check, pinch_log_check,
+                               shift_lemma_check, weyl_check)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -199,12 +202,12 @@ class TestSerialize:
     def test_report_csv_covers_both_row_kinds(self):
         rng = np.random.default_rng(5)
         T = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / 3
-        failing = ConvergenceRow("norm_gap", 3, (), 2.0, 1.5, False)
+        failing = CheckRow("norm_gap", "n=3", 2.0, 1.5)
         conv_rows = convergence_report(T).rows + (failing,)
         text = serialize.report_rows_csv(weyl_check(T).rows + conv_rows)
         lines = text.strip().split("\n")
-        assert lines[0] == "# schemaVersion=2"
-        assert lines[1] == "check,n_or_params,lhs_or_value,rhs_or_bound,margin,pass"
+        assert lines[0] == "# schemaVersion=3"
+        assert lines[1] == "check,params,value,bound,margin,pass"
         cells = [line.split(",") for line in lines[2:]]
         assert all(len(row) == 6 for row in cells)
         assert len(cells) == 1 + 2 * len(DEFAULT_GAUGES) + len(conv_rows)
@@ -213,6 +216,26 @@ class TestSerialize:
         # Margin >= 0 means pass, on both row kinds.
         assert cells[-1] == ["norm_gap", "n=3", "2.0", "1.5", "-0.5", "0"]
         assert all(row[5] == "1" for row in cells if float(row[4]) >= 0)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(0, 2000), st.integers(2, 8), st.booleans(),
+           st.sampled_from([1e-6, 1.0, 1e6]))
+    def test_row_passes_iff_margin_is_nonnegative(self, seed, n, triangular, scale):
+        kind = ensembles.UpperTriangularRandom(n) if triangular else ensembles.Ginibre(n)
+        T, G, H = scale * np.stack(ensembles.generate(ensembles.EnsembleSpec(kind, seed, 3)))
+        report = convergence_report(T)
+        rows = list(report.rows) + list(weyl_check(T).rows)
+        nest = report.decomposition.nest
+        for t, _ in nest.jumps[1:-1]:
+            rows += pinch_log_check(T, nest.projection_at(t)).rows
+        A = G @ G.conj().T
+        for B in (H @ H.conj().T, 0.5 * A):
+            rows += shift_lemma_check(A, B).rows
+        rows += log_plus_equivalence_check(G, H).rows
+        assert all(r.ok == (r.margin >= 0) for r in rows)
+        cells = [line.split(",") for line in
+                 serialize.report_rows_csv(rows).strip().split("\n")[2:]]
+        assert [c[5] for c in cells] == [str(int(float(c[4]) >= 0)) for c in cells]
 
     def test_atomic_write_replaces(self, tmp_path):
         path = tmp_path / "out.txt"
@@ -255,7 +278,7 @@ class TestCli:
                         "--report", str(report)) == 0
         data = json.loads(out.read_text())
         assert data["schemaVersion"] == 1
-        assert report.read_text().startswith("# schemaVersion=2")
+        assert report.read_text().startswith("# schemaVersion=3")
 
     def test_brown_command(self, tmp_path, capsys):
         matrix_path = tmp_path / "m.json"

@@ -122,6 +122,16 @@ class TestShiftLemma:
         report = shift_lemma_check(np.diag([1.0, 1.0]), np.diag([3.0, 0.1]))
         assert report.skipped == ("hypothesis B <<_log A fails",)
 
+    def test_takes_one_svd_per_input_before_the_shifts(self, svd_calls, two_norm_calls):
+        # The singular values of A and B serve the Hermitian tolerance and the
+        # hypothesis; each of the 4 shifted comparisons takes 2 more.
+        shift_lemma_check(np.diag([1.0, 1.0]), np.diag([3.0, 0.1]))
+        assert svd_calls == [(2, 2)] * 2
+        svd_calls.clear()
+        shift_lemma_check(np.diag([4.0, 1.0]), np.diag([2.0, 1.0]))
+        assert svd_calls == [(2, 2)] * (2 + 4 * 2)
+        assert two_norm_calls == []
+
 
 class TestPinchLogCheck:
     def test_shear_coordinate_pinch(self):
@@ -131,8 +141,8 @@ class TestPinchLogCheck:
         report = pinch_log_check(SHEAR, p)
         assert report.all_ok
         det_row = next(r for r in report.rows if r.check == "pinch_det")
-        assert det_row.lhs == pytest.approx(np.sqrt(10), rel=1e-10)
-        assert det_row.rhs == pytest.approx(np.sqrt(11), rel=1e-10)
+        assert det_row.value == pytest.approx(np.sqrt(10), rel=1e-10)
+        assert det_row.bound == pytest.approx(np.sqrt(11) * (1 + 1e-10), rel=1e-10)
 
     def test_rejects_non_invariant_projection(self):
         p = np.diag([0.0, 1.0]).astype(complex)

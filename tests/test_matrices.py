@@ -103,6 +103,23 @@ class TestProjectionNest:
         with pytest.raises(ValueError):
             ProjectionNest(np.eye(2), ((0.0, 0), (0.5, 2), (0.5, 2)))
 
+    def test_rejects_nan_jump_time(self):
+        # NaN compares false both ways, so the increase check alone lets it through.
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            ProjectionNest(np.eye(2), ((0.0, 0), (np.nan, 1), (1.0, 2)))
+
+    def test_rejects_fractional_rank(self):
+        with pytest.raises(ValueError, match="integers"):
+            ProjectionNest(np.eye(2), ((0.0, 0), (0.5, 1.7), (1.0, 2)))
+
+    def test_rejects_bool_rank(self):
+        with pytest.raises(ValueError, match="integers"):
+            ProjectionNest(np.eye(2), ((0.0, 0), (0.5, True), (1.0, 2)))
+
+    def test_accepts_numpy_integer_ranks(self):
+        nest = ProjectionNest(np.eye(2), ((0.0, np.int64(0)), (0.5, np.int32(1)), (1.0, 2)))
+        assert nest.jumps == ((0.0, 0), (0.5, 1), (1.0, 2))
+
 
 def reference_clusters(eigs: np.ndarray, tol: float) -> list:
     """Connected components of the tol-graph, ordered by smallest index."""
