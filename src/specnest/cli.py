@@ -7,6 +7,7 @@ failure paths emit a JSON error record on stderr and never leave partial files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -121,10 +122,12 @@ def _cmd_check_lemmas(args) -> int:
     rows = list(report.rows)
     n = T.shape[0]
     normT = report.decomposition.diagnostics["operator_norm"]
-    # Pinching inequality along the nest: coordinate cut at every jump rank.
+    # Pinching inequality along the nest: coordinate cut at every jump rank,
+    # each row labelled with the jump that made its cut.
     nest = report.decomposition.nest
-    for t, _ in nest.jumps[1:-1]:
-        rows.extend(pinch_log_check(T, nest.projection_at(t)).rows)
+    for t, rank in nest.jumps[1:-1]:
+        rows.extend(dataclasses.replace(row, params=f"t={t!r};rank={rank}")
+                    for row in pinch_log_check(T, nest.projection_at(t)).rows)
     fails = [r for r in rows if not r.ok]
     print(f"{len(rows)} checks, {len(fails)} failures on {args.infile} "
           f"(dim {n}, norm {normT:.4g})")

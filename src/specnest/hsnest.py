@@ -17,6 +17,7 @@ import scipy.linalg
 from .curve import DEEP_LEVEL, HilbertCurveMap, hit_index
 from .matrices import (
     ProjectionNest,
+    _complex_schur,
     as_operator,
     default_half_side,
     eigenvalue_clusters,
@@ -67,7 +68,7 @@ def hs_projection(T, region: BorelSet) -> np.ndarray:
     is monotone under region inclusion.
     """
     T = as_operator(T)
-    R, U = scipy.linalg.schur(T, output="complex", check_finite=False)
+    R, U = _complex_schur(T)
     keys = [0 if region.contains(complex(z)) else 1 for z in np.diag(R)]
     U, _, _ = reorder_schur(T, R, U, keys, operator_norm(T))
     V = U[:, :keys.count(0)]
@@ -152,7 +153,7 @@ def build_nest(T, curve: HilbertCurveMap) -> ProjectionNest:
 def _build_nest(T: np.ndarray, curve: HilbertCurveMap, norm: float) -> ProjectionNest:
     """``build_nest`` for T from ``as_operator``, ``norm`` = ||T||_2 and a curve
     whose square covers T's spectral disk."""
-    R, U = scipy.linalg.schur(T, output="complex", check_finite=False)
+    R, U = _complex_schur(T)
     clusters = eigenvalue_clusters(np.diag(R), norm)
     hits = [hit_index(curve, rep) for rep, _ in clusters]
     order = sorted(range(len(clusters)), key=lambda c: (

@@ -9,10 +9,21 @@ pool, and two pools waking in turn compete for the cores. So the products
 (``gemm``) and 2-norms (``operator_norm``) that ``decompose`` reaches run in
 scipy's BLAS/LAPACK, next to its Schur form and reordering; numpy does the
 elementwise work.
+
+On small matrices scipy's wrappers cost more than the factorizations, so
+the hot path calls the routines they would pick directly: LAPACK ``gees``
+for the complex Schur form (``_complex_schur``, the one Schur entry point of
+``hs_projection`` and the nest builder), ``gesdd`` without singular vectors
+for ``operator_norm`` and BLAS ``nrm2`` for ``frobenius``, with results
+bit-identical to ``scipy.linalg.schur``, ``svd`` and ``norm``. A workspace
+query reads only the order n, so the optimal size (the one scipy passes; the
+minimal one gives another Schur form at n = 256) is asked once per routine
+and n and kept in ``_LWORK``.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import scipy.linalg
@@ -50,9 +61,42 @@ def as_operator(matrix) -> np.ndarray:
     return A
 
 
+# Optimal LAPACK workspace sizes by (routine, n).
+_LWORK: dict = {}
+
+
+def _no_sort(x, y=None):
+    return None
+
+
+def _complex_schur(T: np.ndarray) -> tuple:
+    """(R, U) with T = U R U*, R upper triangular and U unitary, for a complex128
+    T from ``as_operator``: ``scipy.linalg.schur(T, output="complex")`` as one
+    bare LAPACK ``gees`` call. Raises LinAlgError when the QR iteration fails."""
+    gees, = scipy.linalg.get_lapack_funcs(("gees",), (T,))
+    n = T.shape[0]
+    if ("gees", n) not in _LWORK:
+        _LWORK["gees", n] = int(gees(_no_sort, T, lwork=-1)[-2][0].real)
+    R, _, _, U, _, info = gees(_no_sort, T, lwork=_LWORK["gees", n], sort_t=0)
+    if info:
+        raise scipy.linalg.LinAlgError(f"Schur form not found (gees info {info})")
+    return R, U
+
+
 def operator_norm(T) -> float:
-    """Largest singular value (scipy's LAPACK; ``as_operator`` checked finiteness)."""
-    return float(scipy.linalg.svd(as_operator(T), compute_uv=False, check_finite=False)[0])
+    """Largest singular value: ``scipy.linalg.svd(T, compute_uv=False)[0]`` as one
+    bare LAPACK ``gesdd`` call (``as_operator`` checks finiteness). Raises
+    LinAlgError when the SVD does not converge."""
+    A = as_operator(T)
+    gesdd, gesdd_lwork = scipy.linalg.get_lapack_funcs(("gesdd", "gesdd_lwork"), (A,),
+                                                       ilp64="preferred")
+    n = A.shape[0]
+    if ("gesdd", n) not in _LWORK:
+        _LWORK["gesdd", n] = int(gesdd_lwork(n, n, compute_uv=0, full_matrices=0)[0].real)
+    _, s, _, info = gesdd(A, compute_uv=0, lwork=_LWORK["gesdd", n], full_matrices=0)
+    if info:
+        raise scipy.linalg.LinAlgError(f"SVD did not converge (gesdd info {info})")
+    return float(s[0])
 
 
 def gemm(a: np.ndarray, b: np.ndarray, adj_a: bool = False, adj_b: bool = False) -> np.ndarray:
@@ -66,9 +110,17 @@ def gemm(a: np.ndarray, b: np.ndarray, adj_a: bool = False, adj_b: bool = False)
 
 
 def frobenius(R) -> float:
-    """Frobenius norm as BLAS nrm2 of the raveled entries: it bounds the 2-norm,
-    cannot overflow, and raises ValueError on non-finite entries."""
-    return float(scipy.linalg.norm(np.ravel(R)))
+    """Frobenius norm as BLAS nrm2 of the raveled entries, so it bounds the
+    2-norm. nrm2 scales as it sums, so no square overflows, but the norm itself
+    is inf when it exceeds the largest double. Raises ValueError on non-finite
+    entries, which are scanned for only when the norm is not finite."""
+    x = np.ravel(R)
+    if not x.size:
+        return 0.0
+    value = float(scipy.linalg.get_blas_funcs("nrm2", dtype=x.dtype, ilp64="preferred")(x))
+    if not math.isfinite(value) and not np.isfinite(x).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return value
 
 
 def spectral_radius(T) -> float:
@@ -212,9 +264,8 @@ def reorder_schur(T: np.ndarray, R: np.ndarray, U: np.ndarray, keys, norm: float
     R = np.asfortranarray(R)
     U = np.asfortranarray(U)
     n = R.shape[0]
-    sort_keys = [(keys[i], float(z.real), float(z.imag), i)
-                 for i, z in enumerate(np.diag(R))]
-    target = sorted(range(n), key=sort_keys.__getitem__)
+    diag = np.diag(R)
+    target = np.lexsort((np.arange(n), diag.imag, diag.real, np.asarray(keys))).tolist()
     labels = list(range(n))
     for k in range(n):
         j = labels.index(target[k])

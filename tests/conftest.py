@@ -6,17 +6,40 @@ import scipy.linalg
 
 @pytest.fixture
 def two_norm_calls(monkeypatch):
-    """Shapes of the arrays passed to ``scipy.linalg.svd`` without singular vectors,
-    as ``matrices.operator_norm`` takes a 2-norm (an SVD each)."""
-    original = scipy.linalg.svd
+    """Shapes of the arrays passed to LAPACK ``gesdd`` without singular vectors,
+    as ``matrices.operator_norm`` takes a 2-norm (a values-only SVD each): the
+    ``gesdd`` that ``scipy.linalg.get_lapack_funcs`` hands out counts its calls."""
+    original = scipy.linalg.get_lapack_funcs
     calls = []
 
-    def counting(a, *args, compute_uv=True, **kwargs):
-        if not compute_uv:
-            calls.append(np.shape(a))
-        return original(a, *args, compute_uv=compute_uv, **kwargs)
+    def lookup(names, *args, **kwargs):
+        funcs = original(names, *args, **kwargs)
+        if isinstance(names, str) or names[0] != "gesdd":
+            return funcs
+        gesdd = funcs[0]
 
-    monkeypatch.setattr(scipy.linalg, "svd", counting)
+        def counting(a, *args, compute_uv=1, **kwargs):
+            if not compute_uv:
+                calls.append(np.shape(a))
+            return gesdd(a, *args, compute_uv=compute_uv, **kwargs)
+
+        return [counting, *funcs[1:]]
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lookup)
+    return calls
+
+
+@pytest.fixture
+def scipy_schur_calls(monkeypatch):
+    """Shapes of the arrays passed to ``scipy.linalg.schur``."""
+    original = scipy.linalg.schur
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
     return calls
 
 

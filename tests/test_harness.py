@@ -322,6 +322,22 @@ class TestCli:
         serialize.write_matrix(str(matrix_path), T)
         assert self.run("check", "lemmas", "--in", str(matrix_path), "--n-max", "6") == 0
 
+    def test_check_lemmas_labels_each_pinch_row_with_its_jump(self, tmp_path):
+        matrix_path = tmp_path / "m.json"
+        T = ensembles.generate(ensembles.EnsembleSpec(ensembles.Ginibre(8), seed=1))[0]
+        serialize.write_matrix(str(matrix_path), T)
+        out = tmp_path / "lemmas.csv"
+        assert self.run("check", "lemmas", "--in", str(matrix_path), "--out", str(out)) == 0
+        params = {}
+        for line in out.read_text().splitlines()[2:]:
+            check, param = line.split(",")[:2]
+            if check in ("pinch_logmaj", "pinch_det"):
+                params.setdefault(param, []).append(check)
+        inner = decompose(T).nest.jumps[1:-1]
+        assert sorted(params) == sorted(f"t={t!r};rank={r}" for t, r in inner)
+        assert all(sorted(checks) == ["pinch_det", "pinch_logmaj"]
+                   for checks in params.values())
+
     def test_check_lemmas_rejects_empty_level_range(self, tmp_path, capsys):
         matrix_path = tmp_path / "m.json"
         serialize.write_matrix(str(matrix_path), np.array([[1, 1], [0, 2]], dtype=complex))

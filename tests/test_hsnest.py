@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specnest import curve as curve_module
+from specnest import hsnest
 from specnest.curve import DEEP_LEVEL, HilbertCurveMap, hit_index
 from specnest.decompose import decompose
 from specnest.ensembles import (
@@ -118,6 +119,26 @@ class TestHsProjection:
         k1 = round(np.trace(hs_projection(T, inside)).real)
         k2 = round(np.trace(hs_projection(T, outside)).real)
         assert k1 + k2 == 5
+
+
+def test_decompose_and_hs_projection_share_one_schur_entry_point(monkeypatch,
+                                                                   scipy_schur_calls):
+    # Each takes one Schur form, through matrices._complex_schur, never
+    # through scipy.linalg.schur.
+    original = hsnest._complex_schur
+    calls = []
+
+    def counting(T):
+        calls.append(T.shape)
+        return original(T)
+
+    monkeypatch.setattr(hsnest, "_complex_schur", counting)
+    T = random_matrix(3, 8)
+    decompose(T)
+    assert calls == [(8, 8)]
+    hs_projection(T, Ball(0.0, 0.5))
+    assert calls == [(8, 8), (8, 8)]
+    assert scipy_schur_calls == []
 
 
 class TestPowerLimit:

@@ -1,4 +1,6 @@
 """Core matrix utilities: norms, projection nests, clusters, ordered Schur forms."""
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,11 +8,14 @@ import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specnest import cli, matrices, serialize
 from specnest.matrices import (
     ProjectionNest,
+    _complex_schur,
     as_operator,
     cluster_eigenvalues,
     eigenvalue_clusters,
+    frobenius,
     gemm,
     operator_norm,
     reorder_schur,
@@ -61,6 +66,84 @@ class TestTraceAndNorms:
     def test_norm_vs_radius(self):
         T = random_matrix(0, 6)
         assert spectral_radius(T) <= operator_norm(T) + 1e-12
+
+
+class TestDirectLapackCalls:
+    """The bare LAPACK/BLAS calls return what scipy's wrappers return, bit for bit."""
+
+    # zhseqr switches from zlahqr to the aggressive-deflation zlaqr0 at n = 75.
+    SIZES = [1, 2, 8, 16, 74, 75, 76, 256]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_complex_schur_equals_scipy_schur(self, n, monkeypatch):
+        monkeypatch.setattr(matrices, "_LWORK", {})
+        T = as_operator(random_matrix(n, n))
+        R_want, U_want = scipy.linalg.schur(T, output="complex")
+        for _ in range(2):  # the workspace query, then the cached size
+            R, U = _complex_schur(T)
+            assert np.array_equal(R, R_want) and np.array_equal(U, U_want)
+        assert list(matrices._LWORK) == [("gees", n)]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_operator_norm_equals_scipy_svd(self, n, monkeypatch):
+        monkeypatch.setattr(matrices, "_LWORK", {})
+        T = random_matrix(n + 1, n)
+        want = scipy.linalg.svd(T, compute_uv=False)[0]
+        assert operator_norm(T) == want and operator_norm(T) == want
+        assert list(matrices._LWORK) == [("gesdd", n)]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_frobenius_equals_scipy_norm(self, n):
+        T = random_matrix(n + 2, n)
+        for X in (T, T.real, np.asfortranarray(T)[:, ::2]):
+            assert frobenius(X) == scipy.linalg.norm(np.ravel(X))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_frobenius_rejects_nonfinite_entries(self, dtype, bad, where):
+        x = np.ones(7, dtype=dtype)
+        x[where] = bad
+        with pytest.raises(ValueError):
+            frobenius(x)
+        if dtype is complex:
+            x[where] = complex(1.0, bad)
+            with pytest.raises(ValueError):
+                frobenius(x.reshape(1, 7))
+
+    def test_frobenius_overflows_to_inf_on_finite_entries(self):
+        assert frobenius(np.array([1.5e308, 1.5e308])) == np.inf
+        assert frobenius(np.array([1.5e308, 1.5e308j])) == np.inf
+
+    def test_frobenius_of_empty_array_is_zero(self):
+        assert frobenius(np.zeros(0)) == 0.0
+        assert frobenius(np.zeros((0, 3), dtype=complex)) == 0.0
+
+    @pytest.mark.parametrize("routine", ["gees", "gesdd"])
+    def test_lapack_failure_raises_linalg_error(self, routine, monkeypatch, tmp_path, capsys):
+        # LAPACK's info > 0 (no convergence) keeps scipy's error type, and the
+        # CLI maps it to exit code 2.
+        original = scipy.linalg.get_lapack_funcs
+
+        def failing(names, *args, **kwargs):
+            funcs = original(names, *args, **kwargs)
+            if names[0] != routine:
+                return funcs
+
+            def no_convergence(*a, **kw):
+                out = funcs[0](*a, **kw)
+                return out if kw.get("lwork") == -1 else (*out[:-1], 1)
+
+            return [no_convergence, *funcs[1:]]
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", failing)
+        T = as_operator(random_matrix(0, 4))
+        with pytest.raises(scipy.linalg.LinAlgError):
+            _complex_schur(T) if routine == "gees" else operator_norm(T)
+        path = tmp_path / "m.json"
+        serialize.write_matrix(str(path), T)
+        assert cli.main(["decompose", "--in", str(path), "--out", str(tmp_path / "d.json")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "LinAlgError"
 
 
 class TestGemm:
