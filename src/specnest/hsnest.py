@@ -135,10 +135,14 @@ def build_nest(T, curve: HilbertCurveMap) -> ProjectionNest:
     """Curve-ordered nest of invariant projections for T.
 
     Clusters the diagonal of T's complex Schur form, orders the clusters by
-    first hit time (ties broken by (Re, Im)), and reorders the Schur form into
-    that order, with jumps at (hit time, cumulative multiplicity). The nest
-    follows the given curve, its square and anchor: its projection at each
-    jump time t is ``hs_projection(T, CurveSegment(t, curve))`` up to rounding.
+    exact first hit index (ties broken by (Re, Im)), and reorders the Schur
+    form into that order, with jumps at (hit time, cumulative multiplicity).
+    The nest follows the given curve, its square and anchor: its projection at
+    each jump time t is ``hs_projection(T, CurveSegment(t, curve))`` up to
+    rounding. Clusters whose hit times round to one double t still split: each
+    gets its own jump, the later ones at the next doubles above t. The segment
+    at t holds all of them, so its projection is the nest projection at the
+    last of these tied jumps.
     Takes ||T||_2 for the clustering scale and to check that the curve's square
     covers T's spectral disk; ``decompose`` hands its own ||T||_2 to the same
     builder.
@@ -166,7 +170,8 @@ def _build_nest(T: np.ndarray, curve: HilbertCurveMap, norm: float) -> Projectio
 
     jumps = [(0.0, 0)]
     for c in order:
-        # Clusters sharing a cell get the next float, so times increase.
+        # A cluster whose hit time rounds to the previous jump's gets the next
+        # double, so times increase.
         t = hits[c] / 4.0**DEEP_LEVEL
         t = max(t, math.nextafter(jumps[-1][0], 2.0))
         jumps.append((min(t, 1.0), jumps[-1][1] + len(clusters[c][1])))

@@ -6,15 +6,17 @@ ordering of the eigenvalues on the diagonal.
 
 numpy and scipy each bundle their own OpenBLAS, each with its own thread
 pool, and two pools waking in turn compete for the cores. So the products
-(``gemm``) and 2-norms (``operator_norm``) that ``decompose`` reaches run in
+(``gemm``) that ``decompose`` reaches and every values-only SVD run in
 scipy's BLAS/LAPACK, next to its Schur form and reordering; numpy does the
-elementwise work.
+elementwise work. ``singular_values`` is the one values-only SVD: the
+2-norm (``operator_norm``) is its first value, and the majorization checks
+and determinants read its array.
 
 On small matrices scipy's wrappers cost more than the factorizations, so
 the hot path calls the routines they would pick directly: LAPACK ``gees``
 for the complex Schur form (``_complex_schur``, the one Schur entry point of
 ``hs_projection`` and the nest builder), ``gesdd`` without singular vectors
-for ``operator_norm`` and BLAS ``nrm2`` for ``frobenius``, with results
+for ``singular_values`` and BLAS ``nrm2`` for ``frobenius``, with results
 bit-identical to ``scipy.linalg.schur``, ``svd`` and ``norm``. A workspace
 query reads only the order n, so the optimal size (the one scipy passes; the
 minimal one gives another Schur form at n = 256) is asked once per routine
@@ -83,9 +85,9 @@ def _complex_schur(T: np.ndarray) -> tuple:
     return R, U
 
 
-def operator_norm(T) -> float:
-    """Largest singular value: ``scipy.linalg.svd(T, compute_uv=False)[0]`` as one
-    bare LAPACK ``gesdd`` call (``as_operator`` checks finiteness). Raises
+def singular_values(T) -> np.ndarray:
+    """Singular values, descending: ``scipy.linalg.svd(T, compute_uv=False)`` as
+    one bare LAPACK ``gesdd`` call (``as_operator`` checks finiteness). Raises
     LinAlgError when the SVD does not converge."""
     A = as_operator(T)
     gesdd, gesdd_lwork = scipy.linalg.get_lapack_funcs(("gesdd", "gesdd_lwork"), (A,),
@@ -96,7 +98,12 @@ def operator_norm(T) -> float:
     _, s, _, info = gesdd(A, compute_uv=0, lwork=_LWORK["gesdd", n], full_matrices=0)
     if info:
         raise scipy.linalg.LinAlgError(f"SVD did not converge (gesdd info {info})")
-    return float(s[0])
+    return s
+
+
+def operator_norm(T) -> float:
+    """Largest singular value, the first of ``singular_values``."""
+    return float(singular_values(T)[0])
 
 
 def gemm(a: np.ndarray, b: np.ndarray, adj_a: bool = False, adj_b: bool = False) -> np.ndarray:
@@ -128,11 +135,6 @@ def spectral_radius(T) -> float:
     return float(np.max(np.abs(eigs)))
 
 
-def singular_values(T) -> np.ndarray:
-    """Singular values, descending."""
-    return np.linalg.svd(as_operator(T), compute_uv=False)
-
-
 @dataclasses.dataclass(frozen=True)
 class ProjectionNest:
     """Increasing family of projections stored as a flag plus jump times.
@@ -142,7 +144,7 @@ class ProjectionNest:
     [0, 1] and rank an integer, with strictly increasing t and rank, starting
     at (0, 0) and ending with rank n;
     the family is right-continuous: rank_at(t) is the rank of the last jump
-    with jump time <= t.
+    with jump time <= t. A NaN t raises ValueError.
     """
 
     basis: np.ndarray
@@ -171,6 +173,8 @@ class ProjectionNest:
         object.__setattr__(self, "jumps", jumps)
 
     def rank_at(self, t: float) -> int:
+        if math.isnan(t):  # it compares false with every jump time
+            raise ValueError("t must not be NaN")
         rank = 0
         for tj, rj in self.jumps:
             if tj <= t:

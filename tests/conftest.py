@@ -5,10 +5,11 @@ import scipy.linalg
 
 
 @pytest.fixture
-def two_norm_calls(monkeypatch):
-    """Shapes of the arrays passed to LAPACK ``gesdd`` without singular vectors,
-    as ``matrices.operator_norm`` takes a 2-norm (a values-only SVD each): the
-    ``gesdd`` that ``scipy.linalg.get_lapack_funcs`` hands out counts its calls."""
+def singular_value_calls(monkeypatch):
+    """Shapes of the arrays passed to LAPACK ``gesdd`` without singular vectors:
+    one per ``matrices.singular_values`` call, the library's one values-only
+    SVD (``operator_norm`` included). The ``gesdd`` that
+    ``scipy.linalg.get_lapack_funcs`` hands out counts its calls."""
     original = scipy.linalg.get_lapack_funcs
     calls = []
 
@@ -40,20 +41,6 @@ def scipy_schur_calls(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "schur", counting)
-    return calls
-
-
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Shapes of the arrays passed to ``np.linalg.svd``."""
-    original = np.linalg.svd
-    calls = []
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
     return calls
 
 

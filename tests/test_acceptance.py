@@ -59,7 +59,7 @@ def test_criterion_5_curve_and_nest_bounds(battery):
     _assert_criterion(battery[4])
 
 
-def test_criterion_5_takes_one_two_norm_per_matrix(monkeypatch, two_norm_calls):
+def test_criterion_5_takes_one_two_norm_per_matrix(monkeypatch, singular_value_calls):
     """decompose's ||T||_2 also sizes the criterion's curve: one values-only SVD
     per matrix, besides the one each hs_projection call takes."""
     original = acceptance.hs_projection
@@ -72,7 +72,7 @@ def test_criterion_5_takes_one_two_norm_per_matrix(monkeypatch, two_norm_calls):
     monkeypatch.setattr(acceptance, "hs_projection", counting)
     assert acceptance.criterion_curve_nest_bounds(SEED).passed
     assert len(projections) == 350  # the inner jumps at this seed
-    assert len(two_norm_calls) == 50 + len(projections)
+    assert len(singular_value_calls) == 50 + len(projections)
 
 
 def test_criterion_6_determinant_convergence(battery):

@@ -31,6 +31,7 @@ from specnest.ensembles import (
     generate,
 )
 from specnest.hsnest import build_nest, default_curve
+from specnest.majorize import pinch_log_check, weyl_check
 from specnest.matrices import (CLUSTER_TOL, ProjectionNest, as_operator, operator_norm,
                                spectrum_distance)
 
@@ -213,11 +214,11 @@ class TestDecomposeInvariants:
             assert res.diagnostics["spectrum_gap"] <= 1e-8
             assert spectrum_distance(np.linalg.eigvals(T), block_means(res)) <= 1e-8
 
-    def test_decompose_takes_one_two_norm(self, two_norm_calls):
+    def test_decompose_takes_one_two_norm(self, singular_value_calls):
         # One ||T||_2 (a scipy SVD) for the default curve, the nest builder and
         # the diagnostics; the guards and residual diagnostics use nrm2.
         decompose(random_matrix(65, 8))
-        assert two_norm_calls == [(8, 8)]
+        assert singular_value_calls == [(8, 8)]
 
     def test_spectrum_is_the_flag_diagonal(self):
         T = random_matrix(66, 8)
@@ -396,15 +397,15 @@ class TestConvergenceReport:
         with pytest.raises(OverflowError, match=match):
             convergence_report(scale * generate(spec)[0])
 
-    def test_takes_one_svd_per_pinch_level(self, svd_calls):
-        # The level rows read the flag diagonal; only the 11 pinch levels take
-        # an SVD, shared by the 3 m.
+    def test_takes_one_svd_per_pinch_level(self, singular_value_calls):
+        # decompose's ||T||_2; the level rows read the flag diagonal, and only
+        # the 11 pinch levels take an SVD, shared by the 3 m.
         T = random_matrix(68, 8)
         convergence_report(T)
-        assert svd_calls == [(8, 8)] * 11
-        svd_calls.clear()
+        assert singular_value_calls == [(8, 8)] * (1 + 11)
+        singular_value_calls.clear()
         convergence_report(T, lam_list=(), m_list=())
-        assert svd_calls == []
+        assert singular_value_calls == [(8, 8)]
 
     def test_evaluates_each_potential_once(self, monkeypatch):
         # One regularized_potential per (lam, eps), shared by the 11 levels.
@@ -420,16 +421,19 @@ class TestConvergenceReport:
         assert len(calls) == len(set(calls)) == 9
         assert sum(r.check == "det_gap" for r in report.rows) == 99
 
-    def test_calls_nothing_in_numpy_linalg_without_pinch_rows(self, monkeypatch,
-                                                              two_norm_calls):
+    def test_calls_nothing_in_numpy_linalg_without_pinch_rows(self, monkeypatch):
+        # Every values-only SVD, the pinch levels' and the checks' included,
+        # runs in scipy's LAPACK.
         def refuse(*args, **kwargs):
             raise AssertionError("numpy.linalg called")
 
         T = random_matrix(69, 8)
         for name in ("norm", "svd", "eigvals", "qr"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        convergence_report(T, lam_list=(), m_list=())
-        assert two_norm_calls == [(8, 8)]
+        report = convergence_report(T)
+        weyl_check(T)
+        t, _ = report.decomposition.nest.jumps[1]
+        pinch_log_check(T, report.decomposition.nest.projection_at(t))
 
     def test_row_families_present(self):
         report = convergence_report(random_matrix(62, 6), n_range=range(0, 5))

@@ -376,14 +376,15 @@ class TestCli:
         assert self.run("check", "lemmas", "--in", str(matrix_path)) == 0
         assert len(calls) == 1
 
-    def test_check_lemmas_takes_one_two_norm(self, tmp_path, two_norm_calls):
-        # The one in decompose, reused for the printed norm; pinch_log_check
-        # takes ||T||_2 from the singular values of its verdict.
+    def test_check_lemmas_takes_one_two_norm(self, tmp_path, singular_value_calls):
+        # The ||T||_2 in decompose, reused for the printed norm, one SVD per
+        # pinch level, and two per inner jump (7 here) in pinch_log_check,
+        # which takes ||T||_2 from the singular values of its verdict.
         matrix_path = tmp_path / "m.json"
         serialize.write_matrix(str(matrix_path), ensembles.generate(
             ensembles.EnsembleSpec(ensembles.Ginibre(8), seed=4))[0])
         assert self.run("check", "lemmas", "--in", str(matrix_path)) == 0
-        assert two_norm_calls == [(8, 8)]
+        assert singular_value_calls == [(8, 8)] * (1 + 11 + 2 * 7)
 
     def test_decompose_report_decomposes_once(self, tmp_path, monkeypatch):
         module = importlib.import_module("specnest.decompose")
@@ -407,14 +408,14 @@ class TestCli:
         assert len(calls) == 1
         assert with_report.read_bytes() == plain.read_bytes()
 
-    def test_decompose_takes_one_two_norm(self, tmp_path, two_norm_calls):
+    def test_decompose_takes_one_two_norm(self, tmp_path, singular_value_calls):
         # One ||T||_2 in decompose for the curve, the nest builder and the checks.
         matrix_path = tmp_path / "m.json"
         serialize.write_matrix(str(matrix_path), ensembles.generate(
             ensembles.EnsembleSpec(ensembles.Ginibre(8), seed=3))[0])
         assert self.run("decompose", "--in", str(matrix_path),
                         "--out", str(tmp_path / "dec.json")) == 0
-        assert two_norm_calls == [(8, 8)]
+        assert singular_value_calls == [(8, 8)]
 
     def test_curve_level_is_not_an_option(self, tmp_path, capsys):
         matrix_path = tmp_path / "m.json"

@@ -321,6 +321,27 @@ class TestBuildNest:
                 assert round(float(np.trace(P).real)) == rank
                 assert np.linalg.norm(nest.projection_at(t) - P) <= 1e-10
 
+    def test_clusters_with_one_float_hit_time_split(self):
+        # a and a + 5e-9 are two clusters in two cells, but their exact hit
+        # indices round to one double t. They split in exact index order, the
+        # second at the next double, and the segment at t holds both: its
+        # projection is the nest projection at the last tied jump. The tie is
+        # not the last jump: 0.3 - 0.3j comes after it.
+        a = 0.5 + 0.2j
+        T = np.diag([a, a + 5e-9, -0.3j, 0.3 - 0.3j])
+        curve = default_curve(T)
+        hits = [hit_index(curve, z) for z in np.diag(T)]
+        assert hits[0] < hits[1] and hits[0] / 4.0**DEEP_LEVEL == hits[1] / 4.0**DEEP_LEVEL
+        nest = build_nest(T, curve)
+        t = hits[0] / 4.0**DEEP_LEVEL
+        assert nest.jumps[2:4] == ((t, 2), (math.nextafter(t, 2.0), 3))
+        assert abs(nest.basis[0, 1]) == pytest.approx(1.0)  # a, the smaller index, first
+        for jump, (tj, _) in enumerate(nest.jumps[1:], 1):
+            last_tied = 3 if jump == 2 else jump
+            P = hs_projection(T, CurveSegment(tj, curve))
+            assert round(float(np.trace(P).real)) == nest.jumps[last_tied][1]
+            assert np.linalg.norm(nest.projection_at(nest.jumps[last_tied][0]) - P) <= 1e-10
+
     def test_anchor_rotation_rescues_build(self):
         T = np.diag([-0.5 - 0.5j, 0.5 + 0.5j])
         curve = HilbertCurveMap(half_side=1.0)

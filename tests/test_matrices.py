@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specnest import cli, matrices, serialize
+from specnest.decompose import decompose
 from specnest.matrices import (
     ProjectionNest,
     _complex_schur,
@@ -88,9 +89,14 @@ class TestDirectLapackCalls:
     def test_operator_norm_equals_scipy_svd(self, n, monkeypatch):
         monkeypatch.setattr(matrices, "_LWORK", {})
         T = random_matrix(n + 1, n)
-        want = scipy.linalg.svd(T, compute_uv=False)[0]
-        assert operator_norm(T) == want and operator_norm(T) == want
+        want = scipy.linalg.svd(T, compute_uv=False)
+        assert np.array_equal(singular_values(T), want)
+        assert operator_norm(T) == want[0] and operator_norm(T) == want[0]
         assert list(matrices._LWORK) == [("gesdd", n)]
+        # numpy's SVD runs in numpy's own OpenBLAS build, which need not
+        # match scipy's bit for bit.
+        gap = np.max(np.abs(singular_values(T) - np.linalg.svd(T, compute_uv=False)))
+        assert gap <= 8 * n * np.finfo(float).eps * want[0]
 
     @pytest.mark.parametrize("n", SIZES)
     def test_frobenius_equals_scipy_norm(self, n):
@@ -138,12 +144,19 @@ class TestDirectLapackCalls:
 
         monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", failing)
         T = as_operator(random_matrix(0, 4))
-        with pytest.raises(scipy.linalg.LinAlgError):
-            _complex_schur(T) if routine == "gees" else operator_norm(T)
+        entry_points = [_complex_schur] if routine == "gees" else [operator_norm,
+                                                                  singular_values]
+        for entry_point in entry_points:
+            with pytest.raises(scipy.linalg.LinAlgError):
+                entry_point(T)
         path = tmp_path / "m.json"
         serialize.write_matrix(str(path), T)
-        assert cli.main(["decompose", "--in", str(path), "--out", str(tmp_path / "d.json")]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "LinAlgError"
+        commands = [["decompose", "--in", str(path), "--out", str(tmp_path / "d.json")]]
+        if routine == "gesdd":
+            commands.append(["check", "weyl", "--in", str(path)])
+        for command in commands:
+            assert cli.main(command) == 2
+            assert json.loads(capsys.readouterr().err)["error"] == "LinAlgError"
 
 
 class TestGemm:
@@ -190,6 +203,14 @@ class TestProjectionNest:
         # NaN compares false both ways, so the increase check alone lets it through.
         with pytest.raises(ValueError, match=r"in \[0, 1\]"):
             ProjectionNest(np.eye(2), ((0.0, 0), (np.nan, 1), (1.0, 2)))
+
+    def test_nan_time_raises(self):
+        # NaN <= t_j is false for every jump, so the lookup alone answers rank 0.
+        nest = decompose(np.diag([1, 2j, -1])).nest
+        with pytest.raises(ValueError, match="NaN"):
+            nest.rank_at(float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            nest.projection_at(np.nan)
 
     def test_rejects_fractional_rank(self):
         with pytest.raises(ValueError, match="integers"):
