@@ -23,6 +23,8 @@ NEST_INVARIANCE_TOL = 1e-9
 Q_DIAGONAL_TOL = 1e-8
 DET_TOL = 1e-3
 MONO_SLACK = 1e-10
+# The pinch determinants' regularizations eps = 1/m.
+PINCH_M = (1, 10, 100)
 
 
 def _column_groups(nest: ProjectionNest, n: int | None = None) -> list:
@@ -183,11 +185,14 @@ class CheckRow:
 
     @property
     def ok(self) -> bool:
-        return self.value <= self.bound
+        return bool(self.value <= self.bound)
 
     @property
     def margin(self) -> float:
         return self.bound - self.value
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 @dataclasses.dataclass(frozen=True)
@@ -209,20 +214,75 @@ class ConvergenceReport(Report):
     decomposition: DecompositionResult
 
 
-def convergence_report(
-    T,
-    n_range=range(0, 11),
-    eps_list=(1.0, 0.1, 0.01),
-    lam_list=None,
-    m_list=(1, 10, 100),
-) -> ConvergenceReport:
-    """Dyadic-refinement diagnostics for the decomposition of T.
+def _means(result: DecompositionResult, n: int | None) -> np.ndarray:
+    """The level-n block means c_n of the flag diagonal; ``n = None``: the full ones."""
+    return _block_means(result.eigenvalues, _column_groups(result.nest, n))
 
-    Emits per n: the norm gap to the full expectation against the curve
-    modulus bound; the regularized log-determinant gap to the integral
-    against the exact eigenvalue measure (a limit: it binds at the finest n
-    only); the pinching-determinant monotonicity sequence per m; and the
-    remainder's spectral radius against the modulus bound (``decompose``'s curve).
+
+def _level_rows(result: DecompositionResult, n_range) -> list:
+    """Per n: ||E_n - N||_2 and the spectral radius of T - E_n against the
+    modulus bound of ``decompose``'s curve."""
+    curve = HilbertCurveMap(half_side=default_half_side(result.diagnostics["operator_norm"]))
+    c = _means(result, None)
+    rows = []
+    for n in n_range:
+        cn = _means(result, n)
+        bound = curve.modulus(2.0**-n)
+        rows.append(CheckRow("norm_gap", f"n={n}", float(np.max(np.abs(cn - c))), bound))
+        rows.append(CheckRow("remainder_radius", f"n={n}",
+                             float(np.max(np.abs(result.eigenvalues - cn))), bound))
+    return rows
+
+
+def _det_gap_rows(result: DecompositionResult, n_range, eps_list, lam_list) -> list:
+    """Per n, lam and eps: the regularized log-determinant of E_n - lam against
+    its integral over the exact eigenvalue measure. The gap is a limit, so it
+    binds (DET_TOL) at the finest n only. Raises OverflowError when a side is
+    not finite."""
+    normT = result.diagnostics["operator_norm"]
+    measure = _counting_measure(result.eigenvalues, normT)
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        potentials = [[measure.regularized_potential(lam, eps) for eps in eps_list]
+                      for lam in lam_list]
+        for n in n_range:
+            cn = _means(result, n)
+            bound = DET_TOL if n == max(n_range) else math.inf
+            for lam, rhs_row in zip(lam_list, potentials):
+                for eps, rhs in zip(eps_list, rhs_row):
+                    lhs = _regularized_log_det(np.abs(cn - lam), eps)
+                    if not math.isfinite(lhs) or not math.isfinite(rhs):
+                        raise OverflowError(
+                            f"regularized log-determinant is not finite (|T| = {normT:.3g})")
+                    rows.append(CheckRow("det_gap", f"n={n};{complex(lam)};{float(eps)}",
+                                         abs(lhs - rhs), bound))
+    return rows
+
+
+def _pinch_rows(T: np.ndarray, result: DecompositionResult, n_range) -> list:
+    """Per m in PINCH_M and n after the first: the regularized determinant of
+    the level-n pinching at eps = 1/m against that of level n - 1 plus
+    MONO_SLACK. One flag form, and one SVD per level shared by every m.
+    Raises OverflowError when a determinant is not finite."""
+    normT = result.diagnostics["operator_norm"]
+    B = _flag_form(T, result.nest, normT)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        svs = [singular_values(_pinch(B, _column_groups(result.nest, n))) for n in n_range]
+        seqs = [[np.exp(_regularized_log_det(sv, 1.0 / m)) for sv in svs] for m in PINCH_M]
+    if not np.all(np.isfinite(seqs)):
+        raise OverflowError(f"pinch determinant is not finite (|T| = {normT:.3g})")
+    return [CheckRow("pinch_det_monotone", f"n={n};{float(m)}", float(cur),
+                     float(prev + MONO_SLACK * max(1.0, abs(prev))))
+            for m, seq in zip(PINCH_M, seqs)
+            for n, prev, cur in zip(list(n_range)[1:], seq, seq[1:])]
+
+
+def convergence_report(T, n_range=range(0, 11)) -> ConvergenceReport:
+    """Dyadic-refinement diagnostics for the decomposition of T, by family.
+
+    The level rows (``norm_gap``, ``remainder_radius``) per n; the ``det_gap``
+    rows per n at lam in {0, 1 + i, the largest-modulus eigenvalue} and eps in
+    {1, 0.1, 0.01}; the ``pinch_det_monotone`` rows per m in PINCH_M.
 
     With c_n, c the level-n and full block means of the flag diagonal eigs,
     E_n = U diag(c_n) U* and N = U diag(c) U*: ||E_n - N||_2 = max|c_n - c|,
@@ -235,46 +295,9 @@ def convergence_report(
         raise ValueError("n_range must not be empty")
     T = as_operator(T)
     result = decompose(T)
-    normT = result.diagnostics["operator_norm"]
-    curve = HilbertCurveMap(half_side=default_half_side(normT))
-    nest = result.nest
-    eigs = result.eigenvalues
-    c = _block_means(eigs, _column_groups(nest))
-    measure = _counting_measure(eigs, normT)
-    if lam_list is None:
-        lam_peak = max((z for z, _ in measure.atoms), key=abs)
-        lam_list = (0.0, 1.0 + 1.0j, lam_peak)
-
-    rows = []
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        potentials = [[measure.regularized_potential(lam, eps) for eps in eps_list]
-                      for lam in lam_list]
-        for n in n_range:
-            cn = _block_means(eigs, _column_groups(nest, n))
-            bound = curve.modulus(2.0**-n)
-            gap = float(np.max(np.abs(cn - c)))
-            rows.append(CheckRow("norm_gap", f"n={n}", gap, bound))
-            rad = float(np.max(np.abs(eigs - cn)))
-            rows.append(CheckRow("remainder_radius", f"n={n}", rad, bound))
-            bound_det = DET_TOL if n == max(n_range) else math.inf
-            for lam, rhs_row in zip(lam_list, potentials):
-                for eps, rhs in zip(eps_list, rhs_row):
-                    lhs = _regularized_log_det(np.abs(cn - lam), eps)
-                    if not math.isfinite(lhs) or not math.isfinite(rhs):
-                        raise OverflowError(
-                            f"regularized log-determinant is not finite (|T| = {normT:.3g})")
-                    rows.append(CheckRow("det_gap", f"n={n};{complex(lam)};{float(eps)}",
-                                         abs(lhs - rhs), bound_det))
-        pinch_svs = []
-        if m_list:
-            B = _flag_form(T, nest, normT)
-            pinch_svs = [singular_values(_pinch(B, _column_groups(nest, n))) for n in n_range]
-        seqs = [[np.exp(_regularized_log_det(sv, 1.0 / m)) for sv in pinch_svs]
-                for m in m_list]
-    if not np.all(np.isfinite(seqs)):
-        raise OverflowError(f"pinch determinant is not finite (|T| = {normT:.3g})")
-    for m, seq in zip(m_list, seqs):
-        for n, prev, cur in zip(list(n_range)[1:], seq, seq[1:]):
-            rows.append(CheckRow("pinch_det_monotone", f"n={n};{float(m)}", float(cur),
-                                 float(prev + MONO_SLACK * max(1.0, abs(prev)))))
+    measure = _counting_measure(result.eigenvalues, result.diagnostics["operator_norm"])
+    lam_peak = max((z for z, _ in measure.atoms), key=abs)
+    rows = (_level_rows(result, n_range)
+            + _det_gap_rows(result, n_range, (1.0, 0.1, 0.01), (0.0, 1.0 + 1.0j, lam_peak))
+            + _pinch_rows(T, result, n_range))
     return ConvergenceReport(tuple(rows), result)

@@ -56,26 +56,16 @@ DEFAULT_GAUGES = (Power(0.5), Power(1.0), Power(2.0), Power(4.0),
                   LogShift(1.0), LogShift(10.0))
 
 
-@dataclasses.dataclass(frozen=True)
-class MajorizationVerdict:
-    ok: bool
-    worst_margin: float
-    worst_k: int
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def submajorizes(A, B) -> MajorizationVerdict:
-    """True iff every partial sum of B's singular values is below A's."""
+def submajorizes(A, B) -> CheckRow:
+    """Whether every partial sum of B's singular values is below A's: the worst
+    shortfall against the slack 1e-10 * ||A||_2, at the partial sum ``k=...``."""
     svA, svB = singular_values(A), singular_values(B)
     if len(svA) != len(svB):
         raise ValueError("dimension mismatch")
-    slack = 1e-10 * float(svA[0])
-    margins = np.cumsum(svA) - np.cumsum(svB)
-    k = int(np.argmin(margins))
-    return MajorizationVerdict(bool(np.all(margins >= -slack)),
-                               float(margins[k]), k + 1)
+    shortfalls = np.cumsum(svB) - np.cumsum(svA)
+    k = int(np.argmax(shortfalls))
+    return CheckRow("submajorizes", f"k={k + 1}", float(shortfalls[k]),
+                    1e-10 * float(svA[0]))
 
 
 def _log_partials(sv: np.ndarray) -> np.ndarray:
@@ -83,25 +73,23 @@ def _log_partials(sv: np.ndarray) -> np.ndarray:
         return np.cumsum(np.log(sv))
 
 
-def _log_majorization(svA: np.ndarray, svB: np.ndarray) -> MajorizationVerdict:
-    """Log-submajorization verdict on descending singular value arrays."""
+def _log_majorization(svA: np.ndarray, svB: np.ndarray) -> CheckRow:
+    """Log-submajorization row on descending singular value arrays: the worst
+    log partial-sum shortfall against LOG_SLACK."""
     if len(svA) != len(svB):
         raise ValueError("dimension mismatch")
     cumB = _log_partials(svB)
     with np.errstate(invalid="ignore"):
-        margins = _log_partials(svA) - cumB
+        shortfalls = cumB - _log_partials(svA)
     # A zero product on the dominated side is trivially below; an undefined
-    # (inf - inf) margin is not a violation either.
-    margins[(cumB == -math.inf) | np.isnan(margins)] = math.inf
-    k = int(np.argmin(margins))
-    if margins[k] == math.inf:
-        return MajorizationVerdict(True, 0.0, 0)
-    return MajorizationVerdict(bool(np.all(margins >= -LOG_SLACK)),
-                               float(margins[k]), k + 1)
+    # (inf - inf) shortfall is not a violation either.
+    shortfalls[(cumB == -math.inf) | np.isnan(shortfalls)] = -math.inf
+    k = int(np.argmax(shortfalls))
+    return CheckRow("log_submajorizes", f"k={k + 1}", float(shortfalls[k]), LOG_SLACK)
 
 
-def log_submajorizes(A, B) -> MajorizationVerdict:
-    """True iff every partial product of B's singular values is below A's.
+def log_submajorizes(A, B) -> CheckRow:
+    """Whether every partial product of B's singular values is below A's.
 
     Compared in the log domain; a -inf on the dominated side passes.
     """
@@ -111,11 +99,6 @@ def log_submajorizes(A, B) -> MajorizationVerdict:
 @dataclasses.dataclass(frozen=True)
 class CheckReport(Report):
     skipped: tuple = ()
-
-
-def _logmaj_row(check: str, params: str, verdict: MajorizationVerdict) -> CheckRow:
-    """The worst log partial-sum shortfall against LOG_SLACK."""
-    return CheckRow(check, params, -verdict.worst_margin, LOG_SLACK)
 
 
 def _log_plus_traces(sv: np.ndarray, t) -> np.ndarray:
@@ -159,7 +142,8 @@ def shift_lemma_check(A, B) -> CheckReport:
     if not _log_majorization(svA, svB).ok:
         return CheckReport((), skipped=("hypothesis B <<_log A fails",))
     eye = np.eye(A.shape[0])
-    rows = tuple(_logmaj_row("shift", f"n:{c}", log_submajorizes(c * A + eye, c * B + eye))
+    rows = tuple(dataclasses.replace(log_submajorizes(c * A + eye, c * B + eye),
+                                     check="shift", params=f"n:{c}")
                  for c in (1, 2, 4, 8))
     return CheckReport(rows)
 
@@ -178,13 +162,12 @@ def pinch_log_check(T, p) -> CheckReport:
     _check_invariant_projection(T, p, float(svT[0]))
     S = T @ p + (np.eye(T.shape[0]) - p) @ T
     svS = singular_values(S)
-    verdict = _log_majorization(svT, svS)
     with np.errstate(over="ignore"):  # reported below
         lhs, rhs = (float(np.exp(np.mean(np.log1p(sv**2)))) for sv in (svS, svT))
     if not math.isfinite(lhs) or not math.isfinite(rhs):
         raise OverflowError(f"Delta(1 + T*T) is not finite (|T| = {svT[0]:.3g})")
     rows = (
-        _logmaj_row("pinch_logmaj", "", verdict),
+        dataclasses.replace(_log_majorization(svT, svS), check="pinch_logmaj", params=""),
         CheckRow("pinch_det", "", lhs, rhs * (1 + 1e-10)),
     )
     return CheckReport(rows)
@@ -198,8 +181,7 @@ def weyl_check(T, gauges: Sequence = DEFAULT_GAUGES) -> CheckReport:
     result = decompose(T)
     svT = singular_values(T)
     svN = singular_values(result.N)
-    verdict = _log_majorization(svT, svN)
-    rows = [_logmaj_row("weyl_logmaj", "", verdict)]
+    rows = [dataclasses.replace(_log_majorization(svT, svN), check="weyl_logmaj", params="")]
     moduli = np.abs(result.eigenvalues)
     for gauge in gauges:
         lhs = float(np.mean(gauge(svN)))

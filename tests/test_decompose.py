@@ -14,7 +14,9 @@ from specnest.decompose import (
     _average,
     _block_means,
     _column_groups,
+    _det_gap_rows,
     _flag_form,
+    _level_rows,
     convergence_report,
     decompose,
     expectation_full,
@@ -398,13 +400,15 @@ class TestConvergenceReport:
             convergence_report(scale * generate(spec)[0])
 
     def test_takes_one_svd_per_pinch_level(self, singular_value_calls):
-        # decompose's ||T||_2; the level rows read the flag diagonal, and only
-        # the 11 pinch levels take an SVD, shared by the 3 m.
+        # decompose's ||T||_2; the level and det_gap rows read the flag
+        # diagonal, and only the 11 pinch levels take an SVD, shared by the 3 m.
         T = random_matrix(68, 8)
         convergence_report(T)
         assert singular_value_calls == [(8, 8)] * (1 + 11)
         singular_value_calls.clear()
-        convergence_report(T, lam_list=(), m_list=())
+        result = decompose(T)
+        _level_rows(result, range(0, 11))
+        _det_gap_rows(result, range(0, 11), (1.0, 0.1, 0.01), (0.0, 1.0 + 1.0j))
         assert singular_value_calls == [(8, 8)]
 
     def test_evaluates_each_potential_once(self, monkeypatch):
@@ -464,7 +468,7 @@ class TestConvergenceReport:
             "chained-cluster6"])
     def test_rows_match_dense_recomputation(self, T, peak_failures):
         # The report reads closed forms on the flag diagonal; the reference
-        # forms E_n, the pinchings and their SVDs densely.
+        # forms E_n, the pinchings and their SVDs densely, family by family.
         report = convergence_report(T)
         res = decompose(T)
         assert report.decomposition.nest.jumps == res.nest.jumps
@@ -480,6 +484,8 @@ class TestConvergenceReport:
             rad = np.max(np.abs(np.diag(U.conj().T @ (T - En) @ U)))
             rows.append(("norm_gap", f"n={n}", np.linalg.norm(En - res.N, 2), bound))
             rows.append(("remainder_radius", f"n={n}", rad, bound))
+        for n in range(0, 11):
+            En = expectation_dyadic(T, res.nest, n)
             for lam in lams:
                 for eps in (1.0, 0.1, 0.01):
                     gap = abs(regularized_log_det(En, lam, eps)

@@ -58,7 +58,7 @@ PUBLIC_PARAMETERS = {
     "brown_density_grid": ("T", "bounds", "resolution", "eps"),
     "brown_measure_exact": ("T",),
     "build_nest": ("T", "curve"),
-    "convergence_report": ("T", "n_range", "eps_list", "lam_list", "m_list"),
+    "convergence_report": ("T", "n_range"),
     "decompose": ("T",),
     "default_curve": ("T",),
     "expectation_full": ("T", "nest"),

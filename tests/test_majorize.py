@@ -43,7 +43,7 @@ class TestComparators:
         N = np.diag([2.0, 1.0])
         verdict = log_submajorizes(SHEAR, N)
         assert verdict.ok
-        assert verdict.worst_margin >= -1e-12
+        assert -verdict.value >= -1e-12
 
     def test_log_submajorization_fails_in_reverse(self):
         assert not log_submajorizes(np.diag([1.0, 1.0]), np.diag([2.0, 0.5])).ok
@@ -57,8 +57,8 @@ class TestComparators:
         # [DERIVED] partial products: 1 >= 0.5, then 0 < 0.25.
         verdict = log_submajorizes(np.diag([1.0, 0.0]), 0.5 * np.eye(2))
         assert not verdict.ok
-        assert verdict.worst_margin == -np.inf
-        assert verdict.worst_k == 2
+        assert -verdict.value == -np.inf
+        assert verdict.params == "k=2"
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
