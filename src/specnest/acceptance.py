@@ -2,9 +2,10 @@
 
 Each criterion yields check rows (pass iff value <= bound, the tolerance inside
 the bound) whose params name the input; it keeps per check the first failing
-row, or else the one with the least margin, and passes when every kept row
-does. ``run_all`` executes the whole battery (this is what ``specnest verify``
-runs). Seeds are fixed so that reruns are bit-identical.
+row, or else the one nearest its bound (the least margin, relative to the
+bound where it is positive), and passes when every kept row does. ``run_all``
+executes the whole battery (this is what ``specnest verify`` runs). Seeds are
+fixed so that reruns are bit-identical.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import serialize
+from . import ensembles, serialize
 from .curve import MODULUS_CONSTANT, HilbertCurveMap, curve_points_batch
 from .decompose import (Q_DIAGONAL_TOL, CheckRow, Report, _det_gap_rows, _level_rows,
                         _pinch_rows, decompose, pinch_commutant)
@@ -50,15 +51,19 @@ class CriterionResult(Report):
 
 
 def _worst_rows(rows) -> tuple:
-    """Per check, in order of first appearance: the first failing row, or else
-    the row with the least margin. A NaN value fails, so it is kept as failing.
-    ``rows`` may be a generator; it is reduced as it runs."""
-    kept = {}
+    """Per check, in order of first appearance: the first failing row (a NaN
+    value fails), or else the one with the least slack: 1 - value/bound where
+    bound > 0, so that inputs whose bounds scale with them compare, else the
+    margin, in Python floats (no warning on inf or NaN). ``rows`` may be a
+    generator; it is reduced as it runs."""
+    kept = {}  # check -> (slack, row)
     for row in rows:
+        value, bound = float(row.value), float(row.bound)
+        slack = 1.0 - value / bound if bound > 0 else bound - value
         old = kept.get(row.check)
-        if old is None or old.ok and (not row.ok or row.margin < old.margin):
-            kept[row.check] = row
-    return tuple(kept.values())
+        if old is None or old[1].ok and (not row.ok or slack < old[0]):
+            kept[row.check] = slack, row
+    return tuple(row for _, row in kept.values())
 
 
 def _timed(name: str, rows) -> CriterionResult:
@@ -183,11 +188,12 @@ def criterion_hs_contract(seed: int) -> CriterionResult:
 # -- 4: power-limit convergence ---------------------------------------------
 
 def _modulus_gap_filtered(seed: int, count: int, n: int = 8):
-    """``count`` (input label, Ginibre matrix, sorted eigenvalue moduli) triples."""
+    """``count`` (input label, Ginibre matrix, sorted eigenvalue moduli) triples.
+    Each seed's 50 matrices are the ones ``generate`` gives, drawn as one stack."""
     mats = []
     for rng_seed in range(seed, seed + 4 * count):  # at most 200 * count attempts
-        batch = _ginibre(n, rng_seed, 50)
-        moduli = np.sort(np.abs(np.linalg.eigvals(np.stack(batch))), axis=1)
+        batch = ensembles._ginibre(np.random.default_rng(rng_seed), n, 50)
+        moduli = np.sort(np.abs(np.linalg.eigvals(batch)), axis=1)
         rel_gaps = (moduli[:, 1:] - moduli[:, :-1]) / moduli[:, 1:]
         keep = (moduli[:, 0] > 1e-3) & (np.min(rel_gaps, axis=1) > 0.1)
         mats += [(f"ginibre{n};seed={rng_seed};index={i}", batch[i], moduli[i])

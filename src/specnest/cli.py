@@ -140,6 +140,8 @@ def _cmd_verify(args) -> int:
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] {res.name} ({res.seconds:.1f}s)")
+        for row in res.failures():  # each failing row and the bound it failed
+            print(f"  {row.check} {row.params} value={row.value:.6g} bound={row.bound:.6g}")
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return 0 if not failed else 1

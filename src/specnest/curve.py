@@ -119,30 +119,34 @@ def _cell_center(curve: HilbertCurveMap, idx):
     return -curve.half_side + (px + 0.5) * h, -curve.half_side + (py + 0.5) * h
 
 
+def _axis_cells(coord: float, R: float) -> tuple:
+    """The cells on one axis of the square [-R, R]^2 whose closed cell contains
+    ``coord``: one, or two (the smaller second) on a shared edge."""
+    slack = 1e-12 * R
+    if not -R - slack <= coord <= R + slack:
+        raise ValueError(f"point with coordinate {coord} outside the square of half-side {R}")
+    coord = -R if coord < -R else R if coord > R else coord  # slack clamped
+    # Halving keeps coord + R finite, and scaling by 2**level (no subnormal
+    # cell side) gives the same cells for every power-of-two scale of R and z.
+    frac = math.ldexp((0.5 * coord + 0.5 * R) / R, DEEP_LEVEL)
+    i = math.floor(frac)
+    if i == 1 << DEEP_LEVEL:  # coord = R: the last cell
+        i -= 1
+    return (i, i - 1) if frac == i >= 1 else (i,)
+
+
 def hit_index(curve: HilbertCurveMap, z: complex) -> int:
     """Curve index of the cell containing z.
 
     Points on shared cell edges resolve to the cell with the smaller index.
     """
-    R, side = curve.half_side, 1 << DEEP_LEVEL
-    slack = 1e-12 * R
-    cells = []  # per axis, the cells whose closed cell contains the coordinate
-    for coord in (z.real, z.imag):
-        if not -R - slack <= coord <= R + slack:
-            raise ValueError(f"point with coordinate {coord} outside the square of half-side {R}")
-        coord = -R if coord < -R else R if coord > R else coord  # slack clamped
-        # Halving keeps coord + R finite, and scaling by 2**level (no subnormal
-        # cell side) gives the same cells for every power-of-two scale of R and z.
-        frac = math.ldexp((0.5 * coord + 0.5 * R) / R, DEEP_LEVEL)
-        i = math.floor(frac)
-        if i >= side:  # coord = R
-            i = side - 1
-        cells.append((i, i - 1) if frac == i >= 1 else (i,))  # i - 1: on a shared edge
-    xs, ys = cells
-    inverse = -curve.anchor % 4  # the rotation that undoes the anchor's
+    xs, ys = _axis_cells(z.real, curve.half_side), _axis_cells(z.imag, curve.half_side)
+    if curve.anchor:  # undo the anchor's rotation
+        inverse, side = -curve.anchor % 4, 1 << DEEP_LEVEL
+        return min(_xy2d(DEEP_LEVEL, *_anchor_fwd(inverse, side, x, y)) for x in xs for y in ys)
     if len(xs) == len(ys) == 1:
-        return _xy2d(DEEP_LEVEL, *_anchor_fwd(inverse, side, xs[0], ys[0]))
-    return min(_xy2d(DEEP_LEVEL, *_anchor_fwd(inverse, side, px, py)) for px in xs for py in ys)
+        return _xy2d(DEEP_LEVEL, xs[0], ys[0])
+    return min(_xy2d(DEEP_LEVEL, x, y) for x in xs for y in ys)
 
 
 def curve_points_batch(curve: HilbertCurveMap, ts: np.ndarray) -> np.ndarray:

@@ -15,8 +15,8 @@ import numpy as np
 from .curve import HilbertCurveMap
 from .detbrown import _counting_measure, _regularized_log_det
 from .hsnest import _build_nest
-from .matrices import (ProjectionNest, as_operator, default_half_side, frobenius, gemm,
-                       operator_norm, singular_values)
+from .matrices import (ProjectionNest, _singular_values, as_operator, default_half_side,
+                       frobenius, gemm, operator_norm, singular_values)
 
 NEST_INVARIANCE_TOL = 1e-9
 # Bound on Q's flag diagonal (its spectral radius) relative to ||T||_2.
@@ -51,23 +51,24 @@ def _column_groups(nest: ProjectionNest, n: int | None = None) -> list:
 
 def _block_means(diag: np.ndarray, groups: list) -> np.ndarray:
     """The flag diagonal ``diag`` with each column group replaced by its mean."""
-    coeffs = np.empty_like(diag)
+    coeffs = diag.copy()
     for lo, hi in groups:
-        coeffs[lo:hi] = np.mean(diag[lo:hi]) if hi - lo > 1 else diag[lo]
+        if hi - lo > 1:
+            coeffs[lo:hi] = np.mean(diag[lo:hi])
     return coeffs
 
 
-def _flag_form(T: np.ndarray, nest: ProjectionNest, norm: float) -> np.ndarray:
+def _flag_form(T: np.ndarray, nest: ProjectionNest, norm: float, groups: list) -> np.ndarray:
     """T in the flag basis, after checking that the nest is T-invariant.
 
+    ``groups`` are the nest increments' column ranges (``_column_groups(nest)``).
     The Frobenius norm of the part below the diagonal blocks bounds the
     2-norm of every block B[r:, :r] cut at a jump, so one norm checks them all
     against NEST_INVARIANCE_TOL * norm, where ``norm`` is ||T||_2.
     """
     U = nest.basis
     B = gemm(gemm(U, T, adj_a=True), U)
-    sizes = [hi - lo for _, lo, hi in nest.increments()]
-    block = np.repeat(np.arange(len(sizes)), sizes)
+    block = np.repeat(np.arange(len(groups)), [hi - lo for lo, hi in groups])
     leak = frobenius(B[block[:, None] > block[None, :]])
     if leak > NEST_INVARIANCE_TOL * norm:
         raise ValueError(f"nest is not invariant for T (leak {leak:.3e})")
@@ -94,8 +95,9 @@ def expectation_full(T, nest: ProjectionNest) -> np.ndarray:
     needed; the result is the normal part of T relative to this nest.
     """
     T = as_operator(T)
-    B = _flag_form(T, nest, operator_norm(T))
-    return _average(nest.basis, _block_means(np.diag(B), _column_groups(nest)))
+    groups = _column_groups(nest)
+    B = _flag_form(T, nest, operator_norm(T), groups)
+    return _average(nest.basis, _block_means(B.diagonal(), groups))
 
 
 def pinch_commutant(T, nest: ProjectionNest, n: int | None = None) -> np.ndarray:
@@ -104,7 +106,8 @@ def pinch_commutant(T, nest: ProjectionNest, n: int | None = None) -> np.ndarray
     ``n = None`` means full refinement (one block per nest increment).
     """
     T = as_operator(T)
-    P = _pinch(_flag_form(T, nest, operator_norm(T)), _column_groups(nest, n))
+    P = _pinch(_flag_form(T, nest, operator_norm(T), _column_groups(nest)),
+               _column_groups(nest, n))
     return gemm(gemm(nest.basis, P), nest.basis, adj_b=True)
 
 
@@ -136,33 +139,36 @@ def decompose(T) -> DecompositionResult:
     Raises ArithmeticError when Q's flag diagonal exceeds Q_DIAGONAL_TOL * ||T||_2.
     """
     T = as_operator(T)
-    normT = operator_norm(T)
+    normT = float(_singular_values(T)[0])
     nest = _build_nest(T, HilbertCurveMap(half_side=default_half_side(normT)), normT)
     U = nest.basis
-    B = _flag_form(T, nest, normT)
-    eigs = np.diag(B).copy()
-    coeffs = _block_means(eigs, _column_groups(nest))
+    increments = nest.increments()
+    groups = [(lo, hi) for _, lo, hi in increments]
+    B = _flag_form(T, nest, normT, groups)
+    eigs = B.diagonal().copy()
+    coeffs = _block_means(eigs, groups)
     N = _average(U, coeffs)
     Q = T - N
-    ordering = tuple((t, hi - lo, complex(coeffs[lo]))
-                     for t, lo, hi in nest.increments())
+    means = coeffs.tolist()
+    ordering = tuple((t, hi - lo, means[lo]) for t, lo, hi in increments)
 
     BQ = gemm(gemm(U, Q, adj_a=True), U)
     # Q is upper triangular in the flag basis, so its eigenvalues are the
     # diagonal there; a dense eigensolver on the defective Q is meaningless.
-    q_radius = float(np.max(np.abs(np.diag(BQ))))
+    q_radius = float(np.abs(BQ.diagonal()).max())
     if q_radius > Q_DIAGONAL_TOL * normT:
         raise ArithmeticError(f"Q's flag diagonal is not zero (|Q diag| {q_radius:.3e})")
     # N / ||T||_2 through the binary exponent of ||T||_2: exact where the plain
     # quotient is, and finite when ||T||_2 is subnormal.
     mant, e = math.frexp(normT or 1.0)
     Ns = np.ldexp(N.view(float), -e).view(complex) / mant
+    slots = np.arange(len(T))
     diagnostics = {
         "reconstruction_error": frobenius(T - (N + Q)),
         "normality_defect": frobenius(gemm(Ns, Ns, adj_b=True) - gemm(Ns, Ns, adj_a=True)),
         # N is diagonal in the flag basis: its spectrum is the block means.
         "spectrum_gap": float(np.max(np.abs(eigs - coeffs))),
-        "strict_upper_defect": frobenius(np.tril(BQ)),
+        "strict_upper_defect": frobenius(BQ[slots[:, None] >= slots]),  # BQ's lower triangle
         "q_spectral_radius": q_radius,
         "operator_norm": normT,
     }
@@ -265,7 +271,7 @@ def _pinch_rows(T: np.ndarray, result: DecompositionResult, n_range) -> list:
     MONO_SLACK. One flag form, and one SVD per level shared by every m.
     Raises OverflowError when a determinant is not finite."""
     normT = result.diagnostics["operator_norm"]
-    B = _flag_form(T, result.nest, normT)
+    B = _flag_form(T, result.nest, normT, _column_groups(result.nest))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         svs = [singular_values(_pinch(B, _column_groups(result.nest, n))) for n in n_range]
         seqs = [[np.exp(_regularized_log_det(sv, 1.0 / m)) for sv in svs] for m in PINCH_M]

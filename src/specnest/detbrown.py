@@ -16,8 +16,8 @@ import numpy as np
 
 from .matrices import (
     as_operator,
+    cluster_eigenvalues,
     default_half_side,
-    eigenvalue_clusters,
     operator_norm,
     singular_values,
     spectral_radius,
@@ -96,8 +96,9 @@ def brown_measure_exact(T) -> SpectralMeasure:
 
 def _counting_measure(eigs: np.ndarray, norm: float) -> SpectralMeasure:
     """``brown_measure_exact`` from T's eigenvalues and 2-norm ``norm``."""
-    atoms = [(rep, len(ix) / len(eigs)) for rep, ix in eigenvalue_clusters(eigs, norm)]
-    atoms.sort(key=lambda a: (a[0].real, a[0].imag))
+    labels, roots, reps = cluster_eigenvalues(eigs, norm)
+    atoms = sorted(zip(reps.tolist(), (np.bincount(labels)[roots] / len(eigs)).tolist()),
+                   key=lambda a: (a[0].real, a[0].imag))
     return SpectralMeasure(tuple(atoms))
 
 

@@ -60,29 +60,34 @@ class EnsembleSpec:
             raise ValueError("count must be >= 1")
 
 
-def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    scale = 1.0 / np.sqrt(2.0 * n)
-    return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+def _ginibre(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """A (count, n, n) stack of Ginibre matrices from one draw: each takes its
+    real then its imaginary parts from the stream, as ``count`` draws in turn would."""
+    parts = rng.standard_normal((count, 2, n, n))
+    G = np.empty((count, n, n), dtype=np.complex128)  # no complex temporaries
+    G.real, G.imag = parts[:, 0], parts[:, 1]
+    G *= 1.0 / np.sqrt(2.0 * n)
+    return G
 
 
 def _one(rng: np.random.Generator, kind: Kind) -> np.ndarray:
     if isinstance(kind, Ginibre):
-        return _ginibre(rng, kind.n)
+        return _ginibre(rng, kind.n, 1)[0]
     if isinstance(kind, Jordan):
         J = np.diag(np.full(kind.n, complex(kind.lam)))
         J += np.diag(np.ones(kind.n - 1), 1) if kind.n > 1 else 0.0
         return J.astype(np.complex128)
     if isinstance(kind, UpperTriangularRandom):
         n = kind.n
-        T = np.triu(_ginibre(rng, n), 1)
+        T = np.triu(_ginibre(rng, n, 1)[0], 1)
         r = np.sqrt(rng.uniform(0.0, 1.0, n))
         T[np.diag_indices(n)] = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
         return T
     if isinstance(kind, NormalPlusNilpotent):
         n = kind.n
         d = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-        U, _ = np.linalg.qr(_ginibre(rng, n))
-        strict = np.triu(_ginibre(rng, n), 1)
+        U, _ = np.linalg.qr(_ginibre(rng, n, 1)[0])
+        strict = np.triu(_ginibre(rng, n, 1)[0], 1)
         return U @ (np.diag(d) + strict) @ U.conj().T
     raise TypeError(f"unknown ensemble kind {kind!r}")
 

@@ -18,9 +18,10 @@ from .curve import DEEP_LEVEL, HilbertCurveMap, hit_index
 from .matrices import (
     ProjectionNest,
     _complex_schur,
+    _singular_values,
     as_operator,
+    cluster_eigenvalues,
     default_half_side,
-    eigenvalue_clusters,
     operator_norm,
     reorder_schur,
 )
@@ -69,8 +70,8 @@ def hs_projection(T, region: BorelSet) -> np.ndarray:
     """
     T = as_operator(T)
     R, U = _complex_schur(T)
-    keys = [0 if region.contains(complex(z)) else 1 for z in np.diag(R)]
-    U, _, _ = reorder_schur(T, R, U, keys, operator_norm(T))
+    keys = [0 if region.contains(z) else 1 for z in R.diagonal().tolist()]
+    U, _, _ = reorder_schur(T, R, U, keys, float(_singular_values(T)[0]))
     V = U[:, :keys.count(0)]
     return V @ V.conj().T
 
@@ -148,7 +149,7 @@ def build_nest(T, curve: HilbertCurveMap) -> ProjectionNest:
     builder.
     """
     T = as_operator(T)
-    norm = operator_norm(T)
+    norm = float(_singular_values(T)[0])
     if curve.half_side < norm * (1 - 1e-12):
         raise ValueError("curve half_side must be at least the operator norm")
     return _build_nest(T, curve, norm)
@@ -158,23 +159,19 @@ def _build_nest(T: np.ndarray, curve: HilbertCurveMap, norm: float) -> Projectio
     """``build_nest`` for T from ``as_operator``, ``norm`` = ||T||_2 and a curve
     whose square covers T's spectral disk."""
     R, U = _complex_schur(T)
-    clusters = eigenvalue_clusters(np.diag(R), norm)
-    hits = [hit_index(curve, rep) for rep, _ in clusters]
-    order = sorted(range(len(clusters)), key=lambda c: (
-        hits[c], clusters[c][0].real, clusters[c][0].imag))
+    labels, roots, reps = cluster_eigenvalues(R.diagonal(), norm)
+    hits = [hit_index(curve, z) for z in reps.tolist()]
+    order = np.lexsort((reps.imag, reps.real, np.array(hits, dtype=np.uint64)))
     # Schur key: each diagonal slot's cluster position in curve order.
-    keys = np.empty(T.shape[0], dtype=int)
-    for rank, c in enumerate(order):
-        keys[clusters[c][1]] = rank
+    keys = np.argsort(order)[np.searchsorted(roots, labels)]
     U, _, _ = reorder_schur(T, R, U, keys, norm)
 
     jumps = [(0.0, 0)]
-    for c in order:
-        # A cluster whose hit time rounds to the previous jump's gets the next
-        # double, so times increase.
-        t = hits[c] / 4.0**DEEP_LEVEL
-        t = max(t, math.nextafter(jumps[-1][0], 2.0))
-        jumps.append((min(t, 1.0), jumps[-1][1] + len(clusters[c][1])))
+    times = np.ldexp(np.array(hits, dtype=float)[order], -2 * DEEP_LEVEL).tolist()
+    for t, rank in zip(times, np.cumsum(np.bincount(keys)).tolist()):
+        if t <= jumps[-1][0]:  # rounds to the previous jump's time: the next double
+            t = min(math.nextafter(jumps[-1][0], 2.0), 1.0)
+        jumps.append((t, rank))
     return ProjectionNest(U, tuple(jumps))
 
 

@@ -24,6 +24,7 @@ and n and kept in ``_LWORK``.
 """
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 
@@ -87,9 +88,13 @@ def _complex_schur(T: np.ndarray) -> tuple:
 
 def singular_values(T) -> np.ndarray:
     """Singular values, descending: ``scipy.linalg.svd(T, compute_uv=False)`` as
-    one bare LAPACK ``gesdd`` call (``as_operator`` checks finiteness). Raises
-    LinAlgError when the SVD does not converge."""
-    A = as_operator(T)
+    one bare LAPACK ``gesdd`` call. Raises LinAlgError when the SVD does not
+    converge."""
+    return _singular_values(as_operator(T))
+
+
+def _singular_values(A: np.ndarray) -> np.ndarray:
+    """``singular_values`` of a complex128 A from ``as_operator``."""
     gesdd, gesdd_lwork = scipy.linalg.get_lapack_funcs(("gesdd", "gesdd_lwork"), (A,),
                                                        ilp64="preferred")
     n = A.shape[0]
@@ -121,7 +126,7 @@ def frobenius(R) -> float:
     2-norm. nrm2 scales as it sums, so no square overflows, but the norm itself
     is inf when it exceeds the largest double. Raises ValueError on non-finite
     entries, which are scanned for only when the norm is not finite."""
-    x = np.ravel(R)
+    x = np.asarray(R).ravel()
     if not x.size:
         return 0.0
     value = float(scipy.linalg.get_blas_funcs("nrm2", dtype=x.dtype, ilp64="preferred")(x))
@@ -151,26 +156,31 @@ class ProjectionNest:
     jumps: tuple
 
     def __post_init__(self):
-        U = as_operator(self.basis)
-        n = U.shape[0]
-        if frobenius(gemm(U, U, adj_a=True) - np.eye(n)) > NEST_UNITARY_TOL:
+        # A non-square basis is not unitary, and frobenius rejects non-finite entries.
+        U = np.array(self.basis, dtype=np.complex128)
+        n = len(U) if U.ndim == 2 else 0
+        if not n or U.shape != (n, n):
             raise ValueError("nest basis is not unitary")
-        if any(isinstance(r, bool) or not isinstance(r, (int, np.integer))
-               for _, r in self.jumps):
-            raise ValueError("jump ranks must be integers")
-        jumps = tuple((float(t), int(r)) for t, r in self.jumps)
-        ts = [t for t, _ in jumps]
-        ranks = [r for _, r in jumps]
-        if not all(0.0 <= t <= 1.0 for t in ts):  # NaN included
-            raise ValueError("jump times must lie in [0, 1]")
-        if jumps[0] != (0.0, 0) or ranks[-1] != n:
+        defect = gemm(U, U, adj_a=True)
+        defect.flat[::n + 1] -= 1.0  # U*U - I
+        if frobenius(defect) > NEST_UNITARY_TOL:
+            raise ValueError("nest basis is not unitary")
+        jumps = []
+        for t, r in self.jumps:  # one pass over the jumps checks them all
+            if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+                raise ValueError("jump ranks must be integers")
+            t, r = float(t), int(r)
+            if not 0.0 <= t <= 1.0:  # NaN included
+                raise ValueError("jump times must lie in [0, 1]")
+            if jumps and t <= jumps[-1][0]:
+                raise ValueError("jump times must increase strictly")
+            if jumps and r <= jumps[-1][1]:
+                raise ValueError("jump ranks must increase strictly")
+            jumps.append((t, r))
+        if not jumps or jumps[0] != (0.0, 0) or jumps[-1][1] != n:
             raise ValueError("jumps must start at (0, 0) and end at full rank")
-        if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
-            raise ValueError("jump times must increase strictly")
-        if any(r2 <= r1 for r1, r2 in zip(ranks, ranks[1:])):
-            raise ValueError("jump ranks must increase strictly")
         object.__setattr__(self, "basis", U)
-        object.__setattr__(self, "jumps", jumps)
+        object.__setattr__(self, "jumps", tuple(jumps))
 
     def rank_at(self, t: float) -> int:
         if math.isnan(t):  # it compares false with every jump time
@@ -205,15 +215,15 @@ def _check_invariant_projection(T: np.ndarray, p: np.ndarray, norm: float) -> No
         raise ValueError("range of p is not T-invariant")
 
 
-def cluster_eigenvalues(eigs: np.ndarray, tol: float) -> list:
-    """Partition eigenvalues into clusters of pairwise distance <= tol (chained).
+def cluster_eigenvalues(eigs: np.ndarray, norm: float) -> tuple:
+    """(labels, roots, reps): eigenvalues within CLUSTER_TOL * norm (norm = ||T||_2,
+    so cT clusters as T does) of each other, chained, form one cluster.
 
-    Returns the connected components of the graph joining eigenvalues within
-    tol, as index arrays ordered by smallest index, indices ascending. Labels
-    start as indices and drop to the smallest label within tol (and on to that
-    label's own label) until each settles on its component's smallest index.
+    labels[i], the smallest index in i's cluster, starts as i and drops to the
+    smallest label within tol (and on to that label's own) until all settle.
+    ``roots`` holds those indices, ascending, and ``reps`` the cluster means.
     """
-    near = np.abs(np.subtract.outer(eigs, eigs)) <= tol
+    near = np.abs(np.subtract.outer(eigs, eigs)) <= CLUSTER_TOL * norm
     labels = np.arange(len(eigs))
     while True:
         lower = np.where(near, labels, len(eigs)).min(axis=1)
@@ -221,21 +231,11 @@ def cluster_eigenvalues(eigs: np.ndarray, tol: float) -> list:
         if (lower == labels).all():
             break
         labels = lower
-    order = np.argsort(labels, kind="stable")  # by root, indices ascending
-    sizes = np.bincount(labels)
-    ends = np.cumsum(sizes[sizes > 0]).tolist()
-    return [order[a:b] for a, b in zip([0] + ends, ends)]
-
-
-def eigenvalue_clusters(eigs: np.ndarray, norm: float) -> list:
-    """Eigenvalues as (representative, index array) pairs.
-
-    Eigenvalues within CLUSTER_TOL * norm (norm = ||T||_2, so cT clusters as T
-    does) of each other (chained) form one cluster, represented by its mean.
-    """
-    tol = CLUSTER_TOL * norm
-    return [(complex(np.mean(eigs[ix]) if len(ix) > 1 else eigs[ix[0]]), ix)
-            for ix in cluster_eigenvalues(eigs, tol)]
+    roots = (labels == np.arange(len(eigs))).nonzero()[0]
+    reps = eigs[roots]
+    for k in (np.bincount(labels)[roots] > 1).nonzero()[0].tolist():
+        reps[k] = np.mean(eigs[labels == roots[k]])
+    return labels, roots, reps
 
 
 def spectrum_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -265,26 +265,24 @@ def reorder_schur(T: np.ndarray, R: np.ndarray, U: np.ndarray, keys, norm: float
     of the residual check. Returns (U, R, perm), U C-ordered: perm[k] is the
     slot, in the given diagonal, of the eigenvalue now at slot k.
     """
-    R = np.asfortranarray(R)
-    U = np.asfortranarray(U)
+    R, U = np.asfortranarray(R), np.asfortranarray(U)
     n = R.shape[0]
-    diag = np.diag(R)
-    target = np.lexsort((np.arange(n), diag.imag, diag.real, np.asarray(keys))).tolist()
-    labels = list(range(n))
-    for k in range(n):
-        j = labels.index(target[k])
-        if j == k:
-            continue
-        R, U, info = scipy.linalg.lapack.ztrexc(R, U, j + 1, k + 1,
-                                                overwrite_a=1, overwrite_q=1)
-        if info != 0:
-            raise ArithmeticError(f"ztrexc failed (info {info})")
-        labels.insert(k, labels.pop(j))
+    diag = R.diagonal()
+    target = np.lexsort((np.arange(n), diag.imag, diag.real, np.asarray(keys)))
+    unmoved = list(range(n))  # slots k, k + 1, ... hold these, in slot order
+    for k, slot in enumerate(target.tolist()):
+        i = bisect.bisect_left(unmoved, slot)  # the eigenvalue sits at k + i
+        del unmoved[i]
+        if i:
+            R, U, info = scipy.linalg.lapack.ztrexc(R, U, k + i + 1, k + 1,
+                                                    overwrite_a=1, overwrite_q=1)
+            if info != 0:
+                raise ArithmeticError(f"ztrexc failed (info {info})")
     U = np.ascontiguousarray(U)
     resid = frobenius(T - gemm(gemm(U, R), U, adj_b=True))
     if resid > 1e-9 * norm:
         raise ArithmeticError(
             f"Schur reordering lost accuracy (residual {resid:.3e})"
         )
-    return U, R, np.array(labels)
+    return U, R, target
 

@@ -2,7 +2,7 @@
 
 The battery behind ``specnest verify`` runs once per module and writes its
 acceptance.json. Each criterion keeps one check row per check (the first
-failing instance, or else the one with the least margin), whose params name
+failing instance, or else the one nearest its bound), whose params name
 the input; each test asserts one criterion's rows and prints a single pass/fail
 line with the failing rows (visible under ``pytest -s`` or on failure).
 """
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specnest import acceptance
+from specnest import acceptance, cli
 from specnest.decompose import CheckRow
 from specnest.matrices import operator_norm
 
@@ -150,9 +150,10 @@ def test_acceptance_json_holds_the_kept_rows(battery, battery_dir):
             (r.check, r.params, r.value, r.bound, r.margin, r.ok) for r in result.rows]
 
 
-def test_patched_tolerance_names_check_instance_and_bound(monkeypatch):
+def test_patched_tolerance_names_check_instance_and_bound(monkeypatch, capsys):
     """Q_DIAGONAL_TOL patched below every Q-diagonal defect fails criterion 1
-    on exactly one row: q_diag at its first input, against the patched bound."""
+    on exactly one row: q_diag at its first input, against the patched bound.
+    acceptance.json and ``specnest verify``'s output name that row."""
     monkeypatch.setattr(acceptance, "Q_DIAGONAL_TOL", 1e-17)
     result = acceptance.criterion_decomposition(42)
     assert not result.passed
@@ -164,6 +165,24 @@ def test_patched_tolerance_names_check_instance_and_bound(monkeypatch):
     assert [e for e in entry["rows"] if not e["pass"]] == [
         {"check": "q_diag", "params": row.params, "value": row.value, "bound": row.bound,
          "margin": row.margin, "pass": False}]
+    monkeypatch.setattr(acceptance, "run_all", lambda seed, out_dir: [result])
+    assert cli.main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[FAIL] 1 decomposition soundness")
+    assert lines[1:] == [f"  q_diag ginibre16;seed=42;index=0 value={row.value:.6g} "
+                         f"bound={row.bound:.6g}", "0/1 criteria passed"]
+
+
+def test_selection_ranks_passing_rows_by_value_over_bound():
+    # Bounds that scale with ||T||: the small input has the smaller margin,
+    # the large one is nearer its bound, and it is the one kept.
+    small = CheckRow("reconstruction", "small", 1e-13, 1e-12)  # margin 9e-13, 0.1 of bound
+    large = CheckRow("reconstruction", "large", 8e-11, 1e-10)  # margin 2e-11, 0.8 of bound
+    assert acceptance._worst_rows([small, large]) == (large,)
+    assert acceptance._worst_rows([large, small]) == (large,)
+    # A count's bound is 0: the margin ranks its rows.
+    counts = [CheckRow("trace", "a", -1.0, 0.0), CheckRow("trace", "b", 0.0, 0.0)]
+    assert acceptance._worst_rows(counts) == (counts[1],)
 
 
 def test_acceptance_json_writes_non_finite_floats_as_strings():
@@ -185,6 +204,11 @@ rows_strategy = st.lists(
     max_size=12)
 
 
+def slack(row) -> float:
+    value, bound = float(row.value), float(row.bound)
+    return 1.0 - value / bound if bound > 0 else bound - value
+
+
 @settings(deadline=None, max_examples=300)
 @given(rows_strategy)
 def test_selection_keeps_one_row_per_check_and_every_failure(cells):
@@ -201,6 +225,7 @@ def test_selection_keeps_one_row_per_check_and_every_failure(cells):
             # an undefined margin.
             assert row is failing[0]
         else:
-            assert row in group and not any(r.margin < row.margin for r in group)
+            # The nearest call: value/bound ranks rows with positive bounds.
+            assert row in group and not any(slack(r) < slack(row) for r in group)
         if any(math.isnan(r.value) for r in group):
             assert not row.ok

@@ -55,7 +55,7 @@ def expectation_dyadic(T, nest: ProjectionNest, n: int) -> np.ndarray:
     """Dense reference: expectation onto the algebra of the level-n dyadic nest
     projections, each dyadic increment f carrying trace(f T f) / trace(f)."""
     T = as_operator(T)
-    B = _flag_form(T, nest, operator_norm(T))
+    B = _flag_form(T, nest, operator_norm(T), _column_groups(nest))
     return _average(nest.basis, _block_means(np.diag(B), _column_groups(nest, n)))
 
 

@@ -136,6 +136,14 @@ class TestEnsembles:
         with pytest.raises(ValueError):
             ensembles.EnsembleSpec(ensembles.Ginibre(4), count=0)
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_ginibre_stack_is_what_generate_gives(self, n):
+        # Criterion 4 draws each seed's 50 matrices as one stack.
+        for seed in range(7, 60):
+            stack = ensembles._ginibre(np.random.default_rng(seed), n, 50)
+            spec = ensembles.EnsembleSpec(ensembles.Ginibre(n), seed=seed, count=50)
+            assert stack.tobytes() == np.stack(ensembles.generate(spec)).tobytes()
+
     @pytest.mark.parametrize("n", [0, -3])
     @pytest.mark.parametrize("make", [
         ensembles.Ginibre,

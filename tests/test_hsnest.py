@@ -1,8 +1,10 @@
 """Region projections, power limits and curve-ordered nests."""
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +28,10 @@ from specnest.hsnest import (
     hs_projection,
     power_limit_operator,
 )
-from specnest.matrices import operator_norm
+from specnest.matrices import (CLUSTER_TOL, ProjectionNest, _complex_schur, as_operator,
+                               operator_norm)
 from test_curve import _xy2d_bits
+from test_matrices import reference_clusters
 
 SHEAR = np.array([[1, 1], [0, 2]], dtype=complex)
 
@@ -55,6 +59,37 @@ BATCH_KINDS = {
 def random_matrix(seed: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+
+
+def reference_nest(T, curve) -> ProjectionNest:
+    """The per-cluster nest build: clusters as index arrays, each cluster's key
+    set in a loop, the Schur form reordered slot by slot (``list.index`` finds
+    each eigenvalue) and the jumps appended one by one."""
+    T = as_operator(T)
+    norm = operator_norm(T)
+    R, U = _complex_schur(T)
+    eigs = np.diag(R)
+    clusters = [(complex(np.mean(eigs[ix]) if len(ix) > 1 else eigs[ix[0]]), ix)
+                for ix in reference_clusters(eigs, CLUSTER_TOL * norm)]
+    hits = [hit_index(curve, rep) for rep, _ in clusters]
+    order = sorted(range(len(clusters)), key=lambda c: (
+        hits[c], clusters[c][0].real, clusters[c][0].imag))
+    keys = np.empty(T.shape[0], dtype=int)
+    for rank, c in enumerate(order):
+        keys[clusters[c][1]] = rank
+    R, U = np.asfortranarray(R), np.asfortranarray(U)
+    target = np.lexsort((np.arange(len(T)), eigs.imag, eigs.real, keys)).tolist()
+    labels = list(range(len(T)))
+    for k in range(len(T)):
+        j = labels.index(target[k])
+        if j != k:
+            R, U, _ = scipy.linalg.lapack.ztrexc(R, U, j + 1, k + 1)
+            labels.insert(k, labels.pop(j))
+    jumps = [(0.0, 0)]
+    for c in order:
+        t = max(hits[c] / 4.0**DEEP_LEVEL, math.nextafter(jumps[-1][0], 2.0))
+        jumps.append((min(t, 1.0), jumps[-1][1] + len(clusters[c][1])))
+    return ProjectionNest(np.ascontiguousarray(U), tuple(jumps))
 
 
 class TestRegions:
@@ -119,6 +154,26 @@ class TestHsProjection:
         k1 = round(np.trace(hs_projection(T, inside)).real)
         k2 = round(np.trace(hs_projection(T, outside)).real)
         assert k1 + k2 == 5
+
+
+def test_decompose_and_hs_projection_validate_T_once(monkeypatch):
+    # The 2-norm, the nest builder and the nest take the validated copy: one
+    # as_operator call each, none on the nest basis.
+    original = hsnest.as_operator
+    calls = []
+
+    def counting(A):
+        calls.append(np.shape(A))
+        return original(A)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("specnest") and getattr(module, "as_operator", None) is original:
+            monkeypatch.setattr(module, "as_operator", counting)
+    T = random_matrix(3, 8)
+    decompose(T)
+    assert calls == [(8, 8)]
+    hs_projection(T, Ball(0.0, 0.5))
+    assert calls == [(8, 8), (8, 8)]
 
 
 def test_decompose_and_hs_projection_share_one_schur_entry_point(monkeypatch,
@@ -299,6 +354,32 @@ class TestBuildNest:
         ref = decompose(T).nest
         assert nest.basis.tobytes() == ref.basis.tobytes()
         assert nest.jumps == ref.jumps
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_nest_matches_the_per_cluster_build(self, n):
+        # Bit for bit, on five ensemble kinds, a split hit-time tie, two
+        # clusters in one cell (ordered by (Re, Im)) and a cluster of n equal
+        # eigenvalues (a Jordan block).
+        lams = np.random.default_rng(n).uniform(-0.7, 0.7, (8, 2)) @ np.array([1.0, 1.0j])
+        jordans = [generate(EnsembleSpec(Jordan(complex(lam), n)))[0] for lam in lams]
+        perturbed = [J.copy() for J in jordans]
+        for J in perturbed:
+            J[-1, 0] += 1e-12
+        a = 0.5 + 0.2j
+        mats = [T for kind in (Ginibre(n), UpperTriangularRandom(n), NormalPlusNilpotent(n))
+                for T in generate(EnsembleSpec(kind, seed=n, count=10))]
+        cell = HilbertCurveMap(1.25 * 0.9)  # default_curve of the matrix below
+        x, y = curve_module._cell_center(cell, hit_index(cell, 0.2 + 0.1j))
+        one_cell = [complex(x, y) + d for d in (-1.5e-10 + 1e-10j, 1.5e-10 - 1e-10j)]
+        assert len({hit_index(cell, z) for z in one_cell}) == 1
+        mats += jordans + perturbed + [np.diag([a, a + 5e-9, -0.3j, 0.3 - 0.3j]),
+                                       np.diag([0.9, *one_cell[::-1]])]
+        for T in mats:
+            curve = default_curve(T)
+            nest, ref = build_nest(T, curve), reference_nest(T, curve)
+            assert nest.jumps == ref.jumps
+            assert nest.basis.tobytes() == ref.basis.tobytes()
+        assert len(build_nest(jordans[0], default_curve(jordans[0])).jumps) == 2
 
     def test_half_side_must_cover_norm(self):
         T = 3.0 * np.eye(2)

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from specnest import cli, matrices, serialize
 from specnest.decompose import decompose
 from specnest.matrices import (
+    CLUSTER_TOL,
     ProjectionNest,
     _complex_schur,
     as_operator,
     cluster_eigenvalues,
-    eigenvalue_clusters,
     frobenius,
     gemm,
     operator_norm,
@@ -233,43 +233,53 @@ def reference_clusters(eigs: np.ndarray, tol: float) -> list:
     return sorted(groups, key=lambda g: g[0])
 
 
+def clusters_at(eigs: np.ndarray, tol: float) -> list:
+    """``cluster_eigenvalues`` at distance tol as index lists, ordered by smallest
+    index; each label is its cluster's smallest index."""
+    labels, roots, _ = cluster_eigenvalues(eigs, tol / CLUSTER_TOL)
+    assert np.array_equal(roots, np.unique(labels))
+    groups = [np.flatnonzero(labels == r).tolist() for r in roots]
+    assert all(g[0] == r for g, r in zip(groups, roots))
+    return groups
+
+
 class TestClusterEigenvalues:
     def test_chained_merging(self):
         eigs = np.array([0.0, 1e-11, 2e-11, 1.0])
-        groups = cluster_eigenvalues(eigs, 1.5e-11)
+        groups = clusters_at(eigs, 1.5e-11)
         sizes = sorted(len(g) for g in groups)
         assert sizes == [1, 3]
         # Groups come by smallest index, indices ascending; 2e-11 reaches 0 only through 1e-11.
         eigs = np.array([1.0, 2e-11, 3.0, 0.0, 1.0 + 1e-12j, 1e-11])
-        groups = cluster_eigenvalues(eigs, 1.5e-11)
-        assert [g.tolist() for g in groups] == [[0, 4], [1, 3, 5], [2]]
+        groups = clusters_at(eigs, 1.5e-11)
+        assert groups == [[0, 4], [1, 3, 5], [2]]
         rng = np.random.default_rng(0)
         for n in (1, 2, 7, 40):
             eigs = np.round(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1)
-            groups = cluster_eigenvalues(eigs, 0.15)
-            assert [g.tolist() for g in groups] == [
-                g.tolist() for g in reference_clusters(eigs, 0.15)]
+            groups = clusters_at(eigs, 0.15)
+            assert groups == [g.tolist() for g in reference_clusters(eigs, 0.15)]
         # A shuffled chain: each label reaches the smallest one only step by step.
         tol = 1e-10
         order = rng.permutation(256)
-        groups = cluster_eigenvalues((0.9 * tol * np.arange(256))[order] + 2.0, tol)
-        assert len(groups) == 1 and groups[0].tolist() == list(range(256))
+        groups = clusters_at((0.9 * tol * np.arange(256))[order] + 2.0, tol)
+        assert groups == [list(range(256))]
 
     def test_singletons_when_far(self):
         eigs = np.array([0.0, 1.0, 2.0])
-        assert len(cluster_eigenvalues(eigs, 0.5)) == 3
+        assert len(clusters_at(eigs, 0.5)) == 3
         # Repeated values cluster even at tol = 0.
         eigs = np.array([2.0, 1j, 2.0, 0.0, 1j, 2.0])
-        groups = cluster_eigenvalues(eigs, 0.0)
-        assert [g.tolist() for g in groups] == [[0, 2, 5], [1, 4], [3]]
+        assert clusters_at(eigs, 0.0) == [[0, 2, 5], [1, 4], [3]]
 
 
     def test_representative_is_the_cluster_mean(self):
         eigs = np.array([1.0, 2e-11, 3.0 - 1j, 0.0, 1.0 + 1e-12j, 1e-11])
-        clusters = eigenvalue_clusters(eigs, 1.0)
-        assert [ix.tolist() for _, ix in clusters] == [[0, 4], [1, 3, 5], [2]]
-        for rep, ix in clusters:
+        labels, roots, reps = cluster_eigenvalues(eigs, 1.0)
+        groups = [np.flatnonzero(labels == r) for r in roots]
+        assert [g.tolist() for g in groups] == [[0, 4], [1, 3, 5], [2]]
+        for rep, ix in zip(reps.tolist(), groups):
             assert rep == complex(np.mean(eigs[ix]))
+        assert reps[2] == eigs[2]  # a singleton is its own representative
 
 
 class TestSpectrumDistance:
