@@ -16,7 +16,7 @@ from .curve import HilbertCurveMap
 from .detbrown import _counting_measure, _regularized_log_det
 from .hsnest import _build_nest
 from .matrices import (ProjectionNest, _singular_values, as_operator, default_half_side,
-                       frobenius, gemm, operator_norm, singular_values)
+                       frobenius, gemm, singular_values)
 
 NEST_INVARIANCE_TOL = 1e-9
 # Bound on Q's flag diagonal (its spectral radius) relative to ||T||_2.
@@ -96,7 +96,7 @@ def expectation_full(T, nest: ProjectionNest) -> np.ndarray:
     """
     T = as_operator(T)
     groups = _column_groups(nest)
-    B = _flag_form(T, nest, operator_norm(T), groups)
+    B = _flag_form(T, nest, float(_singular_values(T)[0]), groups)
     return _average(nest.basis, _block_means(B.diagonal(), groups))
 
 
@@ -106,7 +106,7 @@ def pinch_commutant(T, nest: ProjectionNest, n: int | None = None) -> np.ndarray
     ``n = None`` means full refinement (one block per nest increment).
     """
     T = as_operator(T)
-    P = _pinch(_flag_form(T, nest, operator_norm(T), _column_groups(nest)),
+    P = _pinch(_flag_form(T, nest, float(_singular_values(T)[0]), _column_groups(nest)),
                _column_groups(nest, n))
     return gemm(gemm(nest.basis, P), nest.basis, adj_b=True)
 

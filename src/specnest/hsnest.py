@@ -105,18 +105,25 @@ def power_limit_operator(T, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     T = as_operator(T)
-    scale = operator_norm(T)
+    scale = float(_singular_values(T)[0])
     if scale == 0.0:
         return np.zeros_like(T.real)
     S = T / scale
     A, basis = np.zeros_like(S), np.zeros_like(S[:0])
+    # The steps' QR in scipy's LAPACK, with the optimal workspaces numpy's QR
+    # takes (a workspace query reads only the shapes, so S[0] stands in for tau).
+    geqrf, ungqr = scipy.linalg.get_lapack_funcs(("geqrf", "ungqr"), (S,))
+    lwork = int(geqrf(S, lwork=-1)[2][0].real), int(ungqr(S, S[0], lwork=-1)[1][0].real)
     with np.errstate(divide="ignore"):  # log 0 = -inf marks a zero row
         Q, C, piv = scipy.linalg.qr(S, pivoting=True)
         C, logs = C[:, np.argsort(piv)], np.zeros(len(S))
         for _ in range(n - 1):
-            Q, R = np.linalg.qr(S @ Q)
+            qr, tau, _, _ = geqrf(S @ Q, lwork=lwork[0], overwrite_a=1)
+            R = np.triu(qr)
+            Q, _, _ = ungqr(qr, tau, lwork=lwork[1], overwrite_a=1)
             # Row i of R diag(exp(logs)) C, relative to the largest scale it mixes in.
-            top = np.nan_to_num(np.maximum.accumulate(logs[::-1])[::-1], neginf=0.0)
+            top = np.maximum.accumulate(logs[::-1])[::-1]
+            top[top == -np.inf] = 0.0
             C = (R * np.exp(np.minimum(logs - top[:, None], 0.0))) @ C
             norms = np.linalg.norm(C, axis=1)
             C, logs = C / np.where(norms > 0.0, norms, 1.0)[:, None], top + np.log(norms)

@@ -263,7 +263,10 @@ def reorder_schur(T: np.ndarray, R: np.ndarray, U: np.ndarray, keys, norm: float
     LAPACK ``ztrexc`` moves one eigenvalue at a time by adjacent unitary
     exchanges and copies the diagonal exactly. ``norm`` is ||T||_2, the scale
     of the residual check. Returns (U, R, perm), U C-ordered: perm[k] is the
-    slot, in the given diagonal, of the eigenvalue now at slot k.
+    slot, in the given diagonal, of the eigenvalue now at slot k. Fortran-ordered
+    complex128 R and U (as ``_complex_schur`` returns them) are reordered in
+    place: the returned R is the caller's R, and the caller's U holds the
+    returned U; R and U in any other layout or type are copied first.
     """
     R, U = np.asfortranarray(R), np.asfortranarray(U)
     n = R.shape[0]

@@ -9,11 +9,13 @@ line with the failing rows (visible under ``pytest -s`` or on failure).
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specnest import acceptance, cli
+from specnest.curve import MODULUS_CONSTANT, HilbertCurveMap, curve_points_batch
 from specnest.decompose import CheckRow
 from specnest.matrices import operator_norm
 
@@ -77,6 +79,33 @@ def test_criterion_5_curve_and_nest_bounds(battery):
     curve)) (same rank, Frobenius gap <= 1e-10); curve modulus verified on 1e5
     sampled pairs, the one with the least margin kept."""
     _assert_criterion(battery[4])
+
+
+def whole_sample_modulus_row(seed):
+    """(check, params, value, bound) of the least-margin pair, the first on
+    ties, reduced over the whole 1e5-pair sample at once."""
+    curve = HilbertCurveMap(half_side=1.0)
+    rng = np.random.default_rng(seed)
+    t1 = rng.uniform(0.0, 1.0, 100_000)
+    t2 = rng.uniform(0.0, 1.0, 100_000)
+    d = np.abs(curve_points_batch(curve, t1) - curve_points_batch(curve, t2))
+    bound = MODULUS_CONSTANT * curve.half_side * np.sqrt(np.abs(t1 - t2))
+    j = int(np.argmin(bound - d))
+    return "curve_modulus", f"pairs=100000;seed={seed};index={j}", float(d[j]), float(bound[j])
+
+
+def test_criterion_5_curve_modulus_row_equals_whole_sample_reduction(battery):
+    # At this seed the least margin lies in the last, short block.
+    [row] = [r for r in battery[4].rows if r.check == "curve_modulus"]
+    assert (row.check, row.params, row.value, row.bound) == whole_sample_modulus_row(SEED)
+
+
+def test_power_limit_inputs_own_their_data():
+    # Each kept matrix and moduli array is a copy, not a view that pins its
+    # seed's (50, 8, 8) stack.
+    triples = acceptance._modulus_gap_filtered(SEED, 50)
+    assert len(triples) == 50
+    assert all(T.base is None and moduli.base is None for _, T, moduli in triples)
 
 
 def test_criterion_5_takes_one_two_norm_per_matrix(monkeypatch, singular_value_calls):

@@ -219,6 +219,36 @@ class TestLogPhiKernel:
             brown_density_grid(1e154 * T, resolution=32)
 
 
+def one_expression_cell_mass(T, grid):
+    """The grid's cell masses from its phi by the 5-point stencil written as
+    one expression, then scaled and clamped as ``brown_density_grid`` does."""
+    xmin, xmax, ymin, ymax = grid.bounds
+    nx, ny = grid.resolution
+    hx, hy = (xmax - xmin) / nx, (ymax - ymin) / ny
+    xs = xmin + (np.arange(nx) + 0.5) * hx
+    ys = ymin + (np.arange(ny) + 0.5) * hy
+    lams = (xs[:, None] + 1j * ys[None, :]).ravel()
+    phi = _batched_log_phi(T, lams, grid.epsilon, operator_norm(T))[0].reshape(nx, ny)
+    lap = np.zeros_like(phi)
+    lap[1:-1, 1:-1] = (
+        (phi[2:, 1:-1] - 2 * phi[1:-1, 1:-1] + phi[:-2, 1:-1]) / hx**2
+        + (phi[1:-1, 2:] - 2 * phi[1:-1, 1:-1] + phi[1:-1, :-2]) / hy**2
+    )
+    mass = lap * (hx * hy) / (2.0 * math.pi)
+    mass[(mass < 0.0) & (mass >= -1e-6)] = 0.0
+    return mass
+
+
+@pytest.mark.parametrize("T, kwargs", [
+    (generate(EnsembleSpec(Ginibre(8), seed=3))[0], {}),
+    (np.diag([1.0, -1.0, 1.0j, -1.0j]).astype(complex),
+     dict(bounds=(-2, 2, -2, 2), resolution=301, eps=1e-8)),
+], ids=["ginibre8", "four-atoms"])
+def test_in_place_stencil_equals_one_expression_bit_for_bit(T, kwargs):
+    grid = brown_density_grid(T, **kwargs)
+    assert grid.cell_mass.tobytes() == one_expression_cell_mass(T, grid).tobytes()
+
+
 def serial_map_chunks(fn, count, step):
     for start in range(0, count, step):
         fn(start)

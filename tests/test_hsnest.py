@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from specnest import curve as curve_module
 from specnest import hsnest
 from specnest.curve import DEEP_LEVEL, HilbertCurveMap, hit_index
-from specnest.decompose import decompose
+from specnest.decompose import decompose, expectation_full, pinch_commutant
+from specnest.detbrown import brown_density_grid, brown_measure_exact
 from specnest.ensembles import (
     EnsembleSpec,
     Ginibre,
@@ -158,7 +159,8 @@ class TestHsProjection:
 
 def test_decompose_and_hs_projection_validate_T_once(monkeypatch):
     # The 2-norm, the nest builder and the nest take the validated copy: one
-    # as_operator call each, none on the nest basis.
+    # as_operator call each, none on the nest basis. So do the power limit,
+    # the expectation and the pinching onto a nest, and the Brown measures.
     original = hsnest.as_operator
     calls = []
 
@@ -174,6 +176,15 @@ def test_decompose_and_hs_projection_validate_T_once(monkeypatch):
     assert calls == [(8, 8)]
     hs_projection(T, Ball(0.0, 0.5))
     assert calls == [(8, 8), (8, 8)]
+    nest = decompose(T).nest
+    for call in (lambda: power_limit_operator(T, 4),
+                 lambda: expectation_full(T, nest),
+                 lambda: pinch_commutant(T, nest),
+                 lambda: brown_measure_exact(T),
+                 lambda: brown_density_grid(T, resolution=32)):
+        calls.clear()
+        call()
+        assert calls == [(8, 8)]
 
 
 def test_decompose_and_hs_projection_share_one_schur_entry_point(monkeypatch,

@@ -330,6 +330,24 @@ class TestOrderedSchur:
         assert np.linalg.norm(U.conj().T @ U - np.eye(n), 2) < 1e-10
         assert np.linalg.norm(T - U @ R @ U.conj().T, 2) < 1e-9 * max(1, operator_norm(T))
 
+    def test_fortran_ordered_factors_are_reordered_in_place(self):
+        # _complex_schur's R and U are Fortran-ordered, and ztrexc overwrites
+        # them; C-ordered copies of the same factors are left as they were.
+        T = random_matrix(5, 6)
+        R, U = _complex_schur(as_operator(T))
+        assert R.flags.f_contiguous and U.flags.f_contiguous
+        keys = [-z.real for z in R.diagonal().tolist()]
+        R_c, U_c = np.ascontiguousarray(R), np.ascontiguousarray(U)
+        R_before = R.copy()
+        U_new, R_new, perm = reorder_schur(T, R, U, keys, operator_norm(T))
+        assert perm.tolist() != list(range(6))
+        assert R_new is R and not np.array_equal(R, R_before)
+        assert np.array_equal(U, U_new)
+        R_c_before, U_c_before = R_c.copy(), U_c.copy()
+        U_c_new, R_c_new, _ = reorder_schur(T, R_c, U_c, keys, operator_norm(T))
+        assert np.array_equal(R_c, R_c_before) and np.array_equal(U_c, U_c_before)
+        assert np.array_equal(R_c_new, R_new) and np.array_equal(U_c_new, U_new)
+
     def test_ordering_by_custom_key(self):
         T = np.diag([3.0, 1.0, 2.0]).astype(complex)
         _, R, _ = ordered_schur(T, key=lambda z: -z.real)
