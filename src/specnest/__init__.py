@@ -3,7 +3,6 @@
 from . import serialize
 from .curve import HilbertCurveMap
 from .decompose import (
-    ConvergenceReport,
     DecompositionResult,
     convergence_report,
     decompose,

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import ensembles, serialize
 from .curve import MODULUS_CONSTANT, HilbertCurveMap, curve_points_batch
-from .decompose import (Q_DIAGONAL_TOL, CheckRow, Report, _det_gap_rows, _level_rows,
-                        _pinch_rows, decompose, pinch_commutant)
+from .decompose import (Q_DIAGONAL_TOL, CheckRow, Report, _column_groups, _det_gap_rows,
+                        _level_rows, _pinch, _pinch_rows, decompose)
 from .detbrown import brown_density_grid, fk_determinant
 from .ensembles import EnsembleSpec, Ginibre, UpperTriangularRandom, generate
 from .hsnest import Ball, CurveSegment, hs_projection, power_limit_operator
@@ -34,8 +34,7 @@ from .majorize import (
     submajorizes,
     weyl_check,
 )
-from .matrices import (NEST_UNITARY_TOL, default_half_side, frobenius, operator_norm,
-                       spectrum_distance)
+from .matrices import NEST_UNITARY_TOL, frobenius, operator_norm, spectrum_distance
 
 
 @dataclasses.dataclass(frozen=True)
@@ -235,10 +234,8 @@ def criterion_curve_nest_bounds(seed: int) -> CriterionResult:
             yield from _at(where, _level_rows(result, range(2, 11)))
             # The paper's nest: P(T, gamma([0, t])) at every inner jump t.
             nest = result.nest
-            curve = HilbertCurveMap(half_side=default_half_side(
-                result.diagnostics["operator_norm"]))
             for t, rank in nest.jumps[1:-1]:
-                P = hs_projection(T, CurveSegment(t, curve))
+                P = hs_projection(T, CurveSegment(t, result.curve))
                 yield CheckRow("segment_rank", f"{where};t={t!r}",
                                float(abs(round(float(np.trace(P).real)) - rank)), 0.0)
                 yield CheckRow("segment_gap", f"{where};t={t!r}",
@@ -280,9 +277,10 @@ def criterion_det_monotonicity(seed: int) -> CriterionResult:
         for i, T in enumerate(_ginibre(8, seed, 20)):
             where = f"ginibre8;seed={seed};index={i}"
             result = decompose(T)
-            yield from _at(where, _pinch_rows(T, result, range(0, 11)))
+            yield from _at(where, _pinch_rows(result, range(0, 11)))
             dT = fk_determinant(T)
-            dP = fk_determinant(pinch_commutant(T, result.nest, None))
+            # The full pinch in the flag basis, unitarily equivalent to pinch_commutant's.
+            dP = fk_determinant(_pinch(result.flag_form, _column_groups(result.nest)))
             # Delta(T) = prod_k Delta(B_k)^tau(p_k) over the pinch's blocks B_k,
             # within 1e-8 of the smaller side: a pass when both vanish, a
             # failure when one does.

@@ -58,9 +58,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    T = serialize.read_matrix(args.infile)
-    report = convergence_report(T) if args.report else None
-    result = report.decomposition if report else decompose(T)
+    result = decompose(serialize.read_matrix(args.infile))
+    report = convergence_report(result) if args.report else None
     serialize.write_text(args.out, json.dumps(serialize.decomposition_to_dict(result)) + "\n")
     print(f"decomposed {args.infile}: "
           f"|Q diag| <= {result.diagnostics['q_spectral_radius']:.3e}, "
@@ -118,19 +117,17 @@ def _cmd_check_weyl(args) -> int:
 
 def _cmd_check_lemmas(args) -> int:
     T = serialize.read_matrix(args.infile)
-    report = convergence_report(T, n_range=range(0, args.n_max + 1))
-    rows = list(report.rows)
-    n = T.shape[0]
-    normT = report.decomposition.diagnostics["operator_norm"]
+    result = decompose(T)
+    rows = list(convergence_report(result, n_range=range(0, args.n_max + 1)).rows)
     # Pinching inequality along the nest: coordinate cut at every jump rank,
     # each row labelled with the jump that made its cut.
-    nest = report.decomposition.nest
+    nest = result.nest
     for t, rank in nest.jumps[1:-1]:
         rows.extend(dataclasses.replace(row, params=f"t={t!r};rank={rank}")
                     for row in pinch_log_check(T, nest.projection_at(t)).rows)
     fails = [r for r in rows if not r.ok]
     print(f"{len(rows)} checks, {len(fails)} failures on {args.infile} "
-          f"(dim {n}, norm {normT:.4g})")
+          f"(dim {len(T)}, norm {result.diagnostics['operator_norm']:.4g})")
     _write_check_report(rows, args.out)
     return 1 if fails else 0
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .curve import HilbertCurveMap
-from .detbrown import _counting_measure, _regularized_log_det
+from .detbrown import SpectralMeasure, _regularized_log_det
 from .hsnest import _build_nest
 from .matrices import (ProjectionNest, _singular_values, as_operator, default_half_side,
                        frobenius, gemm, singular_values)
@@ -40,7 +40,10 @@ def _column_groups(nest: ProjectionNest, n: int | None = None) -> list:
     groups = []
     prev = None
     for t, lo, hi in nest.increments():
-        k = min(max(math.ceil(t * (1 << n)) - 1, 0), (1 << n) - 1)
+        # k = ceil(t 2^n) - 1 in exact integers (t 2^n overflows a double from
+        # n = 1024 on); jump times after the first lie in (0, 1], so 0 <= k < 2^n.
+        num, den = t.as_integer_ratio()
+        k = -(-(num << n) // den) - 1
         if k == prev:
             groups[-1] = (groups[-1][0], hi)
         else:
@@ -120,7 +123,13 @@ class DecompositionResult:
     nest: ProjectionNest
     ordering: tuple  # (hit time, multiplicity, cluster value) in flag order
     diagnostics: dict
-    eigenvalues: np.ndarray  # Schur eigenvalues, diag of U*TU in nest order; not serialized
+    flag_form: np.ndarray  # U*TU in the nest basis U, checked by decompose; not serialized
+    curve: HilbertCurveMap  # the curve the nest follows; not serialized
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """T's Schur eigenvalues in nest order, the flag form's diagonal (read-only)."""
+        return self.flag_form.diagonal()
 
 
 def decompose(T) -> DecompositionResult:
@@ -140,13 +149,13 @@ def decompose(T) -> DecompositionResult:
     """
     T = as_operator(T)
     normT = float(_singular_values(T)[0])
-    nest = _build_nest(T, HilbertCurveMap(half_side=default_half_side(normT)), normT)
+    curve = HilbertCurveMap(half_side=default_half_side(normT))
+    nest = _build_nest(T, curve, normT)
     U = nest.basis
     increments = nest.increments()
     groups = [(lo, hi) for _, lo, hi in increments]
     B = _flag_form(T, nest, normT, groups)
-    eigs = B.diagonal().copy()
-    coeffs = _block_means(eigs, groups)
+    coeffs = _block_means(B.diagonal(), groups)
     N = _average(U, coeffs)
     Q = T - N
     means = coeffs.tolist()
@@ -167,13 +176,13 @@ def decompose(T) -> DecompositionResult:
         "reconstruction_error": frobenius(T - (N + Q)),
         "normality_defect": frobenius(gemm(Ns, Ns, adj_b=True) - gemm(Ns, Ns, adj_a=True)),
         # N is diagonal in the flag basis: its spectrum is the block means.
-        "spectrum_gap": float(np.max(np.abs(eigs - coeffs))),
+        "spectrum_gap": float(np.max(np.abs(B.diagonal() - coeffs))),
         "strict_upper_defect": frobenius(BQ[slots[:, None] >= slots]),  # BQ's lower triangle
         "q_spectral_radius": q_radius,
         "operator_norm": normT,
     }
     return DecompositionResult(N=N, Q=Q, nest=nest, ordering=ordering,
-                               diagnostics=diagnostics, eigenvalues=eigs)
+                               diagnostics=diagnostics, flag_form=B, curve=curve)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -215,9 +224,15 @@ class Report:
         return [r for r in self.rows if not r.ok]
 
 
-@dataclasses.dataclass(frozen=True)
-class ConvergenceReport(Report):
-    decomposition: DecompositionResult
+def _levels(n_range) -> list:
+    """``n_range`` as a list; ValueError unless it holds strictly increasing integers >= 0."""
+    levels = list(n_range)
+    if (not levels
+            or any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in levels)
+            or levels[0] < 0 or any(a >= b for a, b in zip(levels, levels[1:]))):
+        raise ValueError(
+            f"n_range must be non-empty, strictly increasing integers >= 0, got {n_range!r}")
+    return [int(n) for n in levels]
 
 
 def _means(result: DecompositionResult, n: int | None) -> np.ndarray:
@@ -225,15 +240,22 @@ def _means(result: DecompositionResult, n: int | None) -> np.ndarray:
     return _block_means(result.eigenvalues, _column_groups(result.nest, n))
 
 
+def _measure(result: DecompositionResult) -> SpectralMeasure:
+    """T's eigenvalue counting measure from the nest's clusters: each cluster's
+    mean with weight multiplicity / n, sorted by (Re, Im)."""
+    n = len(result.eigenvalues)
+    return SpectralMeasure(tuple(sorted(((z, m / n) for _, m, z in result.ordering),
+                                        key=lambda a: (a[0].real, a[0].imag))))
+
+
 def _level_rows(result: DecompositionResult, n_range) -> list:
     """Per n: ||E_n - N||_2 and the spectral radius of T - E_n against the
-    modulus bound of ``decompose``'s curve."""
-    curve = HilbertCurveMap(half_side=default_half_side(result.diagnostics["operator_norm"]))
+    modulus bound of the decomposition's curve."""
     c = _means(result, None)
     rows = []
     for n in n_range:
         cn = _means(result, n)
-        bound = curve.modulus(2.0**-n)
+        bound = result.curve.modulus(2.0**-n)
         rows.append(CheckRow("norm_gap", f"n={n}", float(np.max(np.abs(cn - c))), bound))
         rows.append(CheckRow("remainder_radius", f"n={n}",
                              float(np.max(np.abs(result.eigenvalues - cn))), bound))
@@ -246,7 +268,7 @@ def _det_gap_rows(result: DecompositionResult, n_range, eps_list, lam_list) -> l
     binds (DET_TOL) at the finest n only. Raises OverflowError when a side is
     not finite."""
     normT = result.diagnostics["operator_norm"]
-    measure = _counting_measure(result.eigenvalues, normT)
+    measure = _measure(result)
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         potentials = [[measure.regularized_potential(lam, eps) for eps in eps_list]
@@ -265,45 +287,44 @@ def _det_gap_rows(result: DecompositionResult, n_range, eps_list, lam_list) -> l
     return rows
 
 
-def _pinch_rows(T: np.ndarray, result: DecompositionResult, n_range) -> list:
+def _pinch_rows(result: DecompositionResult, n_range) -> list:
     """Per m in PINCH_M and n after the first: the regularized determinant of
-    the level-n pinching at eps = 1/m against that of level n - 1 plus
-    MONO_SLACK. One flag form, and one SVD per level shared by every m.
-    Raises OverflowError when a determinant is not finite."""
+    the flag form's level-n pinching at eps = 1/m against that of the level
+    before plus MONO_SLACK. One SVD per level, shared by every m. Raises
+    OverflowError when a determinant is not finite."""
     normT = result.diagnostics["operator_norm"]
-    B = _flag_form(T, result.nest, normT, _column_groups(result.nest))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        svs = [singular_values(_pinch(B, _column_groups(result.nest, n))) for n in n_range]
+        svs = [singular_values(_pinch(result.flag_form, _column_groups(result.nest, n)))
+               for n in n_range]
         seqs = [[np.exp(_regularized_log_det(sv, 1.0 / m)) for sv in svs] for m in PINCH_M]
     if not np.all(np.isfinite(seqs)):
         raise OverflowError(f"pinch determinant is not finite (|T| = {normT:.3g})")
     return [CheckRow("pinch_det_monotone", f"n={n};{float(m)}", float(cur),
                      float(prev + MONO_SLACK * max(1.0, abs(prev))))
             for m, seq in zip(PINCH_M, seqs)
-            for n, prev, cur in zip(list(n_range)[1:], seq, seq[1:])]
+            for n, prev, cur in zip(n_range[1:], seq, seq[1:])]
 
 
-def convergence_report(T, n_range=range(0, 11)) -> ConvergenceReport:
-    """Dyadic-refinement diagnostics for the decomposition of T, by family.
+def convergence_report(result: DecompositionResult, n_range=range(0, 11)) -> Report:
+    """Dyadic-refinement diagnostics for a decomposition of T, by family.
 
     The level rows (``norm_gap``, ``remainder_radius``) per n; the ``det_gap``
     rows per n at lam in {0, 1 + i, the largest-modulus eigenvalue} and eps in
     {1, 0.1, 0.01}; the ``pinch_det_monotone`` rows per m in PINCH_M.
+    ``n_range`` must be strictly increasing non-negative integers.
 
     With c_n, c the level-n and full block means of the flag diagonal eigs,
     E_n = U diag(c_n) U* and N = U diag(c) U*: ||E_n - N||_2 = max|c_n - c|,
     T - E_n (triangular in U) has spectrum eigs - c_n and E_n - lam singular
-    values |c_n - lam|. Only the pinch rows take the flag form (once) and
-    SVDs (one per level, shared by every m). Raises OverflowError when a
-    det_gap side or a pinch determinant is not finite.
+    values |c_n - lam|. Only the pinch rows take SVDs of the pinched flag form
+    (one per level, shared by every m). Raises OverflowError when a det_gap
+    side or a pinch determinant is not finite.
     """
-    if not n_range:
-        raise ValueError("n_range must not be empty")
-    T = as_operator(T)
-    result = decompose(T)
-    measure = _counting_measure(result.eigenvalues, result.diagnostics["operator_norm"])
-    lam_peak = max((z for z, _ in measure.atoms), key=abs)
-    rows = (_level_rows(result, n_range)
-            + _det_gap_rows(result, n_range, (1.0, 0.1, 0.01), (0.0, 1.0 + 1.0j, lam_peak))
-            + _pinch_rows(T, result, n_range))
-    return ConvergenceReport(tuple(rows), result)
+    if not isinstance(result, DecompositionResult):
+        raise TypeError(f"convergence_report takes a DecompositionResult, not {type(result)}")
+    levels = _levels(n_range)
+    lam_peak = max((z for z, _ in _measure(result).atoms), key=abs)
+    rows = (_level_rows(result, levels)
+            + _det_gap_rows(result, levels, (1.0, 0.1, 0.01), (0.0, 1.0 + 1.0j, lam_peak))
+            + _pinch_rows(result, levels))
+    return Report(tuple(rows))

@@ -10,6 +10,7 @@ import concurrent.futures
 import contextvars
 import dataclasses
 import math
+import operator
 import os
 
 import numpy as np
@@ -231,7 +232,8 @@ def _batched_log_phi(T: np.ndarray, lams: np.ndarray, eps: float, norm: float) -
 def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> DensityGrid:
     """Brown density via the 5-point discrete Laplacian of the log potential.
 
-    Computes phi(lam) = (1/2) tau log(|T - lam|^2 + eps) on the cell centers,
+    Computes phi(lam) = (1/2) tau log(|T - lam|^2 + eps) on the centers of a
+    resolution x resolution grid of cells (an integer >= 32, not a bool),
     applies the Laplacian stencil, scales by cell area / (2 pi), and clamps
     tiny negative cells (counting those below -1e-6 as diagnostics).
 
@@ -249,11 +251,11 @@ def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> Den
     if bounds is None:
         half = default_half_side(norm)
         bounds = (-half, half, -half, half)
-    if isinstance(resolution, int):
-        resolution = (resolution, resolution)
-    nx, ny = resolution
-    if nx < 32 or ny < 32:
-        raise ValueError("resolution must be at least 32 per axis")
+    if isinstance(resolution, bool):
+        raise TypeError("resolution must be an integer, not a bool")
+    nx = ny = operator.index(resolution)
+    if nx < 32:
+        raise ValueError("resolution must be at least 32")
     xmin, xmax, ymin, ymax = bounds
     if not all(map(math.isfinite, bounds)):
         raise ValueError(f"bounds {bounds} must be finite")

@@ -6,6 +6,7 @@ failing instance, or else the one nearest its bound), whose params name
 the input; each test asserts one criterion's rows and prints a single pass/fail
 line with the failing rows (visible under ``pytest -s`` or on failure).
 """
+import importlib
 import json
 import math
 
@@ -137,6 +138,22 @@ def test_criterion_7_determinant_monotonicity(battery):
     <= 1e-8 times the smaller of the two (a pass when both vanish, a failure
     when one does); 500 pinch inequality trials, every row passing."""
     _assert_criterion(battery[6])
+
+
+def test_criterion_7_builds_one_flag_form_per_matrix(monkeypatch):
+    """decompose's flag form serves the pinch rows and the full pinch: one
+    per matrix for the criterion's 20 Ginibre 8x8."""
+    module = importlib.import_module("specnest.decompose")
+    original = module._flag_form
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    monkeypatch.setattr(module, "_flag_form", counting)
+    assert acceptance.criterion_det_monotonicity(SEED).passed
+    assert calls == [(8, 8)] * 20
 
 
 def test_criterion_8_brown_grid(battery):

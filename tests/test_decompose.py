@@ -1,4 +1,6 @@
 """Conditional expectations, pinchings and the normal + nilpotent split."""
+import importlib
+import math
 import os
 import subprocess
 import sys
@@ -34,7 +36,7 @@ from specnest.ensembles import (
 )
 from specnest.hsnest import build_nest, default_curve
 from specnest.majorize import pinch_log_check, weyl_check
-from specnest.matrices import (CLUSTER_TOL, ProjectionNest, as_operator, operator_norm,
+from specnest.matrices import (CLUSTER_TOL, ProjectionNest, as_operator, gemm, operator_norm,
                                spectrum_distance)
 
 SHEAR = np.array([[1, 1], [0, 2]], dtype=complex)
@@ -126,8 +128,33 @@ class TestExpectations:
         assert gap <= 1e-12 * operator_norm(E)
 
     def test_rejects_negative_level(self):
-        with pytest.raises(ValueError, match="n must be >= 0"):
-            convergence_report(random_matrix(35, 4), n_range=range(-1, 2))
+        with pytest.raises(ValueError, match="n_range"):
+            convergence_report(decompose(random_matrix(35, 4)), n_range=range(-1, 2))
+
+    def test_level_groups_match_float_scaling_up_to_1023(self):
+        # t * 2^n is exact in doubles for n <= 1023; the exact-integer index
+        # gives the same groups there.
+        def float_groups(nest, n):
+            groups, prev = [], None
+            for t, lo, hi in nest.increments():
+                k = min(max(math.ceil(t * (1 << n)) - 1, 0), (1 << n) - 1)
+                groups.append((groups.pop()[0], hi) if k == prev else (lo, hi))
+                prev = k
+            return groups
+
+        for kind in (Ginibre(8), Jordan(0.3 - 0.4j, 8), NormalPlusNilpotent(8)):
+            nest = decompose(generate(EnsembleSpec(kind, seed=4))[0]).nest
+            for n in (0, 1, 2, 5, 10, 31, 32, 33, 52, 53, 64, 100, 1023):
+                assert _column_groups(nest, n) == float_groups(nest, n)
+
+    def test_level_groups_beyond_1023(self):
+        # t * 2^n overflowed a double here; every jump time is distinct, so
+        # at n = 1100 the groups are the nest's increments.
+        res = decompose(random_matrix(39, 8))
+        for n in (1024, 1100):
+            assert _column_groups(res.nest, n) == _column_groups(res.nest)
+        report = convergence_report(res, n_range=[0, 1100])
+        assert [r.params for r in report.rows if r.check == "norm_gap"] == ["n=0", "n=1100"]
 
     def test_rejects_non_invariant_nest(self):
         T = random_matrix(36, 4)
@@ -229,6 +256,21 @@ class TestDecomposeInvariants:
         assert np.array_equal(res.eigenvalues, np.diag(U.conj().T @ T @ U))
         gap = spectrum_distance(res.eigenvalues, np.linalg.eigvals(T))
         assert gap <= 1e-12 * operator_norm(T)
+
+    def test_flag_form_is_the_checked_u_star_t_u(self):
+        T = random_matrix(70, 8)
+        res = decompose(T)
+        U = res.nest.basis
+        assert np.array_equal(res.flag_form, gemm(gemm(U, T, adj_a=True), U))
+        assert np.array_equal(res.eigenvalues, np.diag(res.flag_form))
+        with pytest.raises(ValueError, match="read-only"):
+            res.eigenvalues[0] = 0.0
+
+    @pytest.mark.parametrize("kind", [Ginibre(8), UpperTriangularRandom(8), Jordan(0.0, 8)],
+                             ids=["ginibre", "upper-triangular", "jordan-zero"])
+    def test_curve_is_the_default_curve(self, kind):
+        T = generate(EnsembleSpec(kind, seed=71))[0]
+        assert decompose(T).curve == default_curve(T)
 
     def test_decompose_solves_no_eigvals(self, eigvals_calls):
         decompose(random_matrix(67, 8))
@@ -378,14 +420,44 @@ class TestScaling:
 
 class TestConvergenceReport:
     def test_all_checks_pass_on_random_matrix(self):
-        report = convergence_report(random_matrix(61, 8))
+        report = convergence_report(decompose(random_matrix(61, 8)))
         assert report.all_ok, report.failures()[:5]
 
     @pytest.mark.parametrize("n_range", [range(0), range(5, 2), []])
     def test_empty_n_range_raises(self, n_range):
         # No level would give no row, and an all-pass verdict on nothing.
         with pytest.raises(ValueError, match="n_range"):
-            convergence_report(random_matrix(61, 4), n_range=n_range)
+            convergence_report(decompose(random_matrix(61, 4)), n_range=n_range)
+
+    def test_takes_a_decomposition_not_a_matrix(self):
+        with pytest.raises(TypeError, match="DecompositionResult"):
+            convergence_report(random_matrix(61, 4))
+
+    @pytest.mark.parametrize("n_range", [range(10, -1, -1), [0, 2, 1], [0, 1, 1], [0, 1.5],
+                                         [False, True], ["0", "1"]],
+                             ids=["reversed", "unordered", "repeated", "float", "bool", "str"])
+    def test_rejects_levels_that_are_not_increasing_integers(self, n_range):
+        # A reversed range compared each level with the next finer one: false
+        # pinch_det_monotone failures on every Ginibre 8 (seeds 0-19).
+        with pytest.raises(ValueError, match="n_range"):
+            convergence_report(decompose(random_matrix(61, 8)), n_range=n_range)
+
+    def test_takes_numpy_integer_levels(self):
+        res = decompose(random_matrix(61, 8))
+        assert (convergence_report(res, n_range=np.arange(0, 11)).rows
+                == convergence_report(res).rows)
+
+    def test_clusters_nothing(self, monkeypatch):
+        # The counting measure comes from the nest's clusters in ``ordering``.
+        def refuse(*args, **kwargs):
+            raise AssertionError("re-clustered the eigenvalues")
+
+        res = decompose(random_matrix(72, 8))
+        monkeypatch.setattr(importlib.import_module("specnest.detbrown"),
+                            "cluster_eigenvalues", refuse)
+        monkeypatch.setattr(importlib.import_module("specnest.matrices"),
+                            "cluster_eigenvalues", refuse)
+        convergence_report(res)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("spec, scale, match", [
@@ -397,13 +469,13 @@ class TestConvergenceReport:
         # numpy overflow warnings. The Jordan block's eigenvalues are all 0, so
         # only its pinch determinants overflow.
         with pytest.raises(OverflowError, match=match):
-            convergence_report(scale * generate(spec)[0])
+            convergence_report(decompose(scale * generate(spec)[0]))
 
     def test_takes_one_svd_per_pinch_level(self, singular_value_calls):
         # decompose's ||T||_2; the level and det_gap rows read the flag
         # diagonal, and only the 11 pinch levels take an SVD, shared by the 3 m.
         T = random_matrix(68, 8)
-        convergence_report(T)
+        convergence_report(decompose(T))
         assert singular_value_calls == [(8, 8)] * (1 + 11)
         singular_value_calls.clear()
         result = decompose(T)
@@ -421,7 +493,7 @@ class TestConvergenceReport:
             return original(self, lam, eps)
 
         monkeypatch.setattr(SpectralMeasure, "regularized_potential", counting)
-        report = convergence_report(random_matrix(68, 8))
+        report = convergence_report(decompose(random_matrix(68, 8)))
         assert len(calls) == len(set(calls)) == 9
         assert sum(r.check == "det_gap" for r in report.rows) == 99
 
@@ -434,18 +506,19 @@ class TestConvergenceReport:
         T = random_matrix(69, 8)
         for name in ("norm", "svd", "eigvals", "qr"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        report = convergence_report(T)
+        result = decompose(T)
+        convergence_report(result)
         weyl_check(T)
-        t, _ = report.decomposition.nest.jumps[1]
-        pinch_log_check(T, report.decomposition.nest.projection_at(t))
+        t, _ = result.nest.jumps[1]
+        pinch_log_check(T, result.nest.projection_at(t))
 
     def test_row_families_present(self):
-        report = convergence_report(random_matrix(62, 6), n_range=range(0, 5))
+        report = convergence_report(decompose(random_matrix(62, 6)), n_range=range(0, 5))
         checks = {r.check for r in report.rows}
         assert checks == {"norm_gap", "remainder_radius", "det_gap", "pinch_det_monotone"}
 
     def test_det_gap_binds_only_at_finest_level(self):
-        report = convergence_report(random_matrix(63, 6), n_range=range(0, 5))
+        report = convergence_report(decompose(random_matrix(63, 6)), n_range=range(0, 5))
         rows = [r for r in report.rows if r.check == "det_gap"]
         levels = [int(r.params.split(";")[0].removeprefix("n=")) for r in rows]
         assert all(np.isinf(r.bound) for r, n in zip(rows, levels) if n < 4)
@@ -469,10 +542,8 @@ class TestConvergenceReport:
     def test_rows_match_dense_recomputation(self, T, peak_failures):
         # The report reads closed forms on the flag diagonal; the reference
         # forms E_n, the pinchings and their SVDs densely, family by family.
-        report = convergence_report(T)
         res = decompose(T)
-        assert report.decomposition.nest.jumps == res.nest.jumps
-        assert np.array_equal(report.decomposition.nest.basis, res.nest.basis)
+        report = convergence_report(res)
         curve = default_curve(T)
         measure = _counting_measure(res.eigenvalues, res.diagnostics["operator_norm"])
         lams = (0.0, 1.0 + 1.0j, max((z for z, _ in measure.atoms), key=abs))

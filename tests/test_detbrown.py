@@ -156,6 +156,19 @@ class TestDensityGrid:
         with pytest.raises(ValueError):
             brown_density_grid(np.eye(2), bounds=(-3, 3, -3, 3), resolution=16)
 
+    def test_resolution_takes_any_integer_type(self):
+        T = random_matrix(3, 6)
+        grid = brown_density_grid(T, resolution=np.int64(48), eps=1e-6)
+        assert grid.resolution == (48, 48)
+        assert np.array_equal(grid.cell_mass,
+                              brown_density_grid(T, resolution=48, eps=1e-6).cell_mass)
+
+    @pytest.mark.parametrize("resolution", [True, np.bool_(True), 48.0, (48, 48), "48"],
+                             ids=["bool", "numpy-bool", "float", "tuple", "str"])
+    def test_resolution_rejects_non_integers(self, resolution):
+        with pytest.raises(TypeError):
+            brown_density_grid(np.eye(2), bounds=(-3, 3, -3, 3), resolution=resolution)
+
     def test_default_bounds_scale_with_norm(self):
         T = 4.0 * np.eye(2)
         xmin, xmax, ymin, ymax = brown_density_grid(T, resolution=32).bounds

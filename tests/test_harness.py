@@ -24,7 +24,7 @@ from specnest.majorize import (DEFAULT_GAUGES, log_plus_equivalence_check, pinch
 ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC_NAMES = [
-    "Ball", "ConvergenceReport", "CurveSegment", "DEFAULT_GAUGES",
+    "Ball", "CurveSegment", "DEFAULT_GAUGES",
     "DecompositionResult", "DensityGrid", "EnsembleSpec", "Ginibre",
     "HilbertCurveMap", "Jordan", "LogShift", "NormalPlusNilpotent", "Power",
     "ProjectionNest", "SpectralMeasure", "UpperTriangularRandom",
@@ -40,9 +40,9 @@ PUBLIC_NAMES = [
 # function (serialize's included): a new option shows up here as a test edit.
 PUBLIC_PARAMETERS = {
     "Ball": ("center", "radius"),
-    "ConvergenceReport": ("rows", "decomposition"),
     "CurveSegment": ("t", "curve"),
-    "DecompositionResult": ("N", "Q", "nest", "ordering", "diagnostics", "eigenvalues"),
+    "DecompositionResult": ("N", "Q", "nest", "ordering", "diagnostics", "flag_form",
+                            "curve"),
     "DensityGrid": ("bounds", "resolution", "cell_mass", "epsilon", "total_mass",
                     "negative_cells_flagged", "kernel", "rho"),
     "EnsembleSpec": ("kind", "seed", "count"),
@@ -58,7 +58,7 @@ PUBLIC_PARAMETERS = {
     "brown_density_grid": ("T", "bounds", "resolution", "eps"),
     "brown_measure_exact": ("T",),
     "build_nest": ("T", "curve"),
-    "convergence_report": ("T", "n_range"),
+    "convergence_report": ("result", "n_range"),
     "decompose": ("T",),
     "default_curve": ("T",),
     "expectation_full": ("T", "nest"),
@@ -211,7 +211,7 @@ class TestSerialize:
         rng = np.random.default_rng(5)
         T = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / 3
         failing = CheckRow("norm_gap", "n=3", 2.0, 1.5)
-        conv_rows = convergence_report(T).rows + (failing,)
+        conv_rows = convergence_report(decompose(T)).rows + (failing,)
         text = serialize.report_rows_csv(weyl_check(T).rows + conv_rows)
         lines = text.strip().split("\n")
         assert lines[0] == "# schemaVersion=3"
@@ -231,9 +231,9 @@ class TestSerialize:
     def test_row_passes_iff_margin_is_nonnegative(self, seed, n, triangular, scale):
         kind = ensembles.UpperTriangularRandom(n) if triangular else ensembles.Ginibre(n)
         T, G, H = scale * np.stack(ensembles.generate(ensembles.EnsembleSpec(kind, seed, 3)))
-        report = convergence_report(T)
-        rows = list(report.rows) + list(weyl_check(T).rows)
-        nest = report.decomposition.nest
+        result = decompose(T)
+        rows = list(convergence_report(result).rows) + list(weyl_check(T).rows)
+        nest = result.nest
         for t, _ in nest.jumps[1:-1]:
             rows += pinch_log_check(T, nest.projection_at(t)).rows
         A = G @ G.conj().T
