@@ -9,12 +9,14 @@ from __future__ import annotations
 import concurrent.futures
 import contextvars
 import dataclasses
+import functools
 import math
 import operator
 import os
 
 import numpy as np
 
+from .hsnest import Ball
 from .matrices import (
     _singular_values,
     as_operator,
@@ -59,6 +61,7 @@ class SpectralMeasure:
         return float(np.sum(self.weights * np.log(dist2 + eps)))
 
     def mass_within(self, center: complex, radius: float) -> float:
+        Ball(center, radius)  # a NaN would make every comparison below false
         dist = np.abs(self.locations - center)
         return float(np.sum(self.weights[dist <= radius]))
 
@@ -103,42 +106,135 @@ def _counting_measure(eigs: np.ndarray, norm: float) -> SpectralMeasure:
     return SpectralMeasure(tuple(atoms))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class DensityGrid:
-    """Brown density estimate on a rectangle; cell masses after clamping.
+    """Brown density estimate of T on a rectangle of cells (see ``brown_density_grid``).
 
-    ``kernel`` names the log-potential kernel that ran ("cholesky" or "svd")
-    and ``rho`` is the conditioning figure that chose it (see
-    ``brown_density_grid``).
+    A cell's mass is the 5-point Laplacian of phi(lam) = (1/2) tau
+    log(|T - lam|^2 + eps) at its center, times cell area / (2 pi); border
+    cells carry none, and no cell is clamped. Summed over a set of inner cells
+    the stencil telescopes to the flux of phi out of the set: hx hy / (2 pi)
+    times the sum, over each edge from a cell inside to a neighbour outside,
+    of (phi(out) - phi(in)) / h^2 (h the edge's step). ``total_mass`` and
+    ``mass_within`` take that form, so each evaluates phi only on the cells on
+    both sides of its region's boundary. ``cell_mass`` and
+    ``negative_cells_flagged`` (cells below -1e-6: stencil ringing next to a
+    near-atomic spike) evaluate phi on every cell when first read, and no
+    mass query reuses that phi, so each value does not depend on what was
+    read before it.
+
+    ``kernel`` names the log-potential kernel ("cholesky" or "svd") and
+    ``rho`` the conditioning figure that chose it; every evaluation of phi
+    uses both.
     """
 
     bounds: tuple  # (xmin, xmax, ymin, ymax)
     resolution: tuple  # (nx, ny)
-    cell_mass: np.ndarray  # shape (nx, ny), indexed [ix, iy]
     epsilon: float
-    total_mass: float
-    negative_cells_flagged: int
     kernel: str
     rho: float
+    _T: dataclasses.InitVar[np.ndarray]  # the validated operator whose phi the grid reads
+
+    def __post_init__(self, _T):
+        object.__setattr__(self, "_T", _T)
 
     @property
     def x_centers(self) -> np.ndarray:
-        xmin, xmax, _, _ = self.bounds
-        nx = self.resolution[0]
-        h = (xmax - xmin) / nx
-        return xmin + (np.arange(nx) + 0.5) * h
+        return _centers(*self.bounds[:2], self.resolution[0])
 
     @property
     def y_centers(self) -> np.ndarray:
-        _, _, ymin, ymax = self.bounds
-        ny = self.resolution[1]
-        h = (ymax - ymin) / ny
-        return ymin + (np.arange(ny) + 0.5) * h
+        return _centers(*self.bounds[2:], self.resolution[1])
+
+    def _steps(self) -> tuple:
+        xmin, xmax, ymin, ymax = self.bounds
+        nx, ny = self.resolution
+        return (xmax - xmin) / nx, (ymax - ymin) / ny
+
+    def _phi(self, flat=None) -> np.ndarray:
+        """phi at the cells of C-order flat indices ``flat`` (every cell when None)."""
+        points = _GridPoints(self.x_centers, self.y_centers, flat)
+        return _finite_log_phi(self._T, points, self.epsilon, rho=self.rho)[0]
+
+    @functools.cached_property
+    def cell_mass(self) -> np.ndarray:
+        """Cell masses, shape (nx, ny) indexed [ix, iy]."""
+        nx, ny = self.resolution
+        hx, hy = self._steps()
+        phi = self._phi().reshape(nx, ny)
+        # The stencil ((a - 2c) + b)/hx^2 + ((d - 2c) + e)/hy^2 in that order (a - 2c
+        # is -2c + a exactly), built in the inner cells with one inner-sized temporary.
+        mass = np.zeros_like(phi)
+        lap, y = mass[1:-1, 1:-1], -2.0 * phi[1:-1, 1:-1]
+        for part, a, b, h in ((lap, phi[2:, 1:-1], phi[:-2, 1:-1], hx),
+                              (y, phi[1:-1, 2:], phi[1:-1, :-2], hy)):
+            np.add(y, a, out=part)
+            part += b
+            part /= h**2
+        lap += y
+        mass *= hx * hy
+        mass /= 2.0 * math.pi
+        return mass
+
+    @property
+    def negative_cells_flagged(self) -> int:
+        return int(np.count_nonzero(self.cell_mass < -1e-6))
+
+    @functools.cached_property
+    def total_mass(self) -> float:
+        inside = np.zeros(self.resolution, dtype=bool)
+        inside[1:-1, 1:-1] = True
+        return self._flux_mass(inside)
 
     def mass_within(self, center: complex, radius: float) -> float:
+        """Mass of the inner cells whose centers lie in the closed disk."""
+        Ball(center, radius)  # a NaN would make every comparison below false
+        center = complex(center)
         dx2 = (self.x_centers[:, None] - center.real) ** 2
-        mask = dx2 + (self.y_centers[None, :] - center.imag) ** 2 <= radius**2
-        return float(np.sum(self.cell_mass[mask]))
+        inside = dx2 + (self.y_centers[None, :] - center.imag) ** 2 <= radius**2
+        inside[[0, -1], :] = inside[:, [0, -1]] = False
+        return self._flux_mass(inside)
+
+    def _flux_mass(self, inside: np.ndarray) -> float:
+        """Stencil mass of the inner cells ``inside`` (an (nx, ny) mask) as the flux of phi."""
+        nx, ny = self.resolution
+        hx, hy = self._steps()
+        flat = np.arange(nx * ny).reshape(nx, ny)
+        # Each edge as (flat index of its lower cell, of its upper cell, step h).
+        edges = [(low[cross], low[cross] + step, h) for cross, low, step, h in (
+            (inside[:-1] != inside[1:], flat[:-1], ny, hx),
+            (inside[:, :-1] != inside[:, 1:], flat[:, :-1], 1, hy))]
+        cells = np.unique(np.concatenate([k for a, b, _ in edges for k in (a, b)]))
+        phi = self._phi(cells)
+        inside = inside.ravel()
+        flux = 0.0
+        for a, b, h in edges:
+            out_minus_in = phi[np.searchsorted(cells, b)] - phi[np.searchsorted(cells, a)]
+            np.negative(out_minus_in, out=out_minus_in, where=inside[b])
+            flux += np.sum(out_minus_in) / h**2
+        return float(flux * (hx * hy) / (2.0 * math.pi))
+
+
+def _centers(lo: float, hi: float, n: int) -> np.ndarray:
+    """Centers of n equal cells covering [lo, hi]."""
+    return lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
+
+
+class _GridPoints:
+    """Cell centers xs[i] + 1j ys[j] at C-order flat indices (every cell when
+    ``flat`` is None), built one slice at a time, so that the kernel's chunks
+    see the points of the whole-grid array without that array being made."""
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, flat=None):
+        self.xs, self.ys, self.flat = xs, ys, flat
+
+    def __len__(self) -> int:
+        return len(self.xs) * len(self.ys) if self.flat is None else len(self.flat)
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        k = np.arange(*part.indices(len(self))) if self.flat is None else self.flat[part]
+        i, j = np.divmod(k, len(self.ys))
+        return self.xs[i] + 1j * self.ys[j]
 
 
 # The Gram kernel runs when rho = n u (|T|_2 + max|lam|)^2 / eps is at most
@@ -178,7 +274,8 @@ def _map_chunks(fn, count: int, step: int) -> None:
         future.result()
 
 
-def _batched_log_phi(T: np.ndarray, lams: np.ndarray, eps: float, norm: float) -> tuple:
+def _batched_log_phi(T: np.ndarray, lams, eps: float, norm: float = None,
+                     rho: float = None) -> tuple:
     """phi(lam) = (1/2) tau log(|T - lam|^2 + eps) at every lam; (phi, kernel, rho).
 
     The Gram kernel uses the identity
@@ -193,10 +290,16 @@ def _batched_log_phi(T: np.ndarray, lams: np.ndarray, eps: float, norm: float) -
     rho > GRAM_RHO_MAX the kernel takes the singular values of T - lam
     instead, which does not square the condition number. Either kernel runs
     in chunks of CHUNK_ENTRIES matrix entries spread over every usable core
-    (``_map_chunks``); each point's phi depends on its own lam alone.
+    (``_map_chunks``); each point's phi depends on its own lam alone, though
+    not always to the last bit on which points share its chunk.
+
+    ``lams`` is an array, or any sequence whose slices are arrays (a
+    ``_GridPoints``). A given ``rho`` fixes the kernel in place of the one
+    computed from ``norm`` and ``lams``.
     """
     n = T.shape[0]
-    rho = float(n * np.finfo(float).eps * np.square(norm + np.max(np.abs(lams))) / eps)
+    if rho is None:
+        rho = float(n * np.finfo(float).eps * np.square(norm + np.max(np.abs(lams))) / eps)
     out = np.empty(len(lams))
     step = max(1, CHUNK_ENTRIES // (n * n))
     if rho <= GRAM_RHO_MAX:
@@ -229,20 +332,39 @@ def _batched_log_phi(T: np.ndarray, lams: np.ndarray, eps: float, norm: float) -
     return out, kernel, rho
 
 
+def _finite_log_phi(T: np.ndarray, lams, eps: float, norm: float = None,
+                    rho: float = None) -> tuple:
+    """``_batched_log_phi``'s phi; OverflowError when it is not finite
+    (|T - lam| too large for its squares to be represented)."""
+    with np.errstate(over="ignore"):  # reported below
+        phi, kernel, rho = _batched_log_phi(T, lams, eps, norm, rho)
+    if not np.all(np.isfinite(phi)):
+        raise OverflowError(
+            f"log potential is not finite ({kernel} kernel): |T - lam| too large to square"
+        )
+    return phi, kernel, rho
+
+
 def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> DensityGrid:
     """Brown density via the 5-point discrete Laplacian of the log potential.
 
-    Computes phi(lam) = (1/2) tau log(|T - lam|^2 + eps) on the centers of a
-    resolution x resolution grid of cells (an integer >= 32, not a bool),
-    applies the Laplacian stencil, scales by cell area / (2 pi), and clamps
-    tiny negative cells (counting those below -1e-6 as diagnostics).
+    The grid covers ``bounds`` with resolution x resolution cells (an integer
+    >= 32, not a bool); a cell's mass is the Laplacian stencil of phi(lam) =
+    (1/2) tau log(|T - lam|^2 + eps) at the cell centers, scaled by cell area
+    / (2 pi), unclamped. Only the four corner cells' phi is evaluated here:
+    masses come from the flux of phi through a region's boundary, and the
+    cells on their first read (see ``DensityGrid``).
 
     phi comes from one Cholesky factor of the shifted Gram matrix
     G(lam) = (T*T + eps) - Re lam (T + T*) - Im lam i(T* - T) + |lam|^2 per
     cell when rho = n u (|T|_2 + max|lam|)^2 / eps <= GRAM_RHO_MAX (u is the
     machine epsilon; rho bounds the phi error of that path to first order),
-    and from the singular values of T - lam otherwise. Raises OverflowError
-    when phi is not finite (|T| too large for its squares to be represented).
+    and from the singular values of T - lam otherwise. |lam| is largest at a
+    corner cell, so the corners fix rho and the kernel for the whole grid.
+    Raises OverflowError when phi at a corner is not finite (|T| too large for
+    its squares to be represented): the largest singular value of T - lam is
+    convex in lam, so the corners attain the grid's largest, and the Cholesky
+    kernel runs only where nothing can overflow.
     """
     T = as_operator(T)
     if not 0 < eps < math.inf:
@@ -256,9 +378,10 @@ def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> Den
     nx = ny = operator.index(resolution)
     if nx < 32:
         raise ValueError("resolution must be at least 32")
-    xmin, xmax, ymin, ymax = bounds
     if not all(map(math.isfinite, bounds)):
         raise ValueError(f"bounds {bounds} must be finite")
+    bounds = tuple(float(b) for b in bounds)
+    xmin, xmax, ymin, ymax = bounds
 
     def covers(rad):
         return xmin <= -rad and xmax >= rad and ymin <= -rad and ymax >= rad
@@ -270,45 +393,14 @@ def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> Den
             raise ValueError(
                 f"bounds {bounds} do not cover the spectral disk of radius {rad:.4g}"
             )
-    hx = (xmax - xmin) / nx
-    hy = (ymax - ymin) / ny
-    xs = xmin + (np.arange(nx) + 0.5) * hx
-    ys = ymin + (np.arange(ny) + 0.5) * hy
-    lams = (xs[:, None] + 1j * ys[None, :]).ravel()
-    with np.errstate(over="ignore"):  # reported by the check below
-        phi, kernel, rho = _batched_log_phi(T, lams, eps, norm)
-    del lams
-    if not np.all(np.isfinite(phi)):
-        raise OverflowError(
-            f"log potential is not finite ({kernel} kernel, |T| = {norm:.3g})"
-        )
-    phi = phi.reshape(nx, ny)
-
-    # The stencil ((a - 2c) + b)/hx^2 + ((d - 2c) + e)/hy^2 in that order (a - 2c
-    # is -2c + a exactly), built in the inner cells with one inner-sized temporary.
-    mass = np.zeros_like(phi)
-    lap, y = mass[1:-1, 1:-1], -2.0 * phi[1:-1, 1:-1]
-    for part, a, b, h in ((lap, phi[2:, 1:-1], phi[:-2, 1:-1], hx),
-                          (y, phi[1:-1, 2:], phi[1:-1, :-2], hy)):
-        np.add(y, a, out=part)
-        part += b
-        part /= h**2
-    lap += y
-    mass *= hx * hy
-    mass /= 2.0 * math.pi
-    # Clamp only rounding-level negatives; sizable negative lobes (stencil
-    # ringing next to a near-atomic spike) are kept, so that disk and total
-    # masses telescope correctly, and their count is surfaced as a diagnostic.
-    flagged = int(np.count_nonzero(mass < -1e-6))
-    mass[(mass < 0.0) & (mass >= -1e-6)] = 0.0
+    corners = _GridPoints(_centers(xmin, xmax, nx), _centers(ymin, ymax, ny),
+                          np.array([0, ny - 1, (nx - 1) * ny, nx * ny - 1]))[:]
+    _, kernel, rho = _finite_log_phi(T, corners, eps, norm)
     return DensityGrid(
-        bounds=tuple(float(b) for b in bounds),
+        bounds=bounds,
         resolution=(nx, ny),
-        cell_mass=mass,
         epsilon=float(eps),
-        total_mass=float(np.sum(mass)),
-        negative_cells_flagged=flagged,
         kernel=kernel,
         rho=rho,
+        _T=T,
     )
-

@@ -146,11 +146,13 @@ class TestDensityGrid:
         assert grid.total_mass == pytest.approx(1.0, abs=0.05)
 
     def test_mass_within_matches_meshgrid_mask(self):
-        grid = brown_density_grid(random_matrix(3, 6), resolution=48, eps=1e-6)
-        X, Y = np.meshgrid(grid.x_centers, grid.y_centers, indexing="ij")
+        T = random_matrix(3, 6)
+        grid = brown_density_grid(T, resolution=48, eps=1e-6)
+        A = absolute_stencil(T, grid)
         for center, radius in [(0.1 - 0.2j, 0.5), (0j, 1.0), (-0.3 + 0.4j, 0.05)]:
-            mask = (X - center.real) ** 2 + (Y - center.imag) ** 2 <= radius**2
-            assert grid.mass_within(center, radius) == float(np.sum(grid.cell_mass[mask]))
+            mask = disk_mask(grid, center, radius)
+            assert abs(grid.mass_within(center, radius) - float(np.sum(grid.cell_mass[mask]))) \
+                <= stencil_sum_bound(A, mask)
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
@@ -175,12 +177,161 @@ class TestDensityGrid:
         assert xmax == pytest.approx(5.0)
         assert (xmin, ymin, ymax) == (-xmax, -xmax, xmax)
 
-    def test_mass_nonnegative_after_clamp(self):
+    def test_negative_cells_flagged_counts_cells_below_threshold(self):
         T = random_matrix(3, 4)
         grid = brown_density_grid(T, resolution=64, eps=1e-6)
-        small_neg = grid.cell_mass[grid.cell_mass < 0]
-        assert np.all(small_neg < -1e-6) or small_neg.size == 0
-        assert grid.negative_cells_flagged == small_neg.size
+        flagged = np.count_nonzero(grid.cell_mass < -1e-6)
+        assert flagged > 0
+        assert grid.negative_cells_flagged == flagged
+
+    @pytest.mark.parametrize("center, radius, name", [
+        (math.nan, 0.5, "center"), (complex(0, math.inf), 0.5, "center"),
+        (0j, math.nan, "radius"), (0j, -0.5, "radius"), (0j, math.inf, "radius"),
+    ], ids=["center-nan", "center-inf", "radius-nan", "radius-negative", "radius-inf"])
+    @pytest.mark.parametrize("build", [
+        lambda: brown_density_grid(np.diag([0.5, -0.5]), resolution=32),
+        lambda: SpectralMeasure(((0.5, 0.5), (-0.5, 0.5))),
+    ], ids=["grid", "measure"])
+    def test_mass_within_rejects_a_bad_disk(self, build, center, radius, name):
+        with pytest.raises(ValueError, match=name):
+            build().mass_within(center, radius)
+
+
+def disk_mask(grid, center, radius) -> np.ndarray:
+    """The cells whose centers lie in the closed disk, as ``mass_within`` selects them."""
+    X, Y = np.meshgrid(grid.x_centers, grid.y_centers, indexing="ij")
+    return (X - center.real) ** 2 + (Y - center.imag) ** 2 <= radius**2
+
+
+def grid_phi(T, grid) -> np.ndarray:
+    """phi on every cell center of ``grid``, from the whole-grid point array."""
+    lams = (grid.x_centers[:, None] + 1j * grid.y_centers[None, :]).ravel()
+    phi = _batched_log_phi(T, lams, grid.epsilon, operator_norm(T))[0]
+    return phi.reshape(grid.resolution)
+
+
+def absolute_stencil(T, grid) -> np.ndarray:
+    """Each cell's stencil on |phi|, A = ((|a| + 2|c| + |b|)/hx^2 + (|d| + 2|c| + |e|)/hy^2)
+    hx hy / (2 pi); 0 on the border cells, which carry no mass."""
+    phi = np.abs(grid_phi(T, grid))
+    xmin, xmax, ymin, ymax = grid.bounds
+    nx, ny = grid.resolution
+    hx, hy = (xmax - xmin) / nx, (ymax - ymin) / ny
+    c = 2 * phi[1:-1, 1:-1]
+    A = np.zeros_like(phi)
+    A[1:-1, 1:-1] = ((phi[2:, 1:-1] + c + phi[:-2, 1:-1]) / hx**2
+                     + (phi[1:-1, 2:] + c + phi[1:-1, :-2]) / hy**2) * (hx * hy) / (2 * math.pi)
+    return A
+
+
+def stencil_sum_bound(A, mask) -> float:
+    """Rounding bound on the gap between a flux mass and the sum of its cells.
+
+    Both sides sum the same stencil of phi over the inner cells of ``mask``;
+    each cell's mass takes about 8 roundings, each within u times the cell's
+    absolute stencil A (``absolute_stencil``). Pairwise summation of N terms
+    adds at most log2(N) u times their absolute sum, on each side, and an
+    edge term of the flux,
+    (phi(out) - phi(in))/h^2, is within one cell's A. A phi that differs by
+    a few ulps between the whole-grid pass and a mass query's (its chunk
+    holds other points) moves the flux by less than the 8 u A of a cell that
+    uses it. So the gap is at most (2 log2(nx ny) + 16) u times the sum of A
+    over the region.
+    """
+    return (2 * math.log2(A.size) + 16) * np.finfo(float).eps * float(np.sum(A[mask]))
+
+
+@pytest.fixture
+def phi_points(monkeypatch):
+    """The points of every ``_batched_log_phi`` call, one complex array per call."""
+    calls = []
+    original = detbrown._batched_log_phi
+
+    def counting(T, lams, *args, **kwargs):
+        calls.append(np.asarray(lams[0:len(lams)]))
+        return original(T, lams, *args, **kwargs)
+
+    monkeypatch.setattr(detbrown, "_batched_log_phi", counting)
+    return calls
+
+
+def boundary_points(grid, inside) -> np.ndarray:
+    """Centers of the cells on both sides of each edge leaving ``inside``, sorted."""
+    keep = np.zeros_like(inside)
+    for axis in (0, 1):
+        lo = [slice(None), slice(None)]
+        hi = [slice(None), slice(None)]
+        lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+        cross = inside[tuple(lo)] != inside[tuple(hi)]
+        keep[tuple(lo)] |= cross
+        keep[tuple(hi)] |= cross
+    ix, iy = np.nonzero(keep)
+    return np.sort(grid.x_centers[ix] + 1j * grid.y_centers[iy])
+
+
+def inner_cells(grid) -> np.ndarray:
+    inside = np.zeros(grid.resolution, dtype=bool)
+    inside[1:-1, 1:-1] = True
+    return inside
+
+
+class TestFluxMasses:
+    """Masses from the boundary flux of phi: where phi runs, and what it sums to."""
+
+    def test_construction_evaluates_the_four_corners(self, phi_points):
+        grid = brown_density_grid(random_matrix(5, 8))
+        [corners] = phi_points
+        xs, ys = grid.x_centers, grid.y_centers
+        assert np.array_equal(np.sort(corners), np.sort(
+            [xs[0] + 1j * ys[0], xs[0] + 1j * ys[-1], xs[-1] + 1j * ys[0], xs[-1] + 1j * ys[-1]]))
+
+    def test_total_mass_evaluates_two_rings(self, phi_points):
+        grid = brown_density_grid(random_matrix(5, 8), resolution=201)
+        grid.total_mass
+        [_, points] = phi_points
+        assert len(points) <= 4 * 2 * 201
+        assert np.array_equal(np.sort(points), boundary_points(grid, inner_cells(grid)))
+
+    @pytest.mark.parametrize("center, radius", [(0.3 - 0.1j, 0.7), (-1.9 + 0.2j, 0.9)],
+                             ids=["inside", "across-the-border"])
+    def test_disk_query_evaluates_its_boundary_pairs(self, phi_points, center, radius):
+        grid = brown_density_grid(random_matrix(5, 8), resolution=201)
+        grid.mass_within(center, radius)
+        [_, points] = phi_points
+        inside = disk_mask(grid, center, radius) & inner_cells(grid)
+        assert np.array_equal(np.sort(points), boundary_points(grid, inside))
+
+    def test_cell_reads_and_mass_reads_are_independent(self):
+        T = random_matrix(5, 8)
+        disks = [(0.3 - 0.1j, 0.7), (0j, 0.05), (-1.9 + 0.2j, 0.9)]
+        masses_first = brown_density_grid(T, resolution=64)
+        masses = [masses_first.total_mass] + [masses_first.mass_within(*d) for d in disks]
+        cells_first = brown_density_grid(T, resolution=64)
+        cells = cells_first.cell_mass.copy()
+        assert np.array([cells_first.total_mass] + [cells_first.mass_within(*d) for d in disks]
+                        ).tobytes() == np.array(masses).tobytes()
+        assert masses_first.cell_mass.tobytes() == cells.tobytes()
+
+    @pytest.mark.parametrize("T, kwargs", [
+        (generate(EnsembleSpec(Ginibre(8), seed=3))[0], {}),
+        (generate(EnsembleSpec(Ginibre(32), seed=1))[0], {}),
+        (np.diag([1.0, -1.0, 1.0j, -1.0j]).astype(complex),
+         dict(bounds=(-2, 2, -2, 2), resolution=301, eps=1e-8)),
+        (np.diag(np.ones(3), 1).astype(complex),
+         dict(bounds=(-1.5, 1.5, -1.5, 1.5), resolution=301, eps=1e-8)),
+        (generate(EnsembleSpec(Ginibre(8), seed=3))[0],
+         dict(bounds=(-2.5, 2.5, -1.5, 1.5), resolution=96)),
+    ], ids=["ginibre8", "ginibre32", "four-atoms-301", "nilpotent-301", "unequal-steps"])
+    def test_masses_equal_their_cell_sums(self, T, kwargs):
+        grid = brown_density_grid(T, **kwargs)
+        A = absolute_stencil(T, grid)
+        assert abs(grid.total_mass - float(np.sum(grid.cell_mass))) \
+            <= stencil_sum_bound(A, inner_cells(grid))
+        for center, radius in [(0j, 0.3), (1.0 + 0j, 0.3), (0.4 - 0.9j, 1.1), (-0.2j, 0.0),
+                               (-2.2 + 0.5j, 1.0), (0j, 10.0)]:
+            mask = disk_mask(grid, center, radius)
+            assert abs(grid.mass_within(center, radius) - float(np.sum(grid.cell_mass[mask]))) \
+                <= stencil_sum_bound(A, mask)
 
 
 
@@ -234,7 +385,7 @@ class TestLogPhiKernel:
 
 def one_expression_cell_mass(T, grid):
     """The grid's cell masses from its phi by the 5-point stencil written as
-    one expression, then scaled and clamped as ``brown_density_grid`` does."""
+    one expression, then scaled as ``DensityGrid.cell_mass`` does."""
     xmin, xmax, ymin, ymax = grid.bounds
     nx, ny = grid.resolution
     hx, hy = (xmax - xmin) / nx, (ymax - ymin) / ny
@@ -247,9 +398,7 @@ def one_expression_cell_mass(T, grid):
         (phi[2:, 1:-1] - 2 * phi[1:-1, 1:-1] + phi[:-2, 1:-1]) / hx**2
         + (phi[1:-1, 2:] - 2 * phi[1:-1, 1:-1] + phi[1:-1, :-2]) / hy**2
     )
-    mass = lap * (hx * hy) / (2.0 * math.pi)
-    mass[(mass < 0.0) & (mass >= -1e-6)] = 0.0
-    return mass
+    return lap * (hx * hy) / (2.0 * math.pi)
 
 
 @pytest.mark.parametrize("T, kwargs", [
@@ -326,6 +475,17 @@ class TestChunkMap:
             with pytest.raises(OverflowError):
                 brown_density_grid(T, bounds=(-1e155, 1e155, -1e155, 1e155),
                                    resolution=32, eps=1e-8)
+
+    def test_worker_keeps_the_callers_errstate_over_many_chunks(self, two_cores):
+        # A grid raises at its corners, before any pass of several chunks; the
+        # errstate that the passes run under must reach the worker thread too.
+        T = 1e154 * generate(EnsembleSpec(Ginibre(8), seed=3))[0]
+        lams = grid_points(T, 32)
+        assert len(lams) > 2 * max(1, CHUNK_ENTRIES // 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                detbrown._finite_log_phi(T, lams, 1e-8, operator_norm(T))
 
     def test_forked_child_runs_a_grid_after_a_threaded_one(self, two_cores):
         brown_density_grid(random_matrix(1, 32), resolution=32)

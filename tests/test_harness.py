@@ -43,8 +43,7 @@ PUBLIC_PARAMETERS = {
     "CurveSegment": ("t", "curve"),
     "DecompositionResult": ("N", "Q", "nest", "ordering", "diagnostics", "flag_form",
                             "curve"),
-    "DensityGrid": ("bounds", "resolution", "cell_mass", "epsilon", "total_mass",
-                    "negative_cells_flagged", "kernel", "rho"),
+    "DensityGrid": ("bounds", "resolution", "epsilon", "kernel", "rho"),
     "EnsembleSpec": ("kind", "seed", "count"),
     "Ginibre": ("n",),
     "HilbertCurveMap": ("half_side", "anchor"),
