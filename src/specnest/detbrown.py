@@ -154,7 +154,7 @@ class DensityGrid:
     def _phi(self, flat=None) -> np.ndarray:
         """phi at the cells of C-order flat indices ``flat`` (every cell when None)."""
         points = _GridPoints(self.x_centers, self.y_centers, flat)
-        return _finite_log_phi(self._T, points, self.epsilon, rho=self.rho)[0]
+        return _finite_log_phi(self._T, points, self.epsilon, self.rho)[0]
 
     @functools.cached_property
     def cell_mass(self) -> np.ndarray:
@@ -274,9 +274,8 @@ def _map_chunks(fn, count: int, step: int) -> None:
         future.result()
 
 
-def _batched_log_phi(T: np.ndarray, lams, eps: float, norm: float = None,
-                     rho: float = None) -> tuple:
-    """phi(lam) = (1/2) tau log(|T - lam|^2 + eps) at every lam; (phi, kernel, rho).
+def _batched_log_phi(T: np.ndarray, lams, eps: float, rho: float) -> tuple:
+    """phi(lam) = (1/2) tau log(|T - lam|^2 + eps) at every lam; (phi, kernel).
 
     The Gram kernel uses the identity
         G(lam) = (T - lam)*(T - lam) + eps
@@ -285,21 +284,21 @@ def _batched_log_phi(T: np.ndarray, lams, eps: float, norm: float = None,
     phi = mean(log diag L) for the Cholesky factor G = LL*. Forming and
     factoring G perturbs it by about n u (|T|_2 + |lam|)^2 in norm (u is the
     machine epsilon) while G >= eps, so to first order phi moves by at most
-    about rho / 2, with rho = n u (|T|_2 + max|lam|)^2 / eps; rho is
-    invariant under (T, lam, eps) -> (cT, c lam, c^2 eps). When
+    about rho / 2, with rho = n u (|T|_2 + max|lam|)^2 / eps (``_gram_rho``);
+    rho is invariant under (T, lam, eps) -> (cT, c lam, c^2 eps). When
     rho > GRAM_RHO_MAX the kernel takes the singular values of T - lam
-    instead, which does not square the condition number. Either kernel runs
-    in chunks of CHUNK_ENTRIES matrix entries spread over every usable core
-    (``_map_chunks``); each point's phi depends on its own lam alone, though
-    not always to the last bit on which points share its chunk.
+    instead, which does not square the condition number. The caller gives
+    rho, its max|lam| taken over every point it will evaluate (a grid's
+    corners), so that every evaluation on one grid takes the same kernel.
+    Either kernel runs in chunks of CHUNK_ENTRIES matrix entries spread over
+    every usable core (``_map_chunks``); each point's phi depends on its own
+    lam alone, though not always to the last bit on which points share its
+    chunk.
 
     ``lams`` is an array, or any sequence whose slices are arrays (a
-    ``_GridPoints``). A given ``rho`` fixes the kernel in place of the one
-    computed from ``norm`` and ``lams``.
+    ``_GridPoints``).
     """
     n = T.shape[0]
-    if rho is None:
-        rho = float(n * np.finfo(float).eps * np.square(norm + np.max(np.abs(lams))) / eps)
     out = np.empty(len(lams))
     step = max(1, CHUNK_ENTRIES // (n * n))
     if rho <= GRAM_RHO_MAX:
@@ -329,20 +328,26 @@ def _batched_log_phi(T: np.ndarray, lams, eps: float, norm: float = None,
 
         kernel = "svd"
     _map_chunks(chunk, len(lams), step)
-    return out, kernel, rho
+    return out, kernel
 
 
-def _finite_log_phi(T: np.ndarray, lams, eps: float, norm: float = None,
-                    rho: float = None) -> tuple:
-    """``_batched_log_phi``'s phi; OverflowError when it is not finite
-    (|T - lam| too large for its squares to be represented)."""
+def _gram_rho(n: int, norm: float, lams: np.ndarray, eps: float) -> float:
+    """rho = n u (|T|_2 + max|lam|)^2 / eps, the Gram kernel's first-order phi error
+    bound; inf when the square overflows, which takes the SVD kernel."""
+    with np.errstate(over="ignore"):
+        return float(n * np.finfo(float).eps * np.square(norm + np.max(np.abs(lams))) / eps)
+
+
+def _finite_log_phi(T: np.ndarray, lams, eps: float, rho: float) -> tuple:
+    """``_batched_log_phi``'s (phi, kernel); OverflowError when phi is not
+    finite (|T - lam| too large for its squares to be represented)."""
     with np.errstate(over="ignore"):  # reported below
-        phi, kernel, rho = _batched_log_phi(T, lams, eps, norm, rho)
+        phi, kernel = _batched_log_phi(T, lams, eps, rho)
     if not np.all(np.isfinite(phi)):
         raise OverflowError(
             f"log potential is not finite ({kernel} kernel): |T - lam| too large to square"
         )
-    return phi, kernel, rho
+    return phi, kernel
 
 
 def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> DensityGrid:
@@ -395,7 +400,8 @@ def brown_density_grid(T, bounds=None, resolution=201, eps: float = 1e-8) -> Den
             )
     corners = _GridPoints(_centers(xmin, xmax, nx), _centers(ymin, ymax, ny),
                           np.array([0, ny - 1, (nx - 1) * ny, nx * ny - 1]))[:]
-    _, kernel, rho = _finite_log_phi(T, corners, eps, norm)
+    rho = _gram_rho(T.shape[0], norm, corners, eps)
+    _, kernel = _finite_log_phi(T, corners, eps, rho)
     return DensityGrid(
         bounds=bounds,
         resolution=(nx, ny),

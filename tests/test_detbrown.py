@@ -16,6 +16,7 @@ from specnest.detbrown import (
     CHUNK_ENTRIES,
     SpectralMeasure,
     _batched_log_phi,
+    _gram_rho,
     brown_density_grid,
     brown_measure_exact,
     fk_determinant,
@@ -203,10 +204,17 @@ def disk_mask(grid, center, radius) -> np.ndarray:
     return (X - center.real) ** 2 + (Y - center.imag) ** 2 <= radius**2
 
 
+def log_phi(T, lams, eps) -> tuple:
+    """``_batched_log_phi``'s (phi, kernel) at ``lams`` and the rho that chose the
+    kernel, from T's norm and every point of ``lams``."""
+    rho = _gram_rho(T.shape[0], operator_norm(T), lams, eps)
+    return (*_batched_log_phi(T, lams, eps, rho), rho)
+
+
 def grid_phi(T, grid) -> np.ndarray:
     """phi on every cell center of ``grid``, from the whole-grid point array."""
     lams = (grid.x_centers[:, None] + 1j * grid.y_centers[None, :]).ravel()
-    phi = _batched_log_phi(T, lams, grid.epsilon, operator_norm(T))[0]
+    phi = log_phi(T, lams, grid.epsilon)[0]
     return phi.reshape(grid.resolution)
 
 
@@ -347,7 +355,7 @@ class TestLogPhiKernel:
 
     def check_against_reference(self, T, eps, kernel):
         lams = grid_points(T, 41)
-        phi, ran, rho = _batched_log_phi(T, lams, eps, operator_norm(T))
+        phi, ran, rho = log_phi(T, lams, eps)
         ref = np.array([0.5 * regularized_log_det(T, lam, eps) for lam in lams])
         assert np.max(np.abs(phi - ref)) <= 1e-10
         assert ran == kernel, rho
@@ -392,7 +400,7 @@ def one_expression_cell_mass(T, grid):
     xs = xmin + (np.arange(nx) + 0.5) * hx
     ys = ymin + (np.arange(ny) + 0.5) * hy
     lams = (xs[:, None] + 1j * ys[None, :]).ravel()
-    phi = _batched_log_phi(T, lams, grid.epsilon, operator_norm(T))[0].reshape(nx, ny)
+    phi = log_phi(T, lams, grid.epsilon)[0].reshape(nx, ny)
     lap = np.zeros_like(phi)
     lap[1:-1, 1:-1] = (
         (phi[2:, 1:-1] - 2 * phi[1:-1, 1:-1] + phi[:-2, 1:-1]) / hx**2
@@ -422,9 +430,26 @@ def two_cores(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
+@pytest.fixture
+def chunk_threads(monkeypatch):
+    """The thread that ran each chunk of every ``_map_chunks`` call, one entry per chunk."""
+    threads = []
+    threaded_map = detbrown._map_chunks
+
+    def recording(fn, count, step):
+        def chunk(start):
+            threads.append(threading.get_ident())
+            fn(start)
+        threaded_map(chunk, count, step)
+
+    monkeypatch.setattr(detbrown, "_map_chunks", recording)
+    return threads
+
+
 def grid_in_child():
+    # cell_mass runs the full-grid pass: 64 chunks of 16 points at n = 32.
     grid = brown_density_grid(random_matrix(1, 32), resolution=32)
-    os._exit(0 if np.isfinite(grid.total_mass) else 1)
+    os._exit(0 if np.all(np.isfinite(grid.cell_mass)) else 1)
 
 
 class TestChunkMap:
@@ -432,43 +457,39 @@ class TestChunkMap:
 
     @pytest.mark.parametrize("n", [4, 8, 32])
     @pytest.mark.parametrize("eps, kernel", [(1e-8, "cholesky"), (1e-13, "svd")])
-    def test_threaded_phi_equals_serial_loop(self, n, eps, kernel, two_cores, monkeypatch):
+    def test_threaded_phi_equals_serial_loop(self, n, eps, kernel, two_cores, chunk_threads,
+                                             monkeypatch):
         T = random_matrix(n, n)
         step = max(1, CHUNK_ENTRIES // (n * n))
         # Seven chunks, the last one short: not a multiple of the two shares.
         lams = grid_points(T, 90)[: 7 * step - 3]
         assert len(lams) == 7 * step - 3
-        threads = set()
-        threaded_map = detbrown._map_chunks
-
-        def recording(fn, count, step):
-            def chunk(start):
-                threads.add(threading.get_ident())
-                fn(start)
-            threaded_map(chunk, count, step)
-
-        monkeypatch.setattr(detbrown, "_map_chunks", recording)
-        phi, ran, _ = _batched_log_phi(T, lams, eps, operator_norm(T))
+        phi, ran, _ = log_phi(T, lams, eps)
         monkeypatch.setattr(detbrown, "_map_chunks", serial_map_chunks)
-        serial, _, _ = _batched_log_phi(T, lams, eps, operator_norm(T))
+        serial, _, _ = log_phi(T, lams, eps)
         assert ran == kernel
-        assert len(threads) == 2
+        assert len(chunk_threads) == 7 and len(set(chunk_threads)) == 2
         assert phi.tobytes() == serial.tobytes()
 
-    def test_one_core_starts_no_thread(self, monkeypatch):
+    def test_one_core_starts_no_thread(self, monkeypatch, chunk_threads):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         before = threading.active_count()
-        brown_density_grid(random_matrix(2, 32), resolution=64)
+        brown_density_grid(random_matrix(2, 32), resolution=64).cell_mass
+        assert len(chunk_threads) > 1
+        assert set(chunk_threads) == {threading.get_ident()}
         assert threading.active_count() == before
 
-    def test_two_core_grid_joins_its_threads(self, two_cores):
+    def test_two_core_grid_joins_its_threads(self, two_cores, chunk_threads):
         before = threading.active_count()
-        brown_density_grid(random_matrix(2, 32), resolution=64)
+        brown_density_grid(random_matrix(2, 32), resolution=64).cell_mass
+        assert len(chunk_threads) > 1 and len(set(chunk_threads)) == 2
         assert threading.active_count() == before
 
     def test_worker_keeps_the_callers_errstate(self, two_cores):
-        # The SVD kernel squares ~1e155 singular values in both shares; the
-        # grid's errstate(over="ignore") must reach the worker thread too.
+        # The SVD kernel squares ~1e155 singular values at the grid's four
+        # corners, one chunk on the calling thread, under the grid's
+        # errstate(over="ignore"); the next test takes that errstate to the
+        # worker threads.
         T = generate(EnsembleSpec(Ginibre(8), seed=3))[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -476,19 +497,21 @@ class TestChunkMap:
                 brown_density_grid(T, bounds=(-1e155, 1e155, -1e155, 1e155),
                                    resolution=32, eps=1e-8)
 
-    def test_worker_keeps_the_callers_errstate_over_many_chunks(self, two_cores):
+    def test_worker_keeps_the_callers_errstate_over_many_chunks(self, two_cores, chunk_threads):
         # A grid raises at its corners, before any pass of several chunks; the
         # errstate that the passes run under must reach the worker thread too.
         T = 1e154 * generate(EnsembleSpec(Ginibre(8), seed=3))[0]
         lams = grid_points(T, 32)
-        assert len(lams) > 2 * max(1, CHUNK_ENTRIES // 64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError):
-                detbrown._finite_log_phi(T, lams, 1e-8, operator_norm(T))
+                detbrown._finite_log_phi(T, lams, 1e-8,
+                                         _gram_rho(len(T), operator_norm(T), lams, 1e-8))
+        assert len(chunk_threads) > 2 and len(set(chunk_threads)) == 2
 
-    def test_forked_child_runs_a_grid_after_a_threaded_one(self, two_cores):
-        brown_density_grid(random_matrix(1, 32), resolution=32)
+    def test_forked_child_runs_a_grid_after_a_threaded_one(self, two_cores, chunk_threads):
+        brown_density_grid(random_matrix(1, 32), resolution=32).cell_mass
+        assert len(chunk_threads) > 1 and len(set(chunk_threads)) == 2
         child = multiprocessing.get_context("fork").Process(target=grid_in_child)
         child.start()
         child.join(timeout=60)
