@@ -2,7 +2,13 @@
 
 Operator validation, norms and singular values, projection nests,
 eigenvalue clusters, and Schur factorizations with a caller-supplied
-ordering of the eigenvalues on the diagonal.
+ordering of the eigenvalues on the diagonal. ``reorder_schur`` moves the
+eigenvalues up in batches of REORDER_BATCH = 32 through windows of
+REORDER_WINDOW = 64 diagonal slots: LAPACK ``ztrexc`` works on a copy of each
+window's block of R and three ``gemm`` products apply the window's unitary
+to the rest of R and to U. At n <= 64 the one window is the whole matrix,
+and ``ztrexc`` moves one eigenvalue at a time on R and U themselves. Either
+way, Fortran-ordered complex128 factors are reordered in place.
 
 numpy and scipy each bundle their own OpenBLAS, each with its own thread
 pool, and two pools waking in turn compete for the cores. So the products
@@ -24,7 +30,6 @@ and n and kept in ``_LWORK``.
 """
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 
@@ -40,6 +45,13 @@ NEST_UNITARY_TOL = 1e-10
 
 # Half-side of the default squares (curve, Brown grid) relative to ||T||_2.
 HALF_SIDE_FACTOR = 1.25
+
+# reorder_schur moves its targets up in batches of REORDER_BATCH through
+# windows of REORDER_WINDOW diagonal slots. A 64-slot window keeps every
+# n <= 64 on the whole-matrix path; (64, 32) was the fastest such pair at
+# n = 256 in most runs of the sweep in scripts/reorder_timing.py.
+REORDER_WINDOW = 64
+REORDER_BATCH = 32
 
 
 def default_half_side(norm: float) -> float:
@@ -260,27 +272,64 @@ def reorder_schur(T: np.ndarray, R: np.ndarray, U: np.ndarray, keys, norm: float
     """Reorder a complex Schur form T = U R U* by ``keys[i]``, one key per slot i.
 
     Ties are broken by (Re, Im), then by slot, so the flag is deterministic.
-    LAPACK ``ztrexc`` moves one eigenvalue at a time by adjacent unitary
-    exchanges and copies the diagonal exactly. ``norm`` is ||T||_2, the scale
-    of the residual check. Returns (U, R, perm), U C-ordered: perm[k] is the
-    slot, in the given diagonal, of the eigenvalue now at slot k. Fortran-ordered
+    The targets move up in batches of REORDER_BATCH (Kressner, ACM TOMS 32,
+    2006). A window of REORDER_WINDOW diagonal slots starts at the batch member
+    lowest on the diagonal and slides up to the batch's final slots; in each window
+    LAPACK ``ztrexc`` moves the members it holds, in target order, to its top
+    by adjacent unitary exchanges on a copy of R's diagonal block, and three
+    ``gemm`` products apply the accumulated window unitary to R's rows right
+    of the window, R's columns above it and U's columns. ``ztrexc`` copies the
+    diagonal exactly and leaves the strict lower triangle zero. At n <= the
+    window size the window is the whole matrix, and ``ztrexc`` works on R and
+    U themselves, one eigenvalue at a time. ``norm`` is ||T||_2, the scale of
+    the residual check. Returns (U, R, perm), U C-ordered: perm[k] is the slot,
+    in the given diagonal, of the eigenvalue now at slot k. Fortran-ordered
     complex128 R and U (as ``_complex_schur`` returns them) are reordered in
     place: the returned R is the caller's R, and the caller's U holds the
     returned U; R and U in any other layout or type are copied first.
     """
-    R, U = np.asfortranarray(R), np.asfortranarray(U)
-    n = R.shape[0]
+    R = np.asarray(R, dtype=np.complex128, order="F")
+    U = np.asarray(U, dtype=np.complex128, order="F")
+    n, w = R.shape[0], REORDER_WINDOW
     diag = R.diagonal()
     target = np.lexsort((np.arange(n), diag.imag, diag.real, np.asarray(keys)))
-    unmoved = list(range(n))  # slots k, k + 1, ... hold these, in slot order
-    for k, slot in enumerate(target.tolist()):
-        i = bisect.bisect_left(unmoved, slot)  # the eigenvalue sits at k + i
-        del unmoved[i]
-        if i:
-            R, U, info = scipy.linalg.lapack.ztrexc(R, U, k + i + 1, k + 1,
-                                                    overwrite_a=1, overwrite_q=1)
-            if info != 0:
-                raise ArithmeticError(f"ztrexc failed (info {info})")
+    order = target.tolist()
+    slots = list(range(n))  # slots[p]: the given slot of the eigenvalue now at slot p
+    for k0 in range(0, n, REORDER_BATCH):
+        batch = order[k0:k0 + REORDER_BATCH]  # slots below k0 hold the earlier targets
+        bottom = max(slots.index(s, k0) for s in batch)
+        while True:
+            # w slots holding the batch's lowest member, none above k0 unless
+            # the window would pass the matrix's end.
+            lo = max(0, min(k0, n - w), bottom + 1 - w)
+            hi = min(n, lo + w)
+            whole = hi - lo == n
+            Rw = R if whole else np.asfortranarray(R[lo:hi, lo:hi])
+            Qw = U if whole else np.eye(hi - lo, dtype=np.complex128, order="F")
+            bottom, moved = max(lo, k0) - 1, False
+            for s in batch:
+                p = slots.index(s, k0)
+                if p < lo:  # a later window takes it
+                    continue
+                bottom += 1
+                if p != bottom:
+                    info = scipy.linalg.lapack.ztrexc(Rw, Qw, p - lo + 1, bottom - lo + 1,
+                                                      overwrite_a=1, overwrite_q=1)[2]
+                    if info != 0:
+                        raise ArithmeticError(f"ztrexc failed (info {info})")
+                    slots.insert(bottom, slots.pop(p))
+                    moved = True
+            if moved and not whole:
+                # R[lo:hi, hi:] <- Qw* R[lo:hi, hi:], R[:lo, lo:hi] <- R[:lo, lo:hi] Qw
+                # and U[:, lo:hi] <- U[:, lo:hi] Qw, on the transposes: R.T and U.T
+                # are C-ordered, the layout gemm takes without a transposing copy.
+                R[lo:hi, lo:hi] = Rw
+                Rt, Ut = R.T, U.T
+                Rt[hi:, lo:hi] = gemm(Rt[hi:, lo:hi], Qw.T, adj_b=True)
+                Rt[lo:hi, :lo] = gemm(Qw.T, Rt[lo:hi, :lo])
+                Ut[lo:hi] = gemm(Qw.T, Ut[lo:hi])
+            if lo <= k0:
+                break
     U = np.ascontiguousarray(U)
     resid = frobenius(T - gemm(gemm(U, R), U, adj_b=True))
     if resid > 1e-9 * norm:

@@ -4,7 +4,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +31,7 @@ from specnest.hsnest import (
 from specnest.matrices import (CLUSTER_TOL, ProjectionNest, _complex_schur, as_operator,
                                operator_norm)
 from test_curve import _xy2d_bits
-from test_matrices import reference_clusters
+from test_matrices import WINDOWED_CASES, reference_clusters, reference_reorder, windowed_inputs
 
 SHEAR = np.array([[1, 1], [0, 2]], dtype=complex)
 
@@ -64,8 +63,8 @@ def random_matrix(seed: int, n: int) -> np.ndarray:
 
 def reference_nest(T, curve) -> ProjectionNest:
     """The per-cluster nest build: clusters as index arrays, each cluster's key
-    set in a loop, the Schur form reordered slot by slot (``list.index`` finds
-    each eigenvalue) and the jumps appended one by one."""
+    set in a loop, the Schur form reordered slot by slot on the whole matrix
+    (``reference_reorder``) and the jumps appended one by one."""
     T = as_operator(T)
     norm = operator_norm(T)
     R, U = _complex_schur(T)
@@ -78,19 +77,12 @@ def reference_nest(T, curve) -> ProjectionNest:
     keys = np.empty(T.shape[0], dtype=int)
     for rank, c in enumerate(order):
         keys[clusters[c][1]] = rank
-    R, U = np.asfortranarray(R), np.asfortranarray(U)
-    target = np.lexsort((np.arange(len(T)), eigs.imag, eigs.real, keys)).tolist()
-    labels = list(range(len(T)))
-    for k in range(len(T)):
-        j = labels.index(target[k])
-        if j != k:
-            R, U, _ = scipy.linalg.lapack.ztrexc(R, U, j + 1, k + 1)
-            labels.insert(k, labels.pop(j))
+    U, _, _ = reference_reorder(R, U, keys)
     jumps = [(0.0, 0)]
     for c in order:
         t = max(hits[c] / 4.0**DEEP_LEVEL, math.nextafter(jumps[-1][0], 2.0))
         jumps.append((min(t, 1.0), jumps[-1][1] + len(clusters[c][1])))
-    return ProjectionNest(np.ascontiguousarray(U), tuple(jumps))
+    return ProjectionNest(U, tuple(jumps))
 
 
 class TestRegions:
@@ -142,6 +134,20 @@ class TestHsProjection:
         assert np.linalg.norm(p - p.conj().T, 2) < 1e-10
         assert round(np.trace(p).real) == np.count_nonzero(dist <= ball.radius)
         assert np.linalg.norm(T @ p - p @ T @ p, 2) <= 1e-9 * normT
+
+    def test_contract_through_reorder_windows(self):
+        # At n = 100 > REORDER_WINDOW the ball's eigenvalues move up in windows.
+        T = random_matrix(31, 100)
+        eigs = np.linalg.eigvals(T)
+        ball = Ball(0.2 - 0.1j, 0.6)
+        dist = np.abs(eigs - ball.center)
+        assert np.min(np.abs(dist - ball.radius)) > 1e-6
+        p = hs_projection(T, ball)
+        assert 0 < round(np.trace(p).real) == np.count_nonzero(dist <= ball.radius) < 100
+        assert abs(np.trace(p).real - round(np.trace(p).real)) < 1e-10
+        assert np.linalg.norm(p @ p - p, 2) < 1e-10
+        assert np.linalg.norm(p - p.conj().T, 2) < 1e-10
+        assert np.linalg.norm(T @ p - p @ T @ p, 2) <= 1e-9 * operator_norm(T)
 
     def test_complement_projection_ranks_add(self):
         T = random_matrix(12, 5)
@@ -391,6 +397,19 @@ class TestBuildNest:
             assert nest.jumps == ref.jumps
             assert nest.basis.tobytes() == ref.basis.tobytes()
         assert len(build_nest(jordans[0], default_curve(jordans[0])).jumps) == 2
+
+    @pytest.mark.parametrize("n, kind", WINDOWED_CASES)
+    def test_windowed_reorder_keeps_the_per_cluster_jumps(self, n, kind):
+        # The reorder moves eigenvalues through windows at these sizes; the
+        # reference reorders slot by slot on the whole matrix. Both copy the
+        # same diagonal into the same slots, so the jumps agree.
+        T = as_operator(windowed_inputs(n)[kind])
+        curve = default_curve(T)
+        nest = hsnest._build_nest(T, curve, operator_norm(T))
+        ref = reference_nest(T, curve)
+        assert nest.jumps == ref.jumps
+        flag = nest.basis.conj().T @ T @ nest.basis
+        assert np.linalg.norm(np.tril(flag, -1), 2) <= 1e-9 * operator_norm(T)
 
     def test_half_side_must_cover_norm(self):
         T = 3.0 * np.eye(2)

@@ -301,6 +301,46 @@ def ordered_schur(T, key):
     return reorder_schur(T, R, U, [key(complex(z)) for z in np.diag(R)], operator_norm(T))
 
 
+def reference_reorder(R, U, keys) -> tuple:
+    """The per-slot reorder: (U, R, perm) from one whole-matrix ``ztrexc`` call per
+    out-of-place target, in the order of ``reorder_schur``'s sort, on copies."""
+    R, U = np.array(R, order="F"), np.array(U, order="F")
+    diag = R.diagonal()
+    target = np.lexsort((np.arange(len(R)), diag.imag, diag.real, np.asarray(keys))).tolist()
+    labels = list(range(len(R)))
+    for k, slot in enumerate(target):
+        j = labels.index(slot)
+        if j != k:
+            R, U, info = scipy.linalg.lapack.ztrexc(R, U, j + 1, k + 1)
+            assert info == 0
+            labels.insert(k, labels.pop(j))
+    return np.ascontiguousarray(U), R, np.array(target)
+
+
+def windowed_inputs(n: int) -> dict:
+    """Inputs for the windowed reorder (n > REORDER_WINDOW): a Ginibre matrix, a
+    Jordan block with a 1e-12 corner and a diagonal with repeated values."""
+    return {"ginibre": random_matrix(n, n),
+            "jordan-corner": jordan_with_corner(n, 1e-12),
+            "repeated-diagonal": np.diag(np.resize([2.0, 1.0, 2.0, 0.0, 1.0], n)).astype(complex)}
+
+
+WINDOWED_CASES = [(n, kind) for n in (65, 128, 200) for kind in windowed_inputs(2)]
+
+
+@pytest.fixture
+def ztrexc_shapes(monkeypatch):
+    """The shape of the triangle each ``ztrexc`` call in ``reorder_schur`` reorders."""
+    shapes, ztrexc = [], scipy.linalg.lapack.ztrexc
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return ztrexc(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrexc", recording)
+    return shapes
+
+
 class TestOrderedSchur:
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10_000), st.integers(2, 8))
@@ -358,3 +398,66 @@ class TestOrderedSchur:
         U, R, _ = ordered_schur(T, key=lambda z: z.real)
         assert np.allclose(np.diag(R), [1.0, 1.0])
         assert np.linalg.norm(T - U @ R @ U.conj().T, 2) < 1e-12
+
+    @pytest.mark.parametrize("n, kind", WINDOWED_CASES)
+    def test_windowed_reorder_matches_the_per_slot_loop(self, n, kind, ztrexc_shapes):
+        # R's diagonal and perm bit for bit; U and R's upper part only to rounding.
+        T = windowed_inputs(n)[kind]
+        R, U = scipy.linalg.schur(T, output="complex")
+        keys = R.diagonal().real
+        _, R_ref, perm_ref = reference_reorder(R, U, keys)
+        ztrexc_shapes.clear()
+        norm = operator_norm(T)
+        U, R, perm = reorder_schur(T, R, U, keys, norm)
+        assert set(ztrexc_shapes) == {(64, 64)}  # every move ran inside a window
+        assert R.diagonal().tobytes() == R_ref.diagonal().tobytes()
+        assert np.array_equal(perm, perm_ref)
+        assert not np.tril(R, -1).any()
+        assert frobenius(T - U @ R @ U.conj().T) <= 1e-9 * norm
+        assert np.linalg.norm(U.conj().T @ U - np.eye(n), 2) < 1e-10
+
+    @pytest.mark.parametrize("kind", windowed_inputs(2))
+    def test_one_window_is_the_per_slot_loop_to_the_byte(self, kind):
+        # At n = REORDER_WINDOW the window is the whole matrix: ztrexc moves one
+        # eigenvalue at a time on R and U themselves, as the per-slot loop does.
+        assert matrices.REORDER_WINDOW == 64
+        T = windowed_inputs(64)[kind]
+        R, U = scipy.linalg.schur(T, output="complex")
+        keys = R.diagonal().real
+        U_ref, R_ref, perm_ref = reference_reorder(R, U, keys)
+        R, U = np.asfortranarray(R), np.asfortranarray(U)
+        U_new, R_new, perm = reorder_schur(T, R, U, keys, operator_norm(T))
+        assert perm.tolist() != list(range(64))
+        assert R_new is R
+        assert R_new.tobytes() == R_ref.tobytes() and U_new.tobytes() == U_ref.tobytes()
+        assert np.array_equal(perm, perm_ref)
+
+    def test_windowed_reorder_keeps_the_fortran_in_place_contract(self):
+        T = random_matrix(7, 100)
+        R, U = _complex_schur(as_operator(T))
+        keys = [-z.real for z in R.diagonal().tolist()]
+        R_c, U_c = np.ascontiguousarray(R), np.ascontiguousarray(U)
+        R_before = R.copy()
+        U_new, R_new, perm = reorder_schur(T, R, U, keys, operator_norm(T))
+        assert perm.tolist() != list(range(100))
+        assert R_new is R and not np.array_equal(R, R_before)
+        assert np.array_equal(U, U_new) and U_new.flags.c_contiguous
+        R_c_before, U_c_before = R_c.copy(), U_c.copy()
+        U_c_new, R_c_new, _ = reorder_schur(T, R_c, U_c, keys, operator_norm(T))
+        assert np.array_equal(R_c, R_c_before) and np.array_equal(U_c, U_c_before)
+        assert np.array_equal(R_c_new, R_new) and np.array_equal(U_c_new, U_new)
+
+    @pytest.mark.parametrize("scale, raises", [(2e-9, True), (5e-10, False)])
+    def test_residual_check_rejects_a_perturbed_schur_pair(self, scale, raises):
+        # Negative control: with R + scale ||T||_2 e_10 e_90^T, U R U* misses T by
+        # scale ||T||_2 in Frobenius norm, and the check's bound is 1e-9 ||T||_2.
+        T = as_operator(random_matrix(8, 100))
+        norm = operator_norm(T)
+        R, U = _complex_schur(T)
+        keys = R.diagonal().real.copy()
+        R[10, 90] += scale * norm
+        if raises:
+            with pytest.raises(ArithmeticError, match="lost accuracy"):
+                reorder_schur(T, R, U, keys, norm)
+        else:
+            reorder_schur(T, R, U, keys, norm)
