@@ -4,15 +4,15 @@ whole-matrix per-slot loop.
 
 Usage:
     python3 scripts/reorder_timing.py [--sizes 256 512 1024] [--repeats 3]
-        [--seed 0] [--count 1] [--baseline OTHER/src] [--out timing.json]
+        [--baseline OTHER/src] [--out timing.json]
 
-Inputs are ``generate(EnsembleSpec(Ginibre(n), seed, count))`` at each size;
+The input at each size is ``generate(EnsembleSpec(Ginibre(n), seed=0))``;
 one untimed ``decompose`` call per size goes first. Each ``decompose`` call
 is timed whole, and its ``reorder_schur`` call (keyed
 in curve order, as the nest builder keys it) on its own; the figures are
-medians over every input and repeat. The (REORDER_WINDOW, REORDER_BATCH)
+medians over the repeats. The (REORDER_WINDOW, REORDER_BATCH)
 sweep and the cut-over time ``reorder_schur`` alone (its residual check
-included) on the first input's Schur form, the settings taking turns in
+included) on the input's Schur form, the settings taking turns in
 each repeat; in the cut-over the per-slot loop is the same function with
 the window set to the whole matrix. With ``--baseline``, a second process imports
 specnest from that source directory and times the same inputs; the two trees'
@@ -38,18 +38,18 @@ SWEEP = ((32, 16), (48, 24), (64, 16), (64, 32), (64, 48), (96, 48), (128, 64))
 CUTOVER_SIZES = (80, 96, 112, 128, 160, 192)  # sizes above one window
 
 
-def _inputs(n: int, seed: int, count: int) -> list:
+def _input(n: int) -> np.ndarray:
     from specnest import EnsembleSpec, Ginibre, generate
-    return generate(EnsembleSpec(Ginibre(n), seed=seed, count=count))
+    return generate(EnsembleSpec(Ginibre(n), seed=0))[0]
 
 
 def _median_ms(seconds: list) -> float:
     return round(1e3 * statistics.median(seconds), 3)
 
 
-def time_tree(sizes, repeats: int, seed: int, count: int, save_dir=None) -> dict:
+def time_tree(sizes, repeats: int, save_dir=None) -> dict:
     """Per size: median decompose and reorder_schur times (ms) of the specnest
-    on sys.path; with ``save_dir``, each input's outputs go to an npz there."""
+    on sys.path; with ``save_dir``, each size's outputs go to an npz there."""
     from specnest import decompose, hsnest
     from specnest.matrices import operator_norm
 
@@ -66,22 +66,21 @@ def time_tree(sizes, repeats: int, seed: int, count: int, save_dir=None) -> dict
     try:
         for n in sizes:
             decompose_s, reorder_s = [], []
-            inputs = _inputs(n, seed, count)
-            decompose(inputs[0])  # untimed: the first call at n sizes LAPACK's workspaces
-            for i, T in enumerate(inputs):
-                for _ in range(repeats):
-                    calls.clear()
-                    start = time.perf_counter()
-                    res = decompose(T)
-                    decompose_s.append(time.perf_counter() - start)
-                    [(seconds, (_, R, perm))] = calls
-                    reorder_s.append(seconds)
-                if save_dir is not None:
-                    np.savez(Path(save_dir) / f"n{n}_{i}.npz", norm=operator_norm(T),
-                             diag=R.diagonal(), perm=perm,
-                             jumps=np.array(res.nest.jumps),
-                             ordering=np.array([(t, m) for t, m, _ in res.ordering]),
-                             N=res.N, Q=res.Q)
+            T = _input(n)
+            decompose(T)  # untimed: the first call at n sizes LAPACK's workspaces
+            for _ in range(repeats):
+                calls.clear()
+                start = time.perf_counter()
+                res = decompose(T)
+                decompose_s.append(time.perf_counter() - start)
+                [(seconds, (_, R, perm))] = calls
+                reorder_s.append(seconds)
+            if save_dir is not None:
+                np.savez(Path(save_dir) / f"n{n}.npz", norm=operator_norm(T),
+                         diag=R.diagonal(), perm=perm,
+                         jumps=np.array(res.nest.jumps),
+                         ordering=np.array([(t, m) for t, m, _ in res.ordering]),
+                         N=res.N, Q=res.Q)
             result[n] = {"decompose_ms": _median_ms(decompose_s),
                          "reorder_ms": _median_ms(reorder_s)}
     finally:
@@ -89,13 +88,13 @@ def time_tree(sizes, repeats: int, seed: int, count: int, save_dir=None) -> dict
     return result
 
 
-def _reorder_case(n: int, seed: int) -> tuple:
-    """(T, R, U, keys, ||T||_2): the first input's Schur form and the keys the
+def _reorder_case(n: int) -> tuple:
+    """(T, R, U, keys, ||T||_2): the input's Schur form and the keys the
     nest builder hands to reorder_schur."""
     from specnest import hsnest, matrices
     from specnest.curve import HilbertCurveMap
 
-    T = matrices.as_operator(_inputs(n, seed, 1)[0])
+    T = matrices.as_operator(_input(n))
     norm = matrices.operator_norm(T)
     captured = []
 
@@ -138,19 +137,19 @@ def _interleaved_ms(case: tuple, settings: dict, repeats: int) -> dict:
     return {name: _median_ms(s) for name, s in seconds.items()}
 
 
-def sweep(sizes, repeats: int, seed: int) -> dict:
+def sweep(sizes, repeats: int) -> dict:
     settings = {f"{w},{m}": (w, m) for w, m in SWEEP}
-    return {n: _interleaved_ms(_reorder_case(n, seed), settings, repeats) for n in sizes}
+    return {n: _interleaved_ms(_reorder_case(n), settings, repeats) for n in sizes}
 
 
-def cutover(repeats: int, seed: int) -> dict:
+def cutover(repeats: int) -> dict:
     """Windowed reorder against the per-slot loop (one window over the whole
     matrix); ``from_n`` is the smallest size from which the windowed one wins."""
     from specnest import matrices
     window, batch = matrices.REORDER_WINDOW, matrices.REORDER_BATCH
     rows = {}
     for n in CUTOVER_SIZES:
-        rows[n] = _interleaved_ms(_reorder_case(n, seed),
+        rows[n] = _interleaved_ms(_reorder_case(n),
                                   {"windowed_ms": (window, batch),
                                    "per_slot_ms": (max(n, window), batch)},
                                   max(repeats, 5))  # a few ms a call: more calls
@@ -160,7 +159,7 @@ def cutover(repeats: int, seed: int) -> dict:
 
 
 def compare(dir_a: str, dir_b: str) -> dict:
-    """Output differences between the npz files of two trees, per input."""
+    """Output differences between the npz files of two trees, per size."""
     from specnest.matrices import operator_norm
     out = {}
     for path in sorted(Path(dir_a).glob("*.npz")):
@@ -188,35 +187,31 @@ def main() -> None:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--sizes", type=int, nargs="+", default=[256, 512, 1024])
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--count", type=int, default=1, help="inputs per size")
     parser.add_argument("--baseline", help="source directory of the tree to compare with")
     parser.add_argument("--out", help="write the JSON record here as well")
     parser.add_argument("--worker", help=argparse.SUPPRESS)  # npz directory of a baseline run
     args = parser.parse_args()
     if args.worker:
-        print(json.dumps(time_tree(args.sizes, args.repeats, args.seed, args.count,
-                                   args.worker)))
+        print(json.dumps(time_tree(args.sizes, args.repeats, args.worker)))
         return
 
     with tempfile.TemporaryDirectory() as tmp:
         mine, theirs = Path(tmp, "this"), Path(tmp, "baseline")
         mine.mkdir()
         record = {"command": sys.argv, "machine": machine(),
-                  "this_tree": time_tree(args.sizes, args.repeats, args.seed, args.count,
+                  "this_tree": time_tree(args.sizes, args.repeats,
                                          mine if args.baseline else None)}
         if args.baseline:
             theirs.mkdir()
             env = dict(os.environ, PYTHONPATH=str(Path(args.baseline).resolve()))
             done = subprocess.run(
                 [sys.executable, __file__, "--worker", str(theirs), "--repeats",
-                 str(args.repeats), "--seed", str(args.seed), "--count", str(args.count),
-                 "--sizes", *map(str, args.sizes)],
+                 str(args.repeats), "--sizes", *map(str, args.sizes)],
                 env=env, check=True, capture_output=True, text=True)
             record["baseline_tree"] = json.loads(done.stdout.splitlines()[-1])
             record["outputs"] = compare(str(mine), str(theirs))
-        record["sweep_reorder_ms"] = sweep(args.sizes, args.repeats, args.seed)
-        record["cutover"] = cutover(args.repeats, args.seed)
+        record["sweep_reorder_ms"] = sweep(args.sizes, args.repeats)
+        record["cutover"] = cutover(args.repeats)
 
     text = json.dumps(record, indent=1)
     print(text)

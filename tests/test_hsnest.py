@@ -399,15 +399,33 @@ class TestBuildNest:
         assert len(build_nest(jordans[0], default_curve(jordans[0])).jumps) == 2
 
     @pytest.mark.parametrize("n, kind", WINDOWED_CASES)
-    def test_windowed_reorder_keeps_the_per_cluster_jumps(self, n, kind):
-        # The reorder moves eigenvalues through windows at these sizes; the
-        # reference reorders slot by slot on the whole matrix. Both copy the
-        # same diagonal into the same slots, so the jumps agree.
+    def test_windowed_reorder_keeps_the_per_cluster_jumps(self, n, kind, monkeypatch):
+        # The jumps come from the hit times and cluster sizes alone, so they
+        # equal the reference's whatever the reorder does. What ties them to
+        # the basis is the reorder's output: slots rank_{k-1}..rank_k of the
+        # reordered R hold exactly cluster k, with the per-slot loop's diagonal
+        # bit for bit, and the basis is a flag of T (U*TU upper triangular).
+        calls, reorder = [], hsnest.reorder_schur
+
+        def capture(T, R, U, keys, norm):
+            R0, U0 = R.copy(order="F"), U.copy(order="F")
+            out = reorder(T, R, U, keys, norm)
+            calls.append((R0, U0, keys, out))
+            return out
+
+        monkeypatch.setattr(hsnest, "reorder_schur", capture)
         T = as_operator(windowed_inputs(n)[kind])
         curve = default_curve(T)
         nest = hsnest._build_nest(T, curve, operator_norm(T))
-        ref = reference_nest(T, curve)
-        assert nest.jumps == ref.jumps
+        [(R0, U0, keys, (U, R, perm))] = calls
+        assert nest.jumps == reference_nest(T, curve).jumps
+        assert nest.basis.tobytes() == U.tobytes()
+        _, R_ref, perm_ref = reference_reorder(R0, U0, keys)
+        assert R.diagonal().tobytes() == R_ref.diagonal().tobytes()
+        assert np.array_equal(perm, perm_ref)
+        ranks = [rank for _, rank in nest.jumps]
+        for k, (a, b) in enumerate(zip(ranks, ranks[1:])):
+            assert np.all(keys[perm[a:b]] == k)
         flag = nest.basis.conj().T @ T @ nest.basis
         assert np.linalg.norm(np.tril(flag, -1), 2) <= 1e-9 * operator_norm(T)
 
