@@ -2,13 +2,7 @@
 
 from . import serialize
 from .curve import HilbertCurveMap
-from .decompose import (
-    DecompositionResult,
-    convergence_report,
-    decompose,
-    expectation_full,
-    pinch_commutant,
-)
+from .decompose import DecompositionResult, convergence_report, decompose
 from .detbrown import (
     DensityGrid,
     SpectralMeasure,
@@ -28,8 +22,6 @@ from .ensembles import (
 from .hsnest import (
     Ball,
     CurveSegment,
-    build_nest,
-    default_curve,
     hs_projection,
     power_limit_operator,
 )

@@ -279,7 +279,7 @@ def criterion_det_monotonicity(seed: int) -> CriterionResult:
             result = decompose(T)
             yield from _at(where, _pinch_rows(result, range(0, 11)))
             dT = fk_determinant(T)
-            # The full pinch in the flag basis, unitarily equivalent to pinch_commutant's.
+            # The full pinch sum_k f_k T f_k, in the flag basis.
             dP = fk_determinant(_pinch(result.flag_form, _column_groups(result.nest)))
             # Delta(T) = prod_k Delta(B_k)^tau(p_k) over the pinch's blocks B_k,
             # within 1e-8 of the smaller side: a pass when both vanish, a

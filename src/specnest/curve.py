@@ -2,8 +2,8 @@
 
 Used to linearly order the complex spectrum: the curve index of the cell
 containing a point, over 4**32, gives its first hit time. The anchor picks the
-entry corner (quarter turns of the square); a nest follows the anchor it is
-given.
+entry corner (quarter turns of the square); ``decompose`` builds its nest on
+anchor 0.
 """
 from __future__ import annotations
 

@@ -91,29 +91,6 @@ def _pinch(B: np.ndarray, groups: list) -> np.ndarray:
     return P
 
 
-def expectation_full(T, nest: ProjectionNest) -> np.ndarray:
-    """Expectation onto the full nest algebra: per-increment block averages.
-
-    In the matrix model the dyadic refinement saturates, so no limit is
-    needed; the result is the normal part of T relative to this nest.
-    """
-    T = as_operator(T)
-    groups = _column_groups(nest)
-    B = _flag_form(T, nest, float(_singular_values(T)[0]), groups)
-    return _average(nest.basis, _block_means(B.diagonal(), groups))
-
-
-def pinch_commutant(T, nest: ProjectionNest, n: int | None = None) -> np.ndarray:
-    """Block-diagonal pinching sum f_k T f_k over the level-n dyadic increments.
-
-    ``n = None`` means full refinement (one block per nest increment).
-    """
-    T = as_operator(T)
-    P = _pinch(_flag_form(T, nest, float(_singular_values(T)[0]), _column_groups(nest)),
-               _column_groups(nest, n))
-    return gemm(gemm(nest.basis, P), nest.basis, adj_b=True)
-
-
 @dataclasses.dataclass(frozen=True)
 class DecompositionResult:
     """T = N + Q with N normal (same spectrum as T) and Q nilpotent."""
@@ -135,11 +112,12 @@ class DecompositionResult:
 def decompose(T) -> DecompositionResult:
     """Split T into its curve-ordered normal part and nilpotent remainder.
 
-    The nest follows ``hsnest.default_curve(T)``; other curves go through
-    ``build_nest`` and ``expectation_full``. One ||T||_2 serves that curve, the
-    nest builder (its clustering scale and reordering check) and every check
-    here. Residuals are Frobenius norms; the normality defect is that of
-    N / ||T||_2, so it is relative to ||T||_2^2 and finite for every finite T.
+    The one entry point to a nest and its N: the nest follows ``curve``, the
+    Hilbert curve on [-R, R]^2, R = 1.25 ||T||_2 (``default_half_side``); a
+    pinching reads ``flag_form``. One ||T||_2 serves that curve, the nest
+    builder (its clustering scale and reordering check) and every check here.
+    Residuals are Frobenius norms; the normality defect is that of N / ||T||_2,
+    so it is relative to ||T||_2^2 and finite for every finite T.
 
     T's spectrum is the diagonal of the flag form B = U*TU: exact eigenvalues
     of T + E, ||E||_F bounded by ``strict_upper_defect``. ``spectrum_gap`` is

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from typing import Union
 
 import numpy as np
@@ -21,8 +22,6 @@ from .matrices import (
     _singular_values,
     as_operator,
     cluster_eigenvalues,
-    default_half_side,
-    operator_norm,
     reorder_schur,
 )
 
@@ -102,6 +101,9 @@ def power_limit_operator(T, n: int) -> np.ndarray:
     stable (exact for S + E_k, ||E_k|| ~ eps), not exact for T: where T's
     eigenproblem is ill-conditioned in double, small eigenvalues move. O(n m^3).
     """
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise TypeError(f"n must be an integer, got {n!r}")
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     T = as_operator(T)
@@ -139,32 +141,17 @@ def power_limit_operator(T, n: int) -> np.ndarray:
     return scale * 0.5 * (A + A.conj().T)
 
 
-def build_nest(T, curve: HilbertCurveMap) -> ProjectionNest:
-    """Curve-ordered nest of invariant projections for T.
-
-    Clusters the diagonal of T's complex Schur form, orders the clusters by
-    exact first hit index (ties broken by (Re, Im)), and reorders the Schur
-    form into that order, with jumps at (hit time, cumulative multiplicity).
-    The nest follows the given curve, its square and anchor: its projection at
-    each jump time t is ``hs_projection(T, CurveSegment(t, curve))`` up to
-    rounding. Clusters whose hit times round to one double t still split: each
-    gets its own jump, the later ones at the next doubles above t. The segment
-    at t holds all of them, so its projection is the nest projection at the
-    last of these tied jumps.
-    Takes ||T||_2 for the clustering scale and to check that the curve's square
-    covers T's spectral disk; ``decompose`` hands its own ||T||_2 to the same
-    builder.
-    """
-    T = as_operator(T)
-    norm = float(_singular_values(T)[0])
-    if curve.half_side < norm * (1 - 1e-12):
-        raise ValueError("curve half_side must be at least the operator norm")
-    return _build_nest(T, curve, norm)
-
-
 def _build_nest(T: np.ndarray, curve: HilbertCurveMap, norm: float) -> ProjectionNest:
-    """``build_nest`` for T from ``as_operator``, ``norm`` = ||T||_2 and a curve
-    whose square covers T's spectral disk."""
+    """Curve-ordered nest of invariant projections for T (from ``as_operator``),
+    ``norm`` = ||T||_2 its clustering scale, on a curve whose square covers T's
+    spectral disk. The Schur form is reordered into exact first-hit-index order
+    of its clusters (ties by (Re, Im)); the jumps are (hit time, cumulative
+    multiplicity). For the curve, its square and anchor, the projection at each
+    jump time t is ``hs_projection(T, CurveSegment(t, curve))`` up to rounding.
+    Clusters whose hit times round to one double t still split, the later ones
+    at the next doubles above t; the segment at t holds them all, so its
+    projection is the nest projection at the last tied jump.
+    """
     R, U = _complex_schur(T)
     labels, roots, reps = cluster_eigenvalues(R.diagonal(), norm)
     hits = [hit_index(curve, z) for z in reps.tolist()]
@@ -180,9 +167,3 @@ def _build_nest(T: np.ndarray, curve: HilbertCurveMap, norm: float) -> Projectio
             t = min(math.nextafter(jumps[-1][0], 2.0), 1.0)
         jumps.append((t, rank))
     return ProjectionNest(U, tuple(jumps))
-
-
-def default_curve(T) -> HilbertCurveMap:
-    """``decompose``'s curve: [-R, R]^2, R = HALF_SIDE_FACTOR * ||T||_2, a square
-    that contains T's spectral disk."""
-    return HilbertCurveMap(half_side=default_half_side(operator_norm(T)))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specnest.curve import HilbertCurveMap
 from specnest.decompose import (
     MONO_SLACK,
     _average,
@@ -19,10 +20,9 @@ from specnest.decompose import (
     _det_gap_rows,
     _flag_form,
     _level_rows,
+    _pinch,
     convergence_report,
     decompose,
-    expectation_full,
-    pinch_commutant,
 )
 from specnest.detbrown import (SpectralMeasure, _counting_measure, brown_density_grid,
                                fk_determinant, regularized_log_det)
@@ -34,10 +34,9 @@ from specnest.ensembles import (
     UpperTriangularRandom,
     generate,
 )
-from specnest.hsnest import build_nest, default_curve
 from specnest.majorize import pinch_log_check, weyl_check
-from specnest.matrices import (CLUSTER_TOL, ProjectionNest, as_operator, gemm, operator_norm,
-                               spectrum_distance)
+from specnest.matrices import (CLUSTER_TOL, ProjectionNest, as_operator, default_half_side, gemm,
+                               operator_norm, spectrum_distance)
 
 SHEAR = np.array([[1, 1], [0, 2]], dtype=complex)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -53,12 +52,29 @@ def random_matrix(seed: int, n: int) -> np.ndarray:
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
 
 
-def expectation_dyadic(T, nest: ProjectionNest, n: int) -> np.ndarray:
+def expectation_dyadic(T, nest: ProjectionNest, n: int | None) -> np.ndarray:
     """Dense reference: expectation onto the algebra of the level-n dyadic nest
-    projections, each dyadic increment f carrying trace(f T f) / trace(f)."""
+    projections, each dyadic increment f carrying trace(f T f) / trace(f);
+    ``n = None``: the full nest algebra, one increment per nest jump."""
     T = as_operator(T)
     B = _flag_form(T, nest, operator_norm(T), _column_groups(nest))
     return _average(nest.basis, _block_means(np.diag(B), _column_groups(nest, n)))
+
+
+def pinch_dense(T, nest: ProjectionNest, n: int | None) -> np.ndarray:
+    """Dense reference: the pinching sum_k f_k T f_k over the level-n dyadic
+    increments f_k = V_k V_k*, V_k the flag columns of increment k."""
+    T = as_operator(T)
+    P = np.zeros_like(T)
+    for lo, hi in _column_groups(nest, n):
+        f = nest.basis[:, lo:hi] @ nest.basis[:, lo:hi].conj().T
+        P += f @ T @ f
+    return P
+
+
+def identity_nest(n: int) -> ProjectionNest:
+    """The nest of the coordinate flag, one jump per coordinate at t = k / n."""
+    return ProjectionNest(np.eye(n), tuple((k / n, k) for k in range(n + 1)))
 
 
 class TestShearExample:
@@ -93,39 +109,31 @@ class TestShearExample:
 class TestExpectations:
     def test_trace_preserved_at_every_level(self):
         T = random_matrix(31, 6)
-        nest = build_nest(T, default_curve(T))
+        res = decompose(T)
         for n in range(0, 8):
-            P = pinch_commutant(T, nest, n)
+            P = _pinch(res.flag_form, _column_groups(res.nest, n))
             assert np.trace(P) / 6 == pytest.approx(np.trace(T) / 6, abs=1e-12)
-        assert np.trace(expectation_full(T, nest)) / 6 == pytest.approx(
-            np.trace(T) / 6, abs=1e-12
-        )
+        assert np.trace(res.N) / 6 == pytest.approx(np.trace(T) / 6, abs=1e-12)
 
     def test_full_expectation_fixes_its_own_output(self):
-        T = random_matrix(32, 5)
-        nest = build_nest(T, default_curve(T))
-        N = expectation_full(T, nest)
-        assert np.allclose(expectation_full(N, nest), N, atol=1e-10)
+        res = decompose(random_matrix(32, 5))
+        assert np.allclose(expectation_dyadic(res.N, res.nest, None), res.N, atol=1e-10)
 
     def test_dyadic_saturates_to_full(self):
         # At level 40 every dyadic group holds one nest increment.
-        T = random_matrix(33, 5)
-        nest = build_nest(T, default_curve(T))
-        assert np.array_equal(pinch_commutant(T, nest, 40), pinch_commutant(T, nest, None))
+        nest = decompose(random_matrix(33, 5)).nest
+        assert _column_groups(nest, 40) == _column_groups(nest)
 
     def test_expectation_output_is_normal(self):
-        T = random_matrix(34, 6)
-        nest = build_nest(T, default_curve(T))
-        E = expectation_full(T, nest)
+        E = decompose(random_matrix(34, 6)).N
         defect = np.linalg.norm(E @ E.conj().T - E.conj().T @ E, 2)
         assert defect < 1e-10 * max(1.0, operator_norm(E) ** 2)
 
     def test_full_expectation_scales_with_huge_input(self):
         T = random_matrix(38, 6)
-        nest = build_nest(T, default_curve(T))
-        E = expectation_full(T, nest)
-        gap = np.linalg.norm(expectation_full(1e200 * T, nest) / 1e200 - E, 2)
-        assert gap <= 1e-12 * operator_norm(E)
+        res = decompose(T)
+        gap = np.linalg.norm(expectation_dyadic(1e200 * T, res.nest, None) / 1e200 - res.N, 2)
+        assert gap <= 1e-12 * operator_norm(res.N)
 
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError, match="n_range"):
@@ -158,44 +166,39 @@ class TestExpectations:
 
     def test_rejects_non_invariant_nest(self):
         T = random_matrix(36, 4)
-        other = random_matrix(37, 4)
-        nest = build_nest(other, default_curve(other))
-        with pytest.raises(ValueError):
-            expectation_full(T, nest)
+        nest = decompose(random_matrix(37, 4)).nest
+        with pytest.raises(ValueError, match="not invariant"):
+            expectation_dyadic(T, nest, None)
 
 
 class TestPinching:
+    # The routine the pinch_det_monotone rows run, on B = T in the coordinate
+    # flag: the pinching keeps T's diagonal blocks over the level-n groups.
     def test_level_zero_pinch_is_identity_map(self):
         T = random_matrix(41, 5)
-        nest = build_nest(T, default_curve(T))
-        assert np.allclose(pinch_commutant(T, nest, 0), T, atol=1e-12)
+        assert np.array_equal(_pinch(T, _column_groups(identity_nest(5), 0)), T)
 
     def test_full_pinch_keeps_diagonal_blocks_only(self):
+        # Every increment of the coordinate nest is 1-dimensional.
         T = random_matrix(42, 5)
-        nest = build_nest(T, default_curve(T))
-        P = pinch_commutant(T, nest, None)
-        B = nest.basis.conj().T @ P @ nest.basis
-        # With 5 distinct eigenvalues every increment is 1-dimensional.
-        assert np.linalg.norm(B - np.diag(np.diag(B)), 2) < 1e-10
+        assert np.array_equal(_pinch(T, _column_groups(identity_nest(5))), np.diag(np.diag(T)))
 
     def test_pinch_preserves_trace(self):
         T = random_matrix(43, 6)
-        nest = build_nest(T, default_curve(T))
         for n in (1, 3, None):
-            P = pinch_commutant(T, nest, n)
+            P = _pinch(T, _column_groups(identity_nest(6), n))
             assert np.trace(P) / 6 == pytest.approx(np.trace(T) / 6, abs=1e-12)
 
     def test_pinch_is_norm_contraction(self):
         T = random_matrix(44, 6)
-        nest = build_nest(T, default_curve(T))
         for n in (1, 2, None):
-            assert operator_norm(pinch_commutant(T, nest, n)) <= operator_norm(T) + 1e-10
+            P = _pinch(T, _column_groups(identity_nest(6), n))
+            assert operator_norm(P) <= operator_norm(T) + 1e-10
 
     def test_shear_pinch_factors_the_determinant(self):
-        nest = ProjectionNest(np.eye(2), ((0.0, 0), (0.5, 1), (1.0, 2)))
         # [DERIVED] Delta of diag(1, 2) is 1^(1/2) * 2^(1/2) = sqrt(2).
-        assert fk_determinant(pinch_commutant(SHEAR, nest, None)) == pytest.approx(
-            np.sqrt(2), rel=1e-10)
+        P = _pinch(SHEAR, _column_groups(identity_nest(2)))
+        assert fk_determinant(P) == pytest.approx(np.sqrt(2), rel=1e-10)
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(0, 500), st.integers(1, 5))
@@ -206,7 +209,7 @@ class TestPinching:
         rng = np.random.default_rng(seed)
         T = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         nest = ProjectionNest(np.eye(n), ((0.0, 0), (0.5, k), (1.0, n)))
-        assert fk_determinant(pinch_commutant(T, nest, None)) == pytest.approx(
+        assert fk_determinant(_pinch(T, _column_groups(nest))) == pytest.approx(
             fk_determinant(T), rel=1e-8)
 
 
@@ -227,10 +230,9 @@ class TestDecomposeInvariants:
         # An independent solver's spectrum matches N's, the block means.
         assert spectrum_distance(np.linalg.eigvals(T), block_means(res)) <= 1e-8
         # N is the full expectation, and the ordering carries its block means.
-        E = expectation_full(T, res.nest)
-        assert np.array_equal(res.N, E)
+        assert np.array_equal(res.N, expectation_dyadic(T, res.nest, None))
         U = res.nest.basis
-        diag = np.diag(U.conj().T @ E @ U)
+        diag = np.diag(U.conj().T @ res.N @ U)
         for (t, mult, z), (t_inc, lo, hi) in zip(res.ordering, res.nest.increments()):
             assert (t, mult) == (t_inc, hi - lo)
             assert abs(z - np.mean(diag[lo:hi])) <= 1e-12 * normT
@@ -270,7 +272,7 @@ class TestDecomposeInvariants:
                              ids=["ginibre", "upper-triangular", "jordan-zero"])
     def test_curve_is_the_default_curve(self, kind):
         T = generate(EnsembleSpec(kind, seed=71))[0]
-        assert decompose(T).curve == default_curve(T)
+        assert decompose(T).curve == HilbertCurveMap(default_half_side(operator_norm(T)))
 
     def test_decompose_solves_no_eigvals(self, eigvals_calls):
         decompose(random_matrix(67, 8))
@@ -382,9 +384,8 @@ class TestScaling:
         for scaled in (1e-307 * G, 1e-310 * G, 1e308 / operator_norm(G) * G):
             assert decompose(scaled).nest.jumps == decompose(G).nest.jumps
 
-    @pytest.mark.parametrize("call", [
-        decompose, default_curve, lambda T: brown_density_grid(T, resolution=32)],
-        ids=["decompose", "default_curve", "brown_density_grid"])
+    @pytest.mark.parametrize("call", [decompose, lambda T: brown_density_grid(T, resolution=32)],
+                             ids=["decompose", "brown_density_grid"])
     def test_default_square_overflow_names_the_norm(self, call):
         # 1.25 * ||T||_2 is not a double at ||T||_2 = 1.44e308.
         G = generate(EnsembleSpec(Ginibre(8), seed=3))[0]
@@ -544,7 +545,7 @@ class TestConvergenceReport:
         # forms E_n, the pinchings and their SVDs densely, family by family.
         res = decompose(T)
         report = convergence_report(res)
-        curve = default_curve(T)
+        curve = HilbertCurveMap(1.25 * np.linalg.norm(T, 2))  # R = 1.25 ||T||_2
         measure = _counting_measure(res.eigenvalues, res.diagnostics["operator_norm"])
         lams = (0.0, 1.0 + 1.0j, max((z for z, _ in measure.atoms), key=abs))
         U = res.nest.basis
@@ -563,7 +564,7 @@ class TestConvergenceReport:
                               - measure.regularized_potential(lam, eps))
                     rows.append(("det_gap", f"n={n};{complex(lam)};{eps}", gap,
                                  1e-3 if n == 10 else np.inf))
-        pinches = [pinch_commutant(T, res.nest, n) for n in range(0, 11)]
+        pinches = [pinch_dense(T, res.nest, n) for n in range(0, 11)]
         for m in (1, 10, 100):
             seq = [np.exp(regularized_log_det(P, 0.0, 1.0 / m)) for P in pinches]
             rows.extend(("pinch_det_monotone", f"n={n};{float(m)}", seq[n],

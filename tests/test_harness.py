@@ -17,7 +17,6 @@ import specnest
 from specnest import acceptance, cli, ensembles, serialize
 from specnest.decompose import CheckRow, convergence_report, decompose
 from specnest.detbrown import brown_density_grid
-from specnest.hsnest import build_nest, default_curve
 from specnest.majorize import (DEFAULT_GAUGES, log_plus_equivalence_check, pinch_log_check,
                                shift_lemma_check, weyl_check)
 
@@ -28,12 +27,11 @@ PUBLIC_NAMES = [
     "DecompositionResult", "DensityGrid", "EnsembleSpec", "Ginibre",
     "HilbertCurveMap", "Jordan", "LogShift", "NormalPlusNilpotent", "Power",
     "ProjectionNest", "SpectralMeasure", "UpperTriangularRandom",
-    "brown_density_grid", "brown_measure_exact", "build_nest",
-    "convergence_report", "decompose", "default_curve", "expectation_full",
+    "brown_density_grid", "brown_measure_exact", "convergence_report", "decompose",
     "fk_determinant", "generate", "hs_projection", "log_plus_equivalence_check",
-    "log_submajorizes", "operator_norm", "pinch_commutant",
-    "pinch_log_check", "power_limit_operator", "regularized_log_det", "serialize",
-    "shift_lemma_check", "singular_values", "submajorizes", "weyl_check",
+    "log_submajorizes", "operator_norm", "pinch_log_check", "power_limit_operator",
+    "regularized_log_det", "serialize", "shift_lemma_check", "singular_values",
+    "submajorizes", "weyl_check",
 ]
 
 # The fields of each exported dataclass and the parameters of each exported
@@ -56,18 +54,14 @@ PUBLIC_PARAMETERS = {
     "UpperTriangularRandom": ("n",),
     "brown_density_grid": ("T", "bounds", "resolution", "eps"),
     "brown_measure_exact": ("T",),
-    "build_nest": ("T", "curve"),
     "convergence_report": ("result", "n_range"),
     "decompose": ("T",),
-    "default_curve": ("T",),
-    "expectation_full": ("T", "nest"),
     "fk_determinant": ("T",),
     "generate": ("spec",),
     "hs_projection": ("T", "region"),
     "log_plus_equivalence_check": ("A", "B"),
     "log_submajorizes": ("A", "B"),
     "operator_norm": ("T",),
-    "pinch_commutant": ("T", "nest", "n"),
     "pinch_log_check": ("T", "p"),
     "power_limit_operator": ("T", "n"),
     "regularized_log_det": ("T", "lam", "eps"),
@@ -180,7 +174,7 @@ class TestSerialize:
     def test_nest_roundtrip(self):
         rng = np.random.default_rng(2)
         T = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / 3
-        nest = build_nest(T, default_curve(T))
+        nest = decompose(T).nest
         data = json.loads(json.dumps(serialize.nest_to_dict(nest)))
         assert np.array_equal(serialize.matrix_from_dict(data["basis"]), nest.basis)
         assert tuple((j["t"], j["rank"]) for j in data["jumps"]) == nest.jumps

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from specnest import curve as curve_module
 from specnest import hsnest
 from specnest.curve import DEEP_LEVEL, HilbertCurveMap, hit_index
-from specnest.decompose import decompose, expectation_full, pinch_commutant
+from specnest.decompose import decompose
 from specnest.detbrown import brown_density_grid, brown_measure_exact
 from specnest.ensembles import (
     EnsembleSpec,
@@ -23,13 +23,11 @@ from specnest.ensembles import (
 from specnest.hsnest import (
     Ball,
     CurveSegment,
-    build_nest,
-    default_curve,
     hs_projection,
     power_limit_operator,
 )
 from specnest.matrices import (CLUSTER_TOL, ProjectionNest, _complex_schur, as_operator,
-                               operator_norm)
+                               default_half_side, operator_norm)
 from test_curve import _xy2d_bits
 from test_matrices import WINDOWED_CASES, reference_clusters, reference_reorder, windowed_inputs
 
@@ -165,8 +163,8 @@ class TestHsProjection:
 
 def test_decompose_and_hs_projection_validate_T_once(monkeypatch):
     # The 2-norm, the nest builder and the nest take the validated copy: one
-    # as_operator call each, none on the nest basis. So do the power limit,
-    # the expectation and the pinching onto a nest, and the Brown measures.
+    # as_operator call each, none on the nest basis. So do the power limit
+    # and the Brown measures.
     original = hsnest.as_operator
     calls = []
 
@@ -182,10 +180,7 @@ def test_decompose_and_hs_projection_validate_T_once(monkeypatch):
     assert calls == [(8, 8)]
     hs_projection(T, Ball(0.0, 0.5))
     assert calls == [(8, 8), (8, 8)]
-    nest = decompose(T).nest
     for call in (lambda: power_limit_operator(T, 4),
-                 lambda: expectation_full(T, nest),
-                 lambda: pinch_commutant(T, nest),
                  lambda: brown_measure_exact(T),
                  lambda: brown_density_grid(T, resolution=32)):
         calls.clear()
@@ -244,6 +239,15 @@ class TestPowerLimit:
     def test_rejects_bad_power(self):
         with pytest.raises(ValueError):
             power_limit_operator(SHEAR, 0)
+
+    @pytest.mark.parametrize("n", [True, np.True_, 2.5, 3.0, "3"],
+                             ids=["bool", "numpy-bool", "float", "integral-float", "str"])
+    def test_power_is_an_integer(self, n):
+        # True ran as n = 1, and 2.5 failed inside range() without naming n.
+        with pytest.raises(TypeError, match="n must be an integer"):
+            power_limit_operator(SHEAR, n)
+        A = power_limit_operator(SHEAR, np.int64(3))
+        assert A.tobytes() == power_limit_operator(SHEAR, 3).tobytes()
 
     @pytest.mark.parametrize("n", [64, 160, 256, 1024])
     def test_matches_2x2_closed_form_below_double_range(self, n):
@@ -322,7 +326,7 @@ class TestPowerLimit:
 class TestBuildNest:
     def test_nest_shape_and_invariance(self):
         T = random_matrix(21, 7)
-        nest = build_nest(T, default_curve(T))
+        nest = decompose(T).nest
         assert nest.jumps[0] == (0.0, 0)
         assert nest.jumps[-1][1] == 7
         B = nest.basis.conj().T @ T @ nest.basis
@@ -330,7 +334,7 @@ class TestBuildNest:
 
     def test_jump_times_strictly_increase(self):
         T = random_matrix(22, 8)
-        nest = build_nest(T, default_curve(T))
+        nest = decompose(T).nest
         ts = [t for t, _ in nest.jumps]
         assert all(b > a for a, b in zip(ts, ts[1:]))
 
@@ -340,8 +344,8 @@ class TestBuildNest:
         # 1e-12**(1/16) around lam, each known only to about 1e-6.
         T = generate(EnsembleSpec(Jordan(lam, 16)))[0]
         T[-1, 0] += 1e-12
-        curve = default_curve(T)
-        nest = build_nest(T, curve)
+        res = decompose(T)
+        curve, nest = res.curve, res.nest
         diag = np.diag(nest.basis.conj().T @ T @ nest.basis)
         for t, lo, hi in nest.increments():
             mean = complex(np.mean(diag[lo:hi]))
@@ -350,27 +354,12 @@ class TestBuildNest:
     @pytest.mark.parametrize("kind", BATCH_KINDS)
     def test_nest_matches_per_bit_index_map(self, kind, monkeypatch):
         for T in BATCH_KINDS[kind]():
-            curve = default_curve(T)
-            nest = build_nest(T, curve)
+            nest = decompose(T).nest
             with monkeypatch.context() as patch:
                 patch.setattr(curve_module, "_xy2d", _xy2d_bits)
-                ref = build_nest(T, curve)
+                ref = decompose(T).nest
             assert nest.jumps == ref.jumps
             assert np.array_equal(nest.basis, ref.basis)
-
-    @pytest.mark.parametrize("kind, corner", [
-        (Ginibre(8), 0.0), (UpperTriangularRandom(8), 0.0), (NormalPlusNilpotent(8), 0.0),
-        (Jordan(0.3 - 0.4j, 8), 1e-12)],
-        ids=["ginibre", "upper-triangular", "normal-plus-nilpotent", "jordan-perturbed"])
-    def test_public_build_nest_matches_decompose_nest(self, kind, corner):
-        # The public builder takes its own ||T||_2; decompose hands its own to
-        # the same builder, so the two nests agree to the byte.
-        T = generate(EnsembleSpec(kind, seed=6))[0]
-        T[-1, 0] += corner
-        nest = build_nest(T, default_curve(T))
-        ref = decompose(T).nest
-        assert nest.basis.tobytes() == ref.basis.tobytes()
-        assert nest.jumps == ref.jumps
 
     @pytest.mark.parametrize("n", [4, 16])
     def test_nest_matches_the_per_cluster_build(self, n):
@@ -385,18 +374,18 @@ class TestBuildNest:
         a = 0.5 + 0.2j
         mats = [T for kind in (Ginibre(n), UpperTriangularRandom(n), NormalPlusNilpotent(n))
                 for T in generate(EnsembleSpec(kind, seed=n, count=10))]
-        cell = HilbertCurveMap(1.25 * 0.9)  # default_curve of the matrix below
+        cell = HilbertCurveMap(1.25 * 0.9)  # decompose's curve for the matrix below
         x, y = curve_module._cell_center(cell, hit_index(cell, 0.2 + 0.1j))
         one_cell = [complex(x, y) + d for d in (-1.5e-10 + 1e-10j, 1.5e-10 - 1e-10j)]
         assert len({hit_index(cell, z) for z in one_cell}) == 1
         mats += jordans + perturbed + [np.diag([a, a + 5e-9, -0.3j, 0.3 - 0.3j]),
                                        np.diag([0.9, *one_cell[::-1]])]
         for T in mats:
-            curve = default_curve(T)
-            nest, ref = build_nest(T, curve), reference_nest(T, curve)
+            res = decompose(T)
+            nest, ref = res.nest, reference_nest(T, res.curve)
             assert nest.jumps == ref.jumps
             assert nest.basis.tobytes() == ref.basis.tobytes()
-        assert len(build_nest(jordans[0], default_curve(jordans[0])).jumps) == 2
+        assert len(decompose(jordans[0]).nest.jumps) == 2
 
     @pytest.mark.parametrize("n, kind", WINDOWED_CASES)
     def test_windowed_reorder_keeps_the_per_cluster_jumps(self, n, kind, monkeypatch):
@@ -415,7 +404,7 @@ class TestBuildNest:
 
         monkeypatch.setattr(hsnest, "reorder_schur", capture)
         T = as_operator(windowed_inputs(n)[kind])
-        curve = default_curve(T)
+        curve = HilbertCurveMap(default_half_side(operator_norm(T)))
         nest = hsnest._build_nest(T, curve, operator_norm(T))
         [(R0, U0, keys, (U, R, perm))] = calls
         assert nest.jumps == reference_nest(T, curve).jumps
@@ -429,11 +418,6 @@ class TestBuildNest:
         flag = nest.basis.conj().T @ T @ nest.basis
         assert np.linalg.norm(np.tril(flag, -1), 2) <= 1e-9 * operator_norm(T)
 
-    def test_half_side_must_cover_norm(self):
-        T = 3.0 * np.eye(2)
-        with pytest.raises(ValueError):
-            build_nest(T, HilbertCurveMap(half_side=1.0))
-
     @pytest.mark.parametrize("anchor", [0, 1, 2, 3])
     def test_nest_is_the_projections_of_curve_segments(self, anchor):
         # The paper's nest P(T, gamma([0, t])): at each inner jump, the nest
@@ -443,8 +427,9 @@ class TestBuildNest:
                                Ginibre(32))
                 for T in generate(EnsembleSpec(kind, seed=5, count=10))]
         for T in mats:
-            curve = HilbertCurveMap(default_curve(T).half_side, anchor)
-            nest = build_nest(T, curve)
+            norm = operator_norm(T)
+            curve = HilbertCurveMap(default_half_side(norm), anchor)
+            nest = hsnest._build_nest(as_operator(T), curve, norm)
             for t, rank in nest.jumps[1:-1]:
                 P = hs_projection(T, CurveSegment(t, curve))
                 assert round(float(np.trace(P).real)) == rank
@@ -458,10 +443,11 @@ class TestBuildNest:
         # not the last jump: 0.3 - 0.3j comes after it.
         a = 0.5 + 0.2j
         T = np.diag([a, a + 5e-9, -0.3j, 0.3 - 0.3j])
-        curve = default_curve(T)
+        res = decompose(T)
+        curve = res.curve
         hits = [hit_index(curve, z) for z in np.diag(T)]
         assert hits[0] < hits[1] and hits[0] / 4.0**DEEP_LEVEL == hits[1] / 4.0**DEEP_LEVEL
-        nest = build_nest(T, curve)
+        nest = res.nest
         t = hits[0] / 4.0**DEEP_LEVEL
         assert nest.jumps[2:4] == ((t, 2), (math.nextafter(t, 2.0), 3))
         assert abs(nest.basis[0, 1]) == pytest.approx(1.0)  # a, the smaller index, first
@@ -474,10 +460,9 @@ class TestBuildNest:
     def test_anchor_rotation_rescues_build(self):
         T = np.diag([-0.5 - 0.5j, 0.5 + 0.5j])
         curve = HilbertCurveMap(half_side=1.0)
-        nest = build_nest(T, curve)
+        nest = hsnest._build_nest(as_operator(T), curve, operator_norm(T))
         assert nest.jumps[-1][1] == 2
 
     def test_default_curve_scales_with_norm(self):
-        T = 2.0 * np.eye(3)
-        curve = default_curve(T)
-        assert curve.half_side == pytest.approx(2.5)
+        # decompose's square: R = 1.25 ||T||_2.
+        assert decompose(2.0 * np.eye(3)).curve.half_side == pytest.approx(2.5)
