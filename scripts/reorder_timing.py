@@ -55,10 +55,11 @@ def time_tree(sizes, repeats: int, save_dir=None) -> dict:
 
     reorder, calls = hsnest.reorder_schur, []
 
-    def timed_reorder(*args):
+    def timed_reorder(T, R, U, keys, norm):
+        # R, Fortran-ordered from the Schur form, is reordered in place.
         start = time.perf_counter()
-        out = reorder(*args)
-        calls.append((time.perf_counter() - start, out))
+        out = reorder(T, R, U, keys, norm)
+        calls.append((time.perf_counter() - start, R, out[2]))
         return out
 
     hsnest.reorder_schur = timed_reorder
@@ -73,7 +74,7 @@ def time_tree(sizes, repeats: int, save_dir=None) -> dict:
                 start = time.perf_counter()
                 res = decompose(T)
                 decompose_s.append(time.perf_counter() - start)
-                [(seconds, (_, R, perm))] = calls
+                [(seconds, R, perm)] = calls
                 reorder_s.append(seconds)
             if save_dir is not None:
                 np.savez(Path(save_dir) / f"n{n}.npz", norm=operator_norm(T),

@@ -61,21 +61,19 @@ def _block_means(diag: np.ndarray, groups: list) -> np.ndarray:
     return coeffs
 
 
-def _flag_form(T: np.ndarray, nest: ProjectionNest, norm: float, groups: list) -> np.ndarray:
-    """T in the flag basis, after checking that the nest is T-invariant.
+def _check_invariance(B: np.ndarray, norm: float, groups: list) -> None:
+    """Raise ValueError unless the nest is T-invariant, read off T's flag form B = U*TU.
 
     ``groups`` are the nest increments' column ranges (``_column_groups(nest)``).
     The Frobenius norm of the part below the diagonal blocks bounds the
     2-norm of every block B[r:, :r] cut at a jump, so one norm checks them all
-    against NEST_INVARIANCE_TOL * norm, where ``norm`` is ||T||_2.
+    against NEST_INVARIANCE_TOL * norm, where ``norm`` is ||T||_2. It is at most
+    ``reorder_schur``'s residual ||B - R||_F, R the upper-triangular Schur factor.
     """
-    U = nest.basis
-    B = gemm(gemm(U, T, adj_a=True), U)
     block = np.repeat(np.arange(len(groups)), [hi - lo for lo, hi in groups])
     leak = frobenius(B[block[:, None] > block[None, :]])
     if leak > NEST_INVARIANCE_TOL * norm:
         raise ValueError(f"nest is not invariant for T (leak {leak:.3e})")
-    return B
 
 
 def _average(U: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -128,11 +126,11 @@ def decompose(T) -> DecompositionResult:
     T = as_operator(T)
     normT = float(_singular_values(T)[0])
     curve = HilbertCurveMap(half_side=default_half_side(normT))
-    nest = _build_nest(T, curve, normT)
+    nest, B = _build_nest(T, curve, normT)
     U = nest.basis
     increments = nest.increments()
     groups = [(lo, hi) for _, lo, hi in increments]
-    B = _flag_form(T, nest, normT, groups)
+    _check_invariance(B, normT, groups)
     coeffs = _block_means(B.diagonal(), groups)
     N = _average(U, coeffs)
     Q = T - N

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Union
 
 import numpy as np
@@ -9,12 +10,21 @@ import numpy as np
 from .matrices import as_operator
 
 
+def _set_positive_int(spec, name: str) -> None:
+    """Store field ``name`` as an int >= 1; a bool or a non-integer raises TypeError."""
+    value = getattr(spec, name)
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    object.__setattr__(spec, name, operator.index(value))
+
+
 class _Sized:
     """An ensemble kind of n x n matrices, n >= 1."""
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _set_positive_int(self, "n")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,8 +66,7 @@ class EnsembleSpec:
     count: int = 1
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        _set_positive_int(self, "count")
 
 
 def _ginibre(rng: np.random.Generator, n: int, count: int) -> np.ndarray:

@@ -141,16 +141,17 @@ def power_limit_operator(T, n: int) -> np.ndarray:
     return scale * 0.5 * (A + A.conj().T)
 
 
-def _build_nest(T: np.ndarray, curve: HilbertCurveMap, norm: float) -> ProjectionNest:
-    """Curve-ordered nest of invariant projections for T (from ``as_operator``),
-    ``norm`` = ||T||_2 its clustering scale, on a curve whose square covers T's
-    spectral disk. The Schur form is reordered into exact first-hit-index order
-    of its clusters (ties by (Re, Im)); the jumps are (hit time, cumulative
-    multiplicity). For the curve, its square and anchor, the projection at each
-    jump time t is ``hs_projection(T, CurveSegment(t, curve))`` up to rounding.
-    Clusters whose hit times round to one double t still split, the later ones
-    at the next doubles above t; the segment at t holds them all, so its
-    projection is the nest projection at the last tied jump.
+def _build_nest(T: np.ndarray, curve: HilbertCurveMap, norm: float) -> tuple:
+    """(nest, B): the curve-ordered nest of invariant projections for T (from
+    ``as_operator``; ``norm`` = ||T||_2 its clustering scale) on a curve whose
+    square covers T's spectral disk, and T's flag form B = U*TU in its basis U,
+    the product ``reorder_schur`` checks. The Schur form is reordered into exact
+    first-hit-index order of its clusters (ties by (Re, Im)); the jumps are (hit
+    time, cumulative multiplicity). For the curve, its square and anchor, the
+    projection at each jump time t is ``hs_projection(T, CurveSegment(t, curve))``
+    up to rounding. Clusters whose hit times round to one double t still split,
+    the later ones at the next doubles above t; the segment at t holds them all,
+    so its projection is the nest projection at the last tied jump.
     """
     R, U = _complex_schur(T)
     labels, roots, reps = cluster_eigenvalues(R.diagonal(), norm)
@@ -158,7 +159,7 @@ def _build_nest(T: np.ndarray, curve: HilbertCurveMap, norm: float) -> Projectio
     order = np.lexsort((reps.imag, reps.real, np.array(hits, dtype=np.uint64)))
     # Schur key: each diagonal slot's cluster position in curve order.
     keys = np.argsort(order)[np.searchsorted(roots, labels)]
-    U, _, _ = reorder_schur(T, R, U, keys, norm)
+    U, B, _ = reorder_schur(T, R, U, keys, norm)
 
     jumps = [(0.0, 0)]
     times = np.ldexp(np.array(hits, dtype=float)[order], -2 * DEEP_LEVEL).tolist()
@@ -166,4 +167,4 @@ def _build_nest(T: np.ndarray, curve: HilbertCurveMap, norm: float) -> Projectio
         if t <= jumps[-1][0]:  # rounds to the previous jump's time: the next double
             t = min(math.nextafter(jumps[-1][0], 2.0), 1.0)
         jumps.append((t, rank))
-    return ProjectionNest(U, tuple(jumps))
+    return ProjectionNest(U, tuple(jumps)), B

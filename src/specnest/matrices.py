@@ -8,7 +8,8 @@ REORDER_WINDOW = 64 diagonal slots: LAPACK ``ztrexc`` works on a copy of each
 window's block of R and three ``gemm`` products apply the window's unitary
 to the rest of R and to U. At n <= 64 the one window is the whole matrix,
 and ``ztrexc`` moves one eigenvalue at a time on R and U themselves. Either
-way, Fortran-ordered complex128 factors are reordered in place.
+way, Fortran-ordered complex128 factors are reordered in place, and the
+residual check is taken on the flag form U*TU, which is returned with U.
 
 numpy and scipy each bundle their own OpenBLAS, each with its own thread
 pool, and two pools waking in turn compete for the cores. So the products
@@ -281,12 +282,13 @@ def reorder_schur(T: np.ndarray, R: np.ndarray, U: np.ndarray, keys, norm: float
     of the window, R's columns above it and U's columns. ``ztrexc`` copies the
     diagonal exactly and leaves the strict lower triangle zero. At n <= the
     window size the window is the whole matrix, and ``ztrexc`` works on R and
-    U themselves, one eigenvalue at a time. ``norm`` is ||T||_2, the scale of
-    the residual check. Returns (U, R, perm), U C-ordered: perm[k] is the slot,
-    in the given diagonal, of the eigenvalue now at slot k. Fortran-ordered
-    complex128 R and U (as ``_complex_schur`` returns them) are reordered in
-    place: the returned R is the caller's R, and the caller's U holds the
-    returned U; R and U in any other layout or type are copied first.
+    U themselves, one eigenvalue at a time. Returns (U, B, perm), U C-ordered
+    and B = U*TU, T's flag form: perm[k] is the slot, in the given diagonal, of
+    the eigenvalue now at slot k. The residual ||B - R||_F is checked against
+    1e-9 ``norm`` (``norm`` = ||T||_2). Fortran-ordered complex128 R and U (as
+    ``_complex_schur`` returns them) are reordered in place: the caller's R
+    holds the reordered triangle and the caller's U the returned U. R and U in
+    any other layout or type are copied first, and that R is not returned.
     """
     R = np.asarray(R, dtype=np.complex128, order="F")
     U = np.asarray(U, dtype=np.complex128, order="F")
@@ -331,10 +333,9 @@ def reorder_schur(T: np.ndarray, R: np.ndarray, U: np.ndarray, keys, norm: float
             if lo <= k0:
                 break
     U = np.ascontiguousarray(U)
-    resid = frobenius(T - gemm(gemm(U, R), U, adj_b=True))
+    B = gemm(gemm(U, T, adj_a=True), U)
+    resid = frobenius(B - R)
     if resid > 1e-9 * norm:
-        raise ArithmeticError(
-            f"Schur reordering lost accuracy (residual {resid:.3e})"
-        )
-    return U, R, target
+        raise ArithmeticError(f"Schur reordering lost accuracy (residual {resid:.3e})")
+    return U, B, target
 

@@ -141,17 +141,17 @@ def test_criterion_7_determinant_monotonicity(battery):
 
 
 def test_criterion_7_builds_one_flag_form_per_matrix(monkeypatch):
-    """decompose's flag form serves the pinch rows and the full pinch: one
-    per matrix for the criterion's 20 Ginibre 8x8."""
+    """decompose's flag form, which the nest builder returns, serves the pinch
+    rows and the full pinch: one per matrix for the criterion's 20 Ginibre 8x8."""
     module = importlib.import_module("specnest.decompose")
-    original = module._flag_form
+    original = module._build_nest
     calls = []
 
     def counting(*args):
         calls.append(args[0].shape)
         return original(*args)
 
-    monkeypatch.setattr(module, "_flag_form", counting)
+    monkeypatch.setattr(module, "_build_nest", counting)
     assert acceptance.criterion_det_monotonicity(SEED).passed
     assert calls == [(8, 8)] * 20
 

@@ -16,9 +16,9 @@ from specnest.decompose import (
     MONO_SLACK,
     _average,
     _block_means,
+    _check_invariance,
     _column_groups,
     _det_gap_rows,
-    _flag_form,
     _level_rows,
     _pinch,
     convergence_report,
@@ -57,7 +57,8 @@ def expectation_dyadic(T, nest: ProjectionNest, n: int | None) -> np.ndarray:
     projections, each dyadic increment f carrying trace(f T f) / trace(f);
     ``n = None``: the full nest algebra, one increment per nest jump."""
     T = as_operator(T)
-    B = _flag_form(T, nest, operator_norm(T), _column_groups(nest))
+    B = gemm(gemm(nest.basis, T, adj_a=True), nest.basis)
+    _check_invariance(B, operator_norm(T), _column_groups(nest))
     return _average(nest.basis, _block_means(np.diag(B), _column_groups(nest, n)))
 
 
@@ -277,6 +278,22 @@ class TestDecomposeInvariants:
     def test_decompose_solves_no_eigvals(self, eigvals_calls):
         decompose(random_matrix(67, 8))
         assert eigvals_calls == []
+
+    @pytest.mark.parametrize("n", [16, 100])  # 100: the windowed reorder
+    def test_decompose_makes_eight_dense_products(self, n, monkeypatch):
+        # Two form the flag form U*TU (the reorder's residual check), one N,
+        # two U*QU, two the normality defect and one the nest's U*U.
+        shapes = []
+
+        def counting(a, b, *args, **kwargs):
+            shapes.append((a.shape, b.shape))
+            return gemm(a, b, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("specnest") and getattr(module, "gemm", None) is gemm:
+                monkeypatch.setattr(module, "gemm", counting)
+        decompose(generate(EnsembleSpec(Ginibre(n), seed=72))[0])
+        assert shapes.count(((n, n), (n, n))) == 8
 
     def test_decompose_calls_nothing_in_numpy_linalg(self, monkeypatch):
         # Its products and 2-norms run in scipy's BLAS/LAPACK, not numpy's.

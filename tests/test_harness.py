@@ -129,6 +129,30 @@ class TestEnsembles:
         with pytest.raises(ValueError):
             ensembles.EnsembleSpec(ensembles.Ginibre(4), count=0)
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("ginibre", "n", True), ("ginibre", "n", 2.5), ("jordan", "n", 3.0),
+        ("upper-triangular", "n", "3"), ("ginibre", "count", True),
+        ("ginibre", "count", 2.0), ("ginibre", "n", np.int64(3)),
+        ("jordan", "n", np.int64(3)), ("ginibre", "count", np.int64(2)),
+    ])
+    def test_sizes_must_be_integers(self, kind, field, value):
+        # count=True generated one matrix; the others failed inside generate
+        # with a numpy TypeError that did not name the field.
+        make = {"ginibre": ensembles.Ginibre, "jordan": lambda n: ensembles.Jordan(0.5, n),
+                "upper-triangular": ensembles.UpperTriangularRandom}[kind]
+
+        def spec(n=3, count=2):
+            return ensembles.EnsembleSpec(make(n), seed=1, count=count)
+
+        if not isinstance(value, np.integer):
+            with pytest.raises(TypeError, match=f"{field} must be an integer"):
+                spec(**{field: value})
+            return
+        got, ref = spec(**{field: value}), spec(**{field: int(value)})
+        assert got == ref and type(got.count if field == "count" else got.kind.n) is int
+        assert (np.stack(ensembles.generate(got)).tobytes()
+                == np.stack(ensembles.generate(ref)).tobytes())
+
     @pytest.mark.parametrize("n", [8, 16])
     def test_ginibre_stack_is_what_generate_gives(self, n):
         # Criterion 4 draws each seed's 50 matrices as one stack.

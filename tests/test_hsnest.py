@@ -27,7 +27,7 @@ from specnest.hsnest import (
     power_limit_operator,
 )
 from specnest.matrices import (CLUSTER_TOL, ProjectionNest, _complex_schur, as_operator,
-                               default_half_side, operator_norm)
+                               default_half_side, gemm, operator_norm)
 from test_curve import _xy2d_bits
 from test_matrices import WINDOWED_CASES, reference_clusters, reference_reorder, windowed_inputs
 
@@ -399,14 +399,16 @@ class TestBuildNest:
         def capture(T, R, U, keys, norm):
             R0, U0 = R.copy(order="F"), U.copy(order="F")
             out = reorder(T, R, U, keys, norm)
-            calls.append((R0, U0, keys, out))
+            calls.append((R0, U0, keys, R, out))
             return out
 
         monkeypatch.setattr(hsnest, "reorder_schur", capture)
         T = as_operator(windowed_inputs(n)[kind])
         curve = HilbertCurveMap(default_half_side(operator_norm(T)))
-        nest = hsnest._build_nest(T, curve, operator_norm(T))
-        [(R0, U0, keys, (U, R, perm))] = calls
+        nest, flag_form = hsnest._build_nest(T, curve, operator_norm(T))
+        [(R0, U0, keys, R, (U, B, perm))] = calls
+        assert R.flags.f_contiguous  # reordered in place: the triangle the reorder left
+        assert flag_form is B
         assert nest.jumps == reference_nest(T, curve).jumps
         assert nest.basis.tobytes() == U.tobytes()
         _, R_ref, perm_ref = reference_reorder(R0, U0, keys)
@@ -429,7 +431,7 @@ class TestBuildNest:
         for T in mats:
             norm = operator_norm(T)
             curve = HilbertCurveMap(default_half_side(norm), anchor)
-            nest = hsnest._build_nest(as_operator(T), curve, norm)
+            nest, _ = hsnest._build_nest(as_operator(T), curve, norm)
             for t, rank in nest.jumps[1:-1]:
                 P = hs_projection(T, CurveSegment(t, curve))
                 assert round(float(np.trace(P).real)) == rank
@@ -457,11 +459,13 @@ class TestBuildNest:
             assert round(float(np.trace(P).real)) == nest.jumps[last_tied][1]
             assert np.linalg.norm(nest.projection_at(nest.jumps[last_tied][0]) - P) <= 1e-10
 
-    def test_anchor_rotation_rescues_build(self):
+    def test_half_side_1_curve_splits_opposite_corners_into_a_rank_2_nest(self):
+        # diag(-0.5 - 0.5i, 0.5 + 0.5i) on the square [-1, 1]^2.
         T = np.diag([-0.5 - 0.5j, 0.5 + 0.5j])
         curve = HilbertCurveMap(half_side=1.0)
-        nest = hsnest._build_nest(as_operator(T), curve, operator_norm(T))
-        assert nest.jumps[-1][1] == 2
+        nest, B = hsnest._build_nest(as_operator(T), curve, operator_norm(T))
+        assert [rank for _, rank in nest.jumps] == [0, 1, 2]
+        assert np.array_equal(B, gemm(gemm(nest.basis, T, adj_a=True), nest.basis))
 
     def test_default_curve_scales_with_norm(self):
         # decompose's square: R = 1.25 ||T||_2.

@@ -296,9 +296,13 @@ class TestSpectrumDistance:
 
 
 def ordered_schur(T, key):
-    """reorder_schur of T's complex Schur form, keyed by ``key`` of its diagonal."""
-    R, U = scipy.linalg.schur(T, output="complex")
-    return reorder_schur(T, R, U, [key(complex(z)) for z in np.diag(R)], operator_norm(T))
+    """reorder_schur of T's complex Schur form, keyed by ``key`` of its diagonal:
+    (U, R, B, perm), R the Fortran-ordered triangle it reorders in place and B
+    the flag form U*TU it returns."""
+    R, U = (np.asfortranarray(F) for F in scipy.linalg.schur(T, output="complex"))
+    keys = [key(complex(z)) for z in np.diag(R)]
+    U, B, perm = reorder_schur(T, R, U, keys, operator_norm(T))
+    return U, R, B, perm
 
 
 def reference_reorder(R, U, keys) -> tuple:
@@ -346,10 +350,12 @@ class TestOrderedSchur:
     @given(st.integers(0, 10_000), st.integers(2, 8))
     def test_factorization_properties(self, seed, n):
         T = random_matrix(seed, n)
-        U, R, perm = ordered_schur(T, key=lambda z: z.real)
+        U, R, B, perm = ordered_schur(T, key=lambda z: z.real)
         assert np.linalg.norm(U.conj().T @ U - np.eye(n), 2) < 1e-10
         assert np.linalg.norm(np.tril(R, -1), 2) < 1e-10
         assert np.linalg.norm(T - U @ R @ U.conj().T, 2) < 1e-9 * max(1, operator_norm(T))
+        assert np.array_equal(B, gemm(gemm(U, T, adj_a=True), U))
+        assert frobenius(B - R) <= 1e-9 * operator_norm(T)
         keys = [z.real for z in np.diag(R)]
         assert keys == sorted(keys)
         assert sorted(perm) == list(range(n))
@@ -363,7 +369,7 @@ class TestOrderedSchur:
     def test_reordering_permutes_schur_diagonal_exactly(self, T):
         n = T.shape[0]
         schur_diag = np.diag(scipy.linalg.schur(T, output="complex")[0])
-        U, R, perm = ordered_schur(T, key=lambda z: z.real)
+        U, R, _, perm = ordered_schur(T, key=lambda z: z.real)
         keys = [z.real for z in np.diag(R)]
         assert keys == sorted(keys)
         assert np.array_equal(np.diag(R), schur_diag[perm])
@@ -379,23 +385,24 @@ class TestOrderedSchur:
         keys = [-z.real for z in R.diagonal().tolist()]
         R_c, U_c = np.ascontiguousarray(R), np.ascontiguousarray(U)
         R_before = R.copy()
-        U_new, R_new, perm = reorder_schur(T, R, U, keys, operator_norm(T))
+        U_new, B, perm = reorder_schur(T, R, U, keys, operator_norm(T))
         assert perm.tolist() != list(range(6))
-        assert R_new is R and not np.array_equal(R, R_before)
+        assert np.array_equal(R.diagonal(), R_before.diagonal()[perm])
+        assert not np.tril(R, -1).any() and not np.array_equal(R, R_before)
         assert np.array_equal(U, U_new)
         R_c_before, U_c_before = R_c.copy(), U_c.copy()
-        U_c_new, R_c_new, _ = reorder_schur(T, R_c, U_c, keys, operator_norm(T))
+        U_c_new, B_c, _ = reorder_schur(T, R_c, U_c, keys, operator_norm(T))
         assert np.array_equal(R_c, R_c_before) and np.array_equal(U_c, U_c_before)
-        assert np.array_equal(R_c_new, R_new) and np.array_equal(U_c_new, U_new)
+        assert np.array_equal(B_c, B) and np.array_equal(U_c_new, U_new)
 
     def test_ordering_by_custom_key(self):
         T = np.diag([3.0, 1.0, 2.0]).astype(complex)
-        _, R, _ = ordered_schur(T, key=lambda z: -z.real)
+        _, R, _, _ = ordered_schur(T, key=lambda z: -z.real)
         assert np.allclose(np.diag(R).real, [3.0, 2.0, 1.0])
 
     def test_repeated_eigenvalue_is_stable(self):
         T = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-        U, R, _ = ordered_schur(T, key=lambda z: z.real)
+        U, R, _, _ = ordered_schur(T, key=lambda z: z.real)
         assert np.allclose(np.diag(R), [1.0, 1.0])
         assert np.linalg.norm(T - U @ R @ U.conj().T, 2) < 1e-12
 
@@ -408,7 +415,8 @@ class TestOrderedSchur:
         _, R_ref, perm_ref = reference_reorder(R, U, keys)
         ztrexc_shapes.clear()
         norm = operator_norm(T)
-        U, R, perm = reorder_schur(T, R, U, keys, norm)
+        R, U = np.asfortranarray(R), np.asfortranarray(U)
+        U, _, perm = reorder_schur(T, R, U, keys, norm)
         assert set(ztrexc_shapes) == {(64, 64)}  # every move ran inside a window
         assert R.diagonal().tobytes() == R_ref.diagonal().tobytes()
         assert np.array_equal(perm, perm_ref)
@@ -426,10 +434,9 @@ class TestOrderedSchur:
         keys = R.diagonal().real
         U_ref, R_ref, perm_ref = reference_reorder(R, U, keys)
         R, U = np.asfortranarray(R), np.asfortranarray(U)
-        U_new, R_new, perm = reorder_schur(T, R, U, keys, operator_norm(T))
+        U_new, _, perm = reorder_schur(T, R, U, keys, operator_norm(T))
         assert perm.tolist() != list(range(64))
-        assert R_new is R
-        assert R_new.tobytes() == R_ref.tobytes() and U_new.tobytes() == U_ref.tobytes()
+        assert R.tobytes() == R_ref.tobytes() and U_new.tobytes() == U_ref.tobytes()
         assert np.array_equal(perm, perm_ref)
 
     def test_windowed_reorder_keeps_the_fortran_in_place_contract(self):
@@ -438,14 +445,15 @@ class TestOrderedSchur:
         keys = [-z.real for z in R.diagonal().tolist()]
         R_c, U_c = np.ascontiguousarray(R), np.ascontiguousarray(U)
         R_before = R.copy()
-        U_new, R_new, perm = reorder_schur(T, R, U, keys, operator_norm(T))
+        U_new, B, perm = reorder_schur(T, R, U, keys, operator_norm(T))
         assert perm.tolist() != list(range(100))
-        assert R_new is R and not np.array_equal(R, R_before)
+        assert np.array_equal(R.diagonal(), R_before.diagonal()[perm])
+        assert not np.tril(R, -1).any() and not np.array_equal(R, R_before)
         assert np.array_equal(U, U_new) and U_new.flags.c_contiguous
         R_c_before, U_c_before = R_c.copy(), U_c.copy()
-        U_c_new, R_c_new, _ = reorder_schur(T, R_c, U_c, keys, operator_norm(T))
+        U_c_new, B_c, _ = reorder_schur(T, R_c, U_c, keys, operator_norm(T))
         assert np.array_equal(R_c, R_c_before) and np.array_equal(U_c, U_c_before)
-        assert np.array_equal(R_c_new, R_new) and np.array_equal(U_c_new, U_new)
+        assert np.array_equal(B_c, B) and np.array_equal(U_c_new, U_new)
 
     @pytest.mark.parametrize("scale, raises", [(2e-9, True), (5e-10, False)])
     def test_residual_check_rejects_a_perturbed_schur_pair(self, scale, raises):
