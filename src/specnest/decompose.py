@@ -15,8 +15,8 @@ import numpy as np
 from .curve import HilbertCurveMap
 from .detbrown import SpectralMeasure, _regularized_log_det
 from .hsnest import _build_nest
-from .matrices import (ProjectionNest, _singular_values, as_operator, default_half_side,
-                       frobenius, gemm, singular_values)
+from .matrices import (ProjectionNest, _one_blas_thread, _singular_values, as_operator,
+                       default_half_side, frobenius, gemm, singular_values)
 
 NEST_INVARIANCE_TOL = 1e-9
 # Bound on Q's flag diagonal (its spectral radius) relative to ||T||_2.
@@ -122,8 +122,18 @@ def decompose(T) -> DecompositionResult:
     their largest distance to the block means in the same flag slots (N's
     spectrum), the cluster spread.
     Raises ArithmeticError when Q's flag diagonal exceeds Q_DIAGONAL_TOL * ||T||_2.
+
+    Up to n = ONE_THREAD_MAX_N (``matrices``) the work runs on one scipy BLAS
+    thread, and the caller's thread count is restored on return or raise.
     """
     T = as_operator(T)
+    with _one_blas_thread(len(T)):
+        return _decompose(T)
+
+
+def _decompose(T: np.ndarray) -> DecompositionResult:
+    """``decompose`` of a complex128 T from ``as_operator``, on the caller's
+    BLAS thread count."""
     normT = float(_singular_values(T)[0])
     curve = HilbertCurveMap(half_side=default_half_side(normT))
     nest, B = _build_nest(T, curve, normT)

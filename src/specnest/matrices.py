@@ -19,6 +19,20 @@ elementwise work. ``singular_values`` is the one values-only SVD: the
 2-norm (``operator_norm``) is its first value, and the majorization checks
 and determinants read its array.
 
+numpy and scipy each bundle an OpenBLAS with its own thread pool. A numpy
+call just before ``decompose`` leaves numpy's workers awake to compete with
+scipy's, and a threaded scipy BLAS gives other bytes than a one-thread one
+from n = 128. So ``decompose`` runs on one scipy BLAS thread up to
+n = ONE_THREAD_MAX_N (``_one_blas_thread``) and restores the caller's count
+on return or raise; above the cutoff it runs on the caller's count, as two
+threads won at n = 512. The cutoff comes from the sweeps, with and without
+numpy work between the calls, of ``scripts/blas_threads_timing.py``. The count is
+set by OpenBLAS's ``openblas_set_num_threads_local``, looked up once through
+scipy's LAPACK extension; where it is absent the region changes nothing. In
+a pthreads OpenBLAS that setter acts on the whole process, so a reentrant
+lock keeps the pinned region to one Python thread at a time, and scipy BLAS
+work on another thread runs on one thread while it is open.
+
 On small matrices scipy's wrappers cost more than the factorizations, so
 the hot path calls the routines they would pick directly: LAPACK ``gees``
 for the complex Schur form (``_complex_schur``, the one Schur entry point of
@@ -31,11 +45,15 @@ and n and kept in ``_LWORK``.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg._flapack
 
 # Two eigenvalues closer than this (relative to the operator norm) are
 # treated as one cluster with multiplicity.
@@ -53,6 +71,48 @@ HALF_SIDE_FACTOR = 1.25
 # n = 256 in most runs of the sweep in scripts/reorder_timing.py.
 REORDER_WINDOW = 64
 REORDER_BATCH = 32
+
+# decompose runs on one scipy BLAS thread up to this order and on the
+# caller's count above it. It is the smallest cutoff of five sweeps of
+# scripts/blas_threads_timing.py (320, 352, 256, 256, 288 on 2 vCPUs): up to
+# it one thread was no slower, with or without numpy BLAS work between the
+# calls, and without that work two threads won at n = 512 in every sweep
+# (BENCH_34.json).
+ONE_THREAD_MAX_N = 256
+
+
+def _thread_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local`` in scipy's bundled library,
+    or None where scipy's LAPACK extension does not reach that symbol."""
+    try:
+        setter = ctypes.CDLL(scipy.linalg._flapack.__file__).openblas_set_num_threads_local
+    except (AttributeError, OSError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+# Sets scipy's BLAS thread count and returns the previous one.
+_set_blas_threads = _thread_setter()
+# The count is process-wide in a pthreads OpenBLAS, so one thread at a time
+# holds it pinned; reentrant, as a pinned region may open another.
+_BLAS_THREADS_LOCK = threading.RLock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread(n: int):
+    """Run the block on one scipy BLAS thread when n <= ONE_THREAD_MAX_N, holding
+    _BLAS_THREADS_LOCK, and restore the caller's count on exit; above the cutoff,
+    or without the setter, leave the count alone."""
+    if _set_blas_threads is None or n > ONE_THREAD_MAX_N:
+        yield
+        return
+    with _BLAS_THREADS_LOCK:
+        previous = _set_blas_threads(1)
+        try:
+            yield
+        finally:
+            _set_blas_threads(previous)
 
 
 def default_half_side(norm: float) -> float:
